@@ -11,7 +11,9 @@ thermal state; with only mode a amplified, the b labels stay pinned to
 
 with geometric weights c ~ q^(n+m), q = (g2-1)/g2.  Coefficients are
 assembled in log space: factorial ratios like (n+N)!/n! overflow doubles
-long before the cutoffs needed at N=6 and g2=3.
+long before the cutoffs needed at N=6 and g2=3.  The families go straight
+into the state's sparse storage as (row, col, value) triplets; no d x d
+array is ever allocated.
 
 Closed forms exist only for the fully inverted amplifier (eta = 0);
 requests with eta > 0 are rejected and belong to the lindblad integrator.
@@ -152,31 +154,37 @@ def amplify_noon_symmetric(spec: NoonSpec, params: AmplifierParams,
     log_pref = -(math.log(2.0) + gammaln(n_ph + 1) + (n_ph + 2) * math.log(g2))
     lf = gammaln(np.arange(max(da, db) + 1) + 1.0)
 
-    t = np.zeros((da, db, da, db), dtype=np.complex128)
     n_shift = np.arange(da - n_ph)   # labels n with n + N < cutoff_a
     m_shift = np.arange(db - n_ph)
     n_all = np.arange(da)
     m_all = np.arange(db)
 
     # diagonal family |n+N, m>
-    w = np.exp(log_pref + (n_shift[:, None] + m_all[None, :]) * log_q
-               + (lf[n_shift + n_ph] - lf[n_shift])[:, None])
-    t[(n_shift + n_ph)[:, None], m_all[None, :], (n_shift + n_ph)[:, None], m_all[None, :]] = w
+    up_a = cutoffs.flat_index((n_shift + n_ph)[:, None], m_all[None, :])
+    w_up_a = np.exp(log_pref + (n_shift[:, None] + m_all[None, :]) * log_q
+                    + (lf[n_shift + n_ph] - lf[n_shift])[:, None])
 
-    # diagonal family |n, m+N>
-    w = np.exp(log_pref + (n_all[:, None] + m_shift[None, :]) * log_q
-               + (lf[m_shift + n_ph] - lf[m_shift])[None, :])
-    t[n_all[:, None], (m_shift + n_ph)[None, :], n_all[:, None], (m_shift + n_ph)[None, :]] += w
+    # diagonal family |n, m+N>; where it meets the first family the two add
+    up_b = cutoffs.flat_index(n_all[:, None], (m_shift + n_ph)[None, :])
+    w_up_b = np.exp(log_pref + (n_all[:, None] + m_shift[None, :]) * log_q
+                    + (lf[m_shift + n_ph] - lf[m_shift])[None, :])
 
     # off-diagonal pair coupling |n+N, m> <-> |n, m+N>
-    w = np.exp(log_pref + (n_shift[:, None] + m_shift[None, :]) * log_q
-               + 0.5 * ((lf[n_shift + n_ph] - lf[n_shift])[:, None]
-                        + (lf[m_shift + n_ph] - lf[m_shift])[None, :]))
-    t[(n_shift + n_ph)[:, None], m_shift[None, :], n_shift[:, None], (m_shift + n_ph)[None, :]] = w
-    t[n_shift[:, None], (m_shift + n_ph)[None, :], (n_shift + n_ph)[:, None], m_shift[None, :]] = w
+    left = cutoffs.flat_index((n_shift + n_ph)[:, None], m_shift[None, :])
+    right = cutoffs.flat_index(n_shift[:, None], (m_shift + n_ph)[None, :])
+    w_off = np.exp(log_pref + (n_shift[:, None] + m_shift[None, :]) * log_q
+                   + 0.5 * ((lf[n_shift + n_ph] - lf[n_shift])[:, None]
+                            + (lf[m_shift + n_ph] - lf[m_shift])[None, :]))
 
-    d = cutoffs.dimension
-    return TwoModeState(cutoffs, t.reshape(d, d))
+    return _from_families(cutoffs, (up_a, up_a, w_up_a), (up_b, up_b, w_up_b),
+                          (left, right, w_off), (right, left, w_off))
+
+
+def _from_families(cutoffs: ModeCutoffs, *families) -> TwoModeState:
+    """State from (rows, cols, values) term families, summed where they meet."""
+    rows, cols, vals = (np.concatenate([np.ravel(f[k]) for f in families])
+                        for k in range(3))
+    return TwoModeState.from_entries(cutoffs, rows, cols, vals)
 
 
 def amplify_noon_asymmetric(spec: NoonSpec, params: AmplifierParams,
@@ -190,7 +198,7 @@ def amplify_noon_asymmetric(spec: NoonSpec, params: AmplifierParams,
     if g2 == 1.0:
         return build_noon(spec, cutoffs)
 
-    da, db = cutoffs.cutoff_a, cutoffs.cutoff_b
+    da = cutoffs.cutoff_a
     log_q = math.log(g2 - 1.0) - math.log(g2)
     log_g2 = math.log(g2)
     lf_n = gammaln(np.arange(da + 1) + 1.0)
@@ -198,26 +206,24 @@ def amplify_noon_asymmetric(spec: NoonSpec, params: AmplifierParams,
     # prefactor 1 / (2 N! g2^(N+1))
     log_pref = -(math.log(2.0) + lgN + (n_ph + 1) * log_g2)
 
-    t = np.zeros((da, db, da, db), dtype=np.complex128)
     n_shift = np.arange(da - n_ph)
     n_all = np.arange(da)
 
     # diagonal family |n+N, 0>
-    w = np.exp(log_pref + n_shift * log_q + (lf_n[n_shift + n_ph] - lf_n[n_shift]))
-    t[n_shift + n_ph, 0, n_shift + n_ph, 0] = w
+    up_a = cutoffs.flat_index(n_shift + n_ph, 0)
+    w_up_a = np.exp(log_pref + n_shift * log_q + (lf_n[n_shift + n_ph] - lf_n[n_shift]))
 
     # diagonal family |n, N>, weight g2^N N!
-    w = np.exp(log_pref + n_all * log_q + n_ph * log_g2 + lgN)
-    t[n_all, n_ph, n_all, n_ph] = w
+    at_n = cutoffs.flat_index(n_all, n_ph)
+    w_at_n = np.exp(log_pref + n_all * log_q + n_ph * log_g2 + lgN)
 
     # off-diagonal pair |n+N, 0> <-> |n, N>, weight G^N sqrt((n+N)!/n! N!)
-    w = np.exp(log_pref + n_shift * log_q + 0.5 * n_ph * log_g2
-               + 0.5 * (lf_n[n_shift + n_ph] - lf_n[n_shift] + lgN))
-    t[n_shift + n_ph, 0, n_shift, n_ph] = w
-    t[n_shift, n_ph, n_shift + n_ph, 0] = w
+    right = cutoffs.flat_index(n_shift, n_ph)
+    w_off = np.exp(log_pref + n_shift * log_q + 0.5 * n_ph * log_g2
+                   + 0.5 * (lf_n[n_shift + n_ph] - lf_n[n_shift] + lgN))
 
-    d = cutoffs.dimension
-    return TwoModeState(cutoffs, t.reshape(d, d))
+    return _from_families(cutoffs, (up_a, up_a, w_up_a), (at_n, at_n, w_at_n),
+                          (up_a, right, w_off), (right, up_a, w_off))
 
 
 def photon_add_both(state: TwoModeState) -> TwoModeState:

@@ -408,60 +408,62 @@ def _policy_from(cutoff, tail_tol: float) -> channel.CutoffPolicy:
                                 fixed_cutoffs=ModeCutoffs(cutoff[0], cutoff[1]))
 
 
+def _sweep(args) -> int:
+    cfg = SweepConfig(
+        family=args.family,
+        n_values=tuple(args.n) if args.n else (),
+        r=args.r, eta=args.eta,
+        g2_start=args.g2[0], g2_stop=args.g2[1], g2_step=args.g2[2],
+        cutoff_policy=_policy_from(args.cutoff, args.tail_tol),
+        method=args.method, oracle_check=args.oracle_check,
+        output_path=args.out, output_format=args.format, jobs=args.jobs,
+    )
+    text = emit(run_sweep(cfg), cfg)
+    if not cfg.output_path:
+        sys.stdout.write(text)
+    return 0
+
+
+def _qfunc(args) -> int:
+    mode = (channel.MODE_SYMMETRIC if args.family == "noon_symmetric"
+            else channel.MODE_ASYMMETRIC_A)
+    spec = NoonSpec(args.n)
+    params = channel.AmplifierParams(g_squared=args.g2, mode_config=mode)
+    policy = channel.CutoffPolicy(mode="auto", tail_tol=args.tail_tol)
+    cutoffs = channel.select_cutoffs(spec, params, policy)
+    build = (channel.amplify_noon_symmetric if mode == channel.MODE_SYMMETRIC
+             else channel.amplify_noon_asymmetric)
+    state = build(spec, params, cutoffs)
+    grid = husimi.default_grid_for_state(state, extent=args.extent, points=args.points)
+    husimi.write_qgrid_csv(husimi.q_evaluate(state, grid), args.out)
+    return 0
+
+
+def _verify(args) -> int:
+    return run_verify(_policy_from(args.cutoff, args.tail_tol))
+
+
+def _thresholds(args) -> int:
+    spec = gaussian.SqueezingSpec(args.r)
+    sym = gaussian.threshold_symmetric(spec, args.eta)
+    asym = gaussian.threshold_asymmetric(args.eta)
+    print(f"symmetric_threshold_g2 {sym:.12g}")
+    print("asymmetric_threshold_g2 " + ("inf" if math.isinf(asym) else f"{asym:.12g}"))
+    return 0
+
+
+_COMMANDS = {"sweep": _sweep, "qfunc": _qfunc, "verify": _verify,
+             "thresholds": _thresholds}
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-
-    if args.command == "sweep":
-        try:
-            cfg = SweepConfig(
-                family=args.family,
-                n_values=tuple(args.n) if args.n else (),
-                r=args.r, eta=args.eta,
-                g2_start=args.g2[0], g2_stop=args.g2[1], g2_step=args.g2[2],
-                cutoff_policy=_policy_from(args.cutoff, args.tail_tol),
-                method=args.method, oracle_check=args.oracle_check,
-                output_path=args.out, output_format=args.format, jobs=args.jobs,
-            )
-            rows = run_sweep(cfg)
-        except ValueError as exc:
-            print(f"configuration error: {exc}", file=sys.stderr)
-            return 2
-        text = emit(rows, cfg)
-        if not cfg.output_path:
-            sys.stdout.write(text)
-        return 0
-
-    if args.command == "qfunc":
-        mode = (channel.MODE_SYMMETRIC if args.family == "noon_symmetric"
-                else channel.MODE_ASYMMETRIC_A)
-        try:
-            spec = NoonSpec(args.n)
-            params = channel.AmplifierParams(g_squared=args.g2, mode_config=mode)
-            policy = channel.CutoffPolicy(mode="auto", tail_tol=args.tail_tol)
-            cutoffs = channel.select_cutoffs(spec, params, policy)
-            build = (channel.amplify_noon_symmetric if mode == channel.MODE_SYMMETRIC
-                     else channel.amplify_noon_asymmetric)
-            state = build(spec, params, cutoffs)
-        except ValueError as exc:
-            print(f"configuration error: {exc}", file=sys.stderr)
-            return 2
-        grid = husimi.default_grid_for_state(state, extent=args.extent,
-                                             points=args.points)
-        husimi.write_qgrid_csv(husimi.q_evaluate(state, grid), args.out)
-        return 0
-
-    if args.command == "verify":
-        return run_verify(_policy_from(args.cutoff, args.tail_tol))
-
-    if args.command == "thresholds":
-        spec = gaussian.SqueezingSpec(args.r)
-        sym = gaussian.threshold_symmetric(spec, args.eta)
-        asym = gaussian.threshold_asymmetric(args.eta)
-        print(f"symmetric_threshold_g2 {sym:.12g}")
-        print("asymmetric_threshold_g2 " + ("inf" if math.isinf(asym) else f"{asym:.12g}"))
-        return 0
-
-    return 2
+    try:
+        return _COMMANDS[args.command](args)
+    except ValueError as exc:
+        # input validation throughout the package raises ValueError
+        print(f"configuration error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

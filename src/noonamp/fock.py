@@ -1,9 +1,16 @@
 """Truncated two-mode Fock-space states and structural operations.
 
 Basis convention: the flattened index of the pair |n_a, n_b> is
-``n_a * cutoff_b + n_b`` (row-major in the mode-a label).  All density
-matrices are dense complex Hermitian arrays over that basis.  States are
-immutable after construction; every operation here is a pure function.
+``n_a * cutoff_b + n_b`` (row-major in the mode-a label).  A density
+matrix is stored as its nonzero entries over that basis, in a
+``scipy.sparse.csr_array``: the closed-form states fill a vanishing share
+of the d^2 entries, so everything that needs only the nonzeros (trace,
+populations, purity, partial transpose, the block negativity) runs in
+O(nnz).  The entries are real (float64) for every state the package
+builds and complex128 only for genuinely complex input.  Dense copies are
+made on request for the dense eigensolve, the integrator, the Husimi
+contraction and the trace distance.  States are immutable after
+construction; every operation here is a pure function.
 """
 
 from dataclasses import dataclass
@@ -83,38 +90,71 @@ class ThermalSpec:
 
 
 class TwoModeState:
-    """Dense Hermitian density matrix of a truncated two-mode state.
+    """Density matrix of a truncated two-mode state, stored sparse.
 
-    ``trace_deficit`` records 1 - Tr(rho) at construction: states built by
-    truncating an infinite sum are never renormalized, the missing tail is
-    carried explicitly so downstream tolerances can budget for it.
+    The stored entries are a ``scipy.sparse.csr_array`` over the flattened
+    basis with explicit zeros removed (``csr``).  They are float64 unless the
+    input has a nonzero imaginary part, in which case they are complex128.
+    ``matrix`` and ``tensor()`` build read-only dense copies for consumers
+    that need one; everything that reads only the nonzeros uses ``csr``.
+
+    Construction checks the stored entries: Hermiticity, a non-negative
+    diagonal and a trace of at most 1.  ``trace_deficit`` records
+    1 - Tr(rho): states built by truncating an infinite sum are never
+    renormalized, the missing tail is carried explicitly so downstream
+    tolerances can budget for it.
     """
 
-    __slots__ = ("cutoffs", "matrix", "trace_deficit")
+    __slots__ = ("cutoffs", "csr", "trace_deficit")
 
-    def __init__(self, cutoffs: ModeCutoffs, matrix: np.ndarray, validate: bool = True,
+    def __init__(self, cutoffs: ModeCutoffs, matrix, validate: bool = True,
                  atol: float | None = None):
+        """``matrix`` is a dense (d, d) array or any scipy sparse array."""
+        # scipy.sparse is imported at first use: at module level it would add
+        # about 20 ms to importing the package, which commands without a
+        # state (thresholds, the Gaussian family) pay for nothing
+        from scipy import sparse
+
         atol = config.ATOL_STRUCTURAL if atol is None else atol
-        matrix = np.ascontiguousarray(matrix, dtype=np.complex128)
+        csr = sparse.csr_array(matrix if sparse.issparse(matrix) else np.asarray(matrix),
+                               copy=True)
         d = cutoffs.dimension
-        if matrix.shape != (d, d):
-            raise ValueError(f"matrix shape {matrix.shape} does not match dimension {d}")
-        trace = float(matrix.trace().real)
+        if csr.shape != (d, d):
+            raise ValueError(f"matrix shape {csr.shape} does not match dimension {d}")
+        csr.sum_duplicates()
+        csr.eliminate_zeros()
+        if np.iscomplexobj(csr.data) and not np.any(csr.data.imag):
+            csr = csr.real
+        csr = csr.astype(np.complex128 if np.iscomplexobj(csr.data) else np.float64,
+                         copy=False)
+        trace = _trace(csr)
         if validate:
-            herm_err = float(np.abs(matrix - matrix.conj().T).max())
+            herm_err = _hermiticity_error(csr)
             if herm_err > atol:
                 raise ValueError(f"matrix is not Hermitian: max |M - M^dag| = {herm_err:.3e}")
-            diag = np.diagonal(matrix)
+            diag = csr.diagonal()
             if float(np.abs(diag.imag).max(initial=0.0)) > atol:
                 raise ValueError("diagonal has imaginary parts beyond tolerance")
             if float(diag.real.min(initial=0.0)) < -atol:
                 raise ValueError("diagonal has negative entries beyond tolerance")
             if trace > 1.0 + 1e-9:
                 raise ValueError(f"trace {trace} exceeds 1; not a truncated density matrix")
-        matrix.setflags(write=False)
+        for arr in (csr.data, csr.indices, csr.indptr):
+            arr.setflags(write=False)
         object.__setattr__(self, "cutoffs", cutoffs)
-        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "csr", csr)
         object.__setattr__(self, "trace_deficit", max(0.0, 1.0 - trace))
+
+    @classmethod
+    def from_entries(cls, cutoffs: ModeCutoffs, rows, cols, values,
+                     **kwargs) -> "TwoModeState":
+        """State from COO triplets over the flattened basis; repeated
+        (row, col) pairs are summed."""
+        from scipy import sparse
+
+        d = cutoffs.dimension
+        return cls(cutoffs, sparse.coo_array((values, (rows, cols)), shape=(d, d)),
+                   **kwargs)
 
     def __setattr__(self, name, value):
         raise AttributeError("TwoModeState is immutable")
@@ -125,17 +165,40 @@ class TwoModeState:
 
     @property
     def trace(self) -> float:
-        return float(self.matrix.trace().real)
+        return _trace(self.csr)
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """Read-only dense (d, d) copy of the stored entries."""
+        dense = self.csr.toarray()
+        dense.setflags(write=False)
+        return dense
 
     def tensor(self) -> np.ndarray:
-        """Read-only view of shape (da, db, da, db)."""
+        """Read-only dense copy of shape (da, db, da, db)."""
         c = self.cutoffs
         return self.matrix.reshape(c.cutoff_a, c.cutoff_b, c.cutoff_a, c.cutoff_b)
 
     def populations(self) -> np.ndarray:
         """Diagonal occupation probabilities as a real (da, db) array."""
         c = self.cutoffs
-        return np.diagonal(self.matrix).real.reshape(c.cutoff_a, c.cutoff_b).copy()
+        return self.csr.diagonal().real.reshape(c.cutoff_a, c.cutoff_b)
+
+    def hermiticity_error(self) -> float:
+        """max |M - M^dag| over the stored entries."""
+        return _hermiticity_error(self.csr)
+
+
+def _trace(csr) -> float:
+    # summed in complex128: numpy's float64 pairwise sum groups the terms
+    # differently and moves the 12th printed digit of trace_deficit, which
+    # the golden sweep pins byte for byte
+    return float(csr.diagonal().astype(np.complex128).sum().real)
+
+
+def _hermiticity_error(csr) -> float:
+    diff = csr - csr.conj().T
+    return float(abs(diff).max()) if diff.nnz else 0.0
 
 
 def build_noon(spec: NoonSpec, cutoffs: ModeCutoffs) -> TwoModeState:
@@ -150,18 +213,14 @@ def build_noon(spec: NoonSpec, cutoffs: ModeCutoffs) -> TwoModeState:
             f"cutoffs {cutoffs.cutoff_a}x{cutoffs.cutoff_b} cannot hold N={n}; "
             f"need both > {n}"
         )
-    d = cutoffs.dimension
-    m = np.zeros((d, d), dtype=np.complex128)
     i = cutoffs.flat_index(n, 0)
     j = cutoffs.flat_index(0, n)
-    m[i, i] = m[i, j] = m[j, i] = m[j, j] = 0.5
-    return TwoModeState(cutoffs, m)
+    return TwoModeState.from_entries(cutoffs, [i, i, j, j], [i, j, i, j], [0.5] * 4)
 
 
 def product_state(mat_a: np.ndarray, mat_b: np.ndarray) -> TwoModeState:
     """Tensor product rho_a (x) rho_b in the flattened basis."""
-    mat_a = np.asarray(mat_a, dtype=np.complex128)
-    mat_b = np.asarray(mat_b, dtype=np.complex128)
+    mat_a, mat_b = np.asarray(mat_a), np.asarray(mat_b)
     cutoffs = ModeCutoffs(mat_a.shape[0], mat_b.shape[0])
     return TwoModeState(cutoffs, np.kron(mat_a, mat_b))
 
@@ -170,25 +229,29 @@ def partial_transpose_b(state: TwoModeState) -> TwoModeState:
     """Transpose the mode-b indices: out[(n,m),(n',m')] = in[(n,m'),(n',m)].
 
     Hermiticity and the trace are preserved; entanglement shows up as
-    negative eigenvalues of the result.
+    negative eigenvalues of the result.  The stored entries are remapped,
+    so the cost is O(nnz).
     """
-    t = state.tensor()
-    pt = np.ascontiguousarray(t.transpose(0, 3, 2, 1))
-    d = state.dimension
-    return TwoModeState(state.cutoffs, pt.reshape(d, d), validate=False)
+    coo = state.csr.tocoo()
+    rows, cols = pt_coordinates(coo.row, coo.col, state.cutoffs.cutoff_b)
+    return TwoModeState.from_entries(state.cutoffs, rows, cols, coo.data, validate=False)
+
+
+def pt_coordinates(rows: np.ndarray, cols: np.ndarray, cutoff_b: int):
+    """Positions in the partial transpose of the entries at (rows, cols)."""
+    db = cutoff_b
+    return (rows // db) * db + cols % db, (cols // db) * db + rows % db
 
 
 def trace_and_purity(state: TwoModeState) -> tuple[float, float]:
     """(Tr rho, Tr rho^2); the purity uses Hermiticity: Tr rho^2 = sum |rho_ij|^2."""
-    m = state.matrix
-    tr = float(m.trace().real)
-    purity = float(np.vdot(m, m).real)
-    return tr, purity
+    data = state.csr.data
+    return state.trace, float(np.vdot(data, data).real)
 
 
 def trace_distance(state_1: TwoModeState, state_2: TwoModeState) -> float:
     """Half the trace norm of the difference (states must share cutoffs)."""
     if state_1.cutoffs != state_2.cutoffs:
         raise ValueError("states have different cutoffs")
-    eigs = np.linalg.eigvalsh(state_1.matrix - state_2.matrix)
+    eigs = np.linalg.eigvalsh((state_1.csr - state_2.csr).toarray())
     return 0.5 * float(np.abs(eigs).sum())

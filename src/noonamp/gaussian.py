@@ -177,11 +177,9 @@ def tmsv_fock(spec: SqueezingSpec, cutoffs: ModeCutoffs) -> TwoModeState:
     n_max = min(cutoffs.cutoff_a, cutoffs.cutoff_b)
     lam = math.tanh(spec.r)
     amps = lam ** np.arange(n_max) / math.cosh(spec.r)
-    d = cutoffs.dimension
-    m = np.zeros((d, d), dtype=np.complex128)
-    idx = np.arange(n_max) * cutoffs.cutoff_b + np.arange(n_max)
-    m[np.ix_(idx, idx)] = np.outer(amps, amps)
-    return TwoModeState(cutoffs, m)
+    idx = cutoffs.flat_index(np.arange(n_max), np.arange(n_max))
+    return TwoModeState.from_entries(cutoffs, np.repeat(idx, n_max), np.tile(idx, n_max),
+                                     np.outer(amps, amps).ravel())
 
 
 def _pipeline_cutoff(r: float, g_max: float, tail_tol: float) -> int:

@@ -36,6 +36,8 @@ class QGrid:
 def square_mesh(extent: float, points: int) -> tuple[np.ndarray, float]:
     """Complex samples on a uniform (points x points) mesh over
     [-extent, extent]^2; returns (samples, spacing)."""
+    if points < 1:
+        raise ValueError("points must be >= 1")
     axis = np.linspace(-extent, extent, points)
     re, im = np.meshgrid(axis, axis, indexing="ij")
     spacing = axis[1] - axis[0] if points > 1 else 2.0 * extent
@@ -103,14 +105,15 @@ def q_evaluate(state: TwoModeState, grid: QGrid, enforce_guard: bool = True,
 
     va = coherent_matrix(grid.alpha_samples, da)
     vb = coherent_matrix(grid.beta_samples, db)
-    t = state.tensor()
+    t = state.tensor().astype(np.complex128)  # once, not per tensordot chunk
     n_alpha = va.shape[0]
 
     # pairwise coherent projectors of mode b, flattened: w[j, m*db+q]
     w = (vb.conj()[:, :, None] * vb[:, None, :]).reshape(len(vb), db * db)
 
-    # chunk mode-a samples so the (chunk, db, da, db) intermediate stays small
-    chunk = max(1, int(4_000_000 / max(db * da * db, 1)))
+    # chunk mode-a samples so the (chunk, db, da, db) intermediate stays at
+    # 32 MB: with the dense state it sets the peak memory of a Q dump
+    chunk = max(1, int(2_000_000 / max(db * da * db, 1)))
     u = np.empty((n_alpha, db * db), dtype=np.complex128)
     for lo in range(0, n_alpha, chunk):
         hi = min(lo + chunk, n_alpha)
@@ -139,7 +142,7 @@ def q_pairs(state: TwoModeState, alphas: np.ndarray, betas: np.ndarray,
     _guard(betas, c.cutoff_b, "beta", enforce_guard)
     va = coherent_matrix(alphas, c.cutoff_a)
     vb = coherent_matrix(betas, c.cutoff_b)
-    t = state.tensor()
+    t = state.tensor().astype(np.complex128)
     out = np.empty(len(alphas))
     for k in range(len(alphas)):
         amp = np.einsum("nmpq,n,m,p,q->", t, va[k].conj(), vb[k].conj(), va[k], vb[k],

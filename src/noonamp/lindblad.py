@@ -125,7 +125,7 @@ def evolve(state: TwoModeState, params: LindbladParams, config_: IntegratorConfi
         raise ValueError(f"{total_steps} steps exceed max_steps={config_.max_steps}")
 
     c = state.cutoffs
-    rho = np.ascontiguousarray(state.tensor()).copy()
+    rho = state.tensor().copy()
     k1, k2, k3, k4, tmp = (np.empty_like(rho) for _ in range(5))
     sq_a = np.sqrt(np.arange(c.cutoff_a, dtype=np.float64))
     sq_b = np.sqrt(np.arange(c.cutoff_b, dtype=np.float64))
@@ -192,19 +192,25 @@ def save_state_npz(state: TwoModeState, path) -> None:
 
 
 def load_state_npz(path) -> TwoModeState:
-    data = np.load(path)
-    cutoffs = ModeCutoffs(int(data["cutoff_a"]), int(data["cutoff_b"]))
-    return TwoModeState(cutoffs, data["matrix"])
+    """Inverse of save_state_npz; the stored trace_deficit must match the
+    rebuilt state's within 1e-12, so a tampered or mismatched file is refused."""
+    with np.load(path) as data:
+        cutoffs = ModeCutoffs(int(data["cutoff_a"]), int(data["cutoff_b"]))
+        state = TwoModeState(cutoffs, data["matrix"])
+        stored = float(data["trace_deficit"])
+    if abs(state.trace_deficit - stored) > 1e-12:
+        raise ValueError(f"stored trace_deficit {stored:.6e} disagrees with the "
+                         f"matrix's {state.trace_deficit:.6e}")
+    return state
 
 
 def save_state_csv(state: TwoModeState, path) -> None:
-    """Nonzero entries as text: n_a, n_b, n_a', n_b', re, im."""
-    c = state.cutoffs
-    rows, cols = np.nonzero(state.matrix)
+    """Stored entries as text, row-major: n_a, n_b, n_a', n_b', re, im."""
+    db = state.cutoffs.cutoff_b
+    coo = state.csr.tocoo()
     with open(path, "w") as fh:
         fh.write("n_a,n_b,na_p,nb_p,re,im\n")
-        for r, col in zip(rows, cols):
-            v = state.matrix[r, col]
-            fh.write(f"{r // c.cutoff_b},{r % c.cutoff_b},"
-                     f"{col // c.cutoff_b},{col % c.cutoff_b},"
+        for r, col, v in zip(coo.row.tolist(), coo.col.tolist(), coo.data.tolist()):
+            v = complex(v)
+            fh.write(f"{r // db},{r % db},{col // db},{col % db},"
                      f"{v.real:.12g},{v.imag:.12g}\n")

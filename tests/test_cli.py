@@ -132,6 +132,25 @@ def test_cli_configuration_errors():
                                    "--g2", "bad"])
 
 
+@pytest.mark.parametrize("argv", [
+    ["thresholds", "--r", "-1"],
+    ["thresholds", "--r", "0.5", "--eta", "-1"],
+    ["verify", "--cutoff", "0,3"],
+    ["verify", "--tail-tol", "2"],
+    ["sweep", "--family", "noon_symmetric", "--n", "2", "--tail-tol", "2"],
+    ["qfunc", "--points", "0"],
+    ["qfunc", "--g2", "0.5"],
+], ids=lambda argv: " ".join(argv))
+def test_cli_misuse_exits_2(argv, tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    extra = ["--out", str(out)] if argv[0] == "qfunc" else []
+    assert main(argv + extra) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_cli_thresholds(capsys):
     assert main(["thresholds", "--r", "0.5", "--eta", "0.5"]) == 0
     out = capsys.readouterr().out.strip().split("\n")

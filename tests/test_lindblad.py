@@ -170,3 +170,21 @@ def test_state_dump_roundtrip(tmp_path):
     lines = csv.read_text().strip().split("\n")
     assert lines[0] == "n_a,n_b,na_p,nb_p,re,im"
     assert len(lines) - 1 == int(np.count_nonzero(out.matrix))
+
+
+def test_load_rejects_tampered_trace_deficit(tmp_path):
+    spec = NoonSpec(2)
+    params = AmplifierParams(1.5)
+    state = amplify_noon_symmetric(spec, params, ModeCutoffs(10, 10))
+    assert state.trace_deficit > 1e-6  # truncated: the deficit carries information
+    good = tmp_path / "good.npz"
+    save_state_npz(state, good)
+    assert load_state_npz(good).trace_deficit == state.trace_deficit
+
+    with np.load(good) as data:
+        fields = dict(data)
+    fields["trace_deficit"] = state.trace_deficit + 1e-9
+    bad = tmp_path / "bad.npz"
+    np.savez_compressed(bad, **fields)
+    with pytest.raises(ValueError, match="trace_deficit"):
+        load_state_npz(bad)
