@@ -16,7 +16,6 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,7 +45,6 @@ class SweepConfig:
     oracle_check: bool = False
     output_path: str | None = None
     output_format: str = "csv"
-    jobs: int = 1
 
     def __post_init__(self):
         if self.family not in FAMILIES:
@@ -130,12 +128,7 @@ def run_sweep(cfg: SweepConfig) -> list[dict]:
     grid = g2_values(cfg)
     rows: list[dict] = []
     if cfg.family in ("noon_symmetric", "noon_asymmetric"):
-        points = [(n, g2) for n in cfg.n_values for g2 in grid]
-        if cfg.jobs > 1:
-            with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-                rows = list(pool.map(lambda p: _noon_point(cfg, *p), points))
-        else:
-            rows = [_noon_point(cfg, n, g2) for n, g2 in points]
+        rows = [_noon_point(cfg, n, g2) for n in cfg.n_values for g2 in grid]
     elif cfg.family == "tmsv_gaussian":
         rows = [_gaussian_point(cfg, g2) for g2 in grid]
     else:  # photon_added_tmsv: one continuous integration, inherently ordered
@@ -375,7 +368,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--tail-tol", type=float, default=config.DEFAULT_TAIL_TOL)
     sweep.add_argument("--method", choices=("dense", "block", "both"), default="block")
     sweep.add_argument("--oracle-check", action="store_true")
-    sweep.add_argument("--jobs", type=int, default=1)
     sweep.add_argument("--out", default=None)
     sweep.add_argument("--format", choices=("csv", "json"), default="csv")
 
@@ -416,7 +408,7 @@ def _sweep(args) -> int:
         g2_start=args.g2[0], g2_stop=args.g2[1], g2_step=args.g2[2],
         cutoff_policy=_policy_from(args.cutoff, args.tail_tol),
         method=args.method, oracle_check=args.oracle_check,
-        output_path=args.out, output_format=args.format, jobs=args.jobs,
+        output_path=args.out, output_format=args.format,
     )
     text = emit(run_sweep(cfg), cfg)
     if not cfg.output_path:
@@ -457,8 +449,10 @@ _COMMANDS = {"sweep": _sweep, "qfunc": _qfunc, "verify": _verify,
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args, unknown = build_parser().parse_known_args(argv)
     try:
+        if unknown:
+            raise ValueError(f"unrecognized arguments: {' '.join(unknown)}")
         return _COMMANDS[args.command](args)
     except ValueError as exc:
         # input validation throughout the package raises ValueError

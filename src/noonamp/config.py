@@ -5,8 +5,6 @@ operations accept keyword overrides so tests can tighten or relax a single
 check without touching global state.
 """
 
-import os
-
 # Elementwise Hermiticity / trace bookkeeping.
 ATOL_STRUCTURAL = 1e-12
 
@@ -32,11 +30,3 @@ BLOCK_SIZE_LIMIT = 512
 
 # Husimi values in [-Q_CLAMP, 0) are clamped to zero; anything lower raises.
 Q_CLAMP = 1e-14
-
-# Environment flag: set to a non-empty value to force the pure-numpy kernel
-# path even when numba is importable.
-NUMBA_DISABLE_ENV = "NOONAMP_NO_NUMBA"
-
-
-def numba_disabled() -> bool:
-    return bool(os.environ.get(NUMBA_DISABLE_ENV, ""))

@@ -28,7 +28,7 @@ import numpy as np
 from . import config
 from .channel import photon_add_both
 from .fock import ModeCutoffs, TwoModeState
-from .lindblad import IntegratorConfig, LindbladParams, evolve
+from .lindblad import LindbladParams, evolve_checkpoints
 from .negativity import log_negativity_dense
 
 _OMEGA = np.array([
@@ -216,14 +216,5 @@ def photon_added_tmsv_negativity_sweep(
     added = photon_add_both(tmsv_fock(spec, cutoffs))
     params = LindbladParams(kappa_n1=1.0, kappa_n2=0.0, amplified_modes=("a", "b"))
 
-    out = []
-    current = added
-    g_prev = 1.0
-    for g in gains:
-        if g > g_prev:
-            current = evolve(current, params,
-                             IntegratorConfig(target_g_squared=g / g_prev,
-                                              step_size=step_size))
-            g_prev = g
-        out.append((g, log_negativity_dense(current).log_negativity))
-    return out
+    states = evolve_checkpoints(added, params, gains, step_size=step_size)
+    return [(g, log_negativity_dense(st).log_negativity) for g, st in zip(gains, states)]

@@ -5,13 +5,23 @@ Per amplified mode the density matrix evolves under
     d rho/dt = kappa N1 (2 adag rho a - a adag rho - rho a adag)
              + kappa N2 (2 a rho adag - adag a rho - rho adag a)
 
-with field gain G(t) = exp((N1 - N2) kappa t).  The generator is applied
-matrix-free (shifted and scaled reads of the density tensor, see
-``_kernels``), never materialized as a superoperator.  A classical
-fourth-order Runge-Kutta scheme with a fixed step keeps runs bit-for-bit
-reproducible; amplification pushes weight toward the cutoff, so the
-populations of the top two Fock levels of each amplified mode are checked
-every ten steps and the run aborts if they grow past the leak budget.
+with field gain G(t) = exp((N1 - N2) kappa t).  The generator only moves
+weight from rho[n, m, p, q] to (n +- 1, p +- 1) and (m +- 1, q +- 1), so
+the phase offsets (k_a, k_b) = (n - p, m - q) are conserved exactly: each
+sector of fixed (k_a, k_b) evolves independently of the others, and a
+sector empty at t = 0 stays zero for all time.  The integrator therefore
+evolves only the sectors populated at t = 0 (and their Hermitian mirrors),
+stacked as one array and acted on matrix-free by ``_kernels``; the
+generator is never materialized as a superoperator.  This is a symmetry
+of the equation, not an approximation: every stored entry comes out
+bit-for-bit as a full-tensor integration would give it.  A NOON input
+fills only 3 of the (2 cutoff_a - 1)(2 cutoff_b - 1) sectors.
+
+A classical fourth-order Runge-Kutta scheme with a fixed step keeps runs
+bit-for-bit reproducible; amplification pushes weight toward the cutoff,
+so the populations of the top two Fock levels of each amplified mode are
+checked every ten steps and the run aborts if they grow past the leak
+budget.
 
 This module is the independent oracle for every closed-form constructor:
 it supports arbitrary eta = N2/(N1-N2) >= 0, not just the eta = 0 limit
@@ -23,7 +33,7 @@ import math
 
 import numpy as np
 
-from . import _kernels, config
+from . import _kernels
 from .fock import ModeCutoffs, TwoModeState
 
 _LEAK_TOL = 1e-8
@@ -81,23 +91,26 @@ def _time_for_gain(params: LindbladParams, g_squared: float) -> float:
     return math.log(g_squared) / (2.0 * params.rate)
 
 
-def _liouvillian(rho, out, params: LindbladParams, sq_a, sq_b):
+def _liouvillian(x, out, params: LindbladParams, ladder_a, ladder_b):
     out[:] = 0.0
     if "a" in params.amplified_modes:
-        _kernels.gen_mode_a(rho, out, params.kappa_n1, params.kappa_n2, sq_a)
+        _kernels.gen_mode_a(x, out, ladder_a)
     if "b" in params.amplified_modes:
-        _kernels.gen_mode_b(rho, out, params.kappa_n1, params.kappa_n2, sq_b)
+        _kernels.gen_mode_b(x, out, ladder_b)
     return out
 
 
-def _check_leak(rho, params: LindbladParams, t: float, leak_tol: float):
-    pops = np.einsum("nmnm->nm", rho).real
+def _check_leak(pops, params: LindbladParams, t: float, leak_tol: float):
+    """Abort if an amplified mode's top two Fock levels hold more than leak_tol;
+    ``pops`` is the (da, db) population array, or None if it is all zero."""
+    if pops is None:
+        return
     msgs = []
-    if "a" in params.amplified_modes and rho.shape[0] >= 2:
+    if "a" in params.amplified_modes and pops.shape[0] >= 2:
         leak = float(pops[-2:, :].sum())
         if leak > leak_tol:
             msgs.append(f"mode a top-two population {leak:.3e}")
-    if "b" in params.amplified_modes and rho.shape[1] >= 2:
+    if "b" in params.amplified_modes and pops.shape[1] >= 2:
         leak = float(pops[:, -2:].sum())
         if leak > leak_tol:
             msgs.append(f"mode b top-two population {leak:.3e}")
@@ -106,6 +119,41 @@ def _check_leak(rho, params: LindbladParams, t: float, leak_tol: float):
             f"cutoff leakage at t={t:.6g} (G^2={gain_from_time(params, t):.6g}): "
             + "; ".join(msgs) + f" exceeds {leak_tol:g}; raise the cutoffs"
         )
+
+
+def _to_sectors(state: TwoModeState):
+    """(k_a, k_b, x): the phase sectors holding a stored entry of ``state``,
+    together with their mirrors (-k_a, -k_b), in increasing (k_a, k_b)
+    order, and their entries stacked as x[s, j_a, j_b].
+
+    Mirroring a sector reverses its place in that order, so the sector
+    paired with s by Hermitian conjugation is S - 1 - s.
+    """
+    da, db = state.cutoffs.cutoff_a, state.cutoffs.cutoff_b
+    coo = state.csr.tocoo()
+    n, m = np.divmod(coo.row, db)
+    p, q = np.divmod(coo.col, db)
+    # (k_a, k_b) -> code is increasing, and code(-k_a, -k_b) = n_codes - 1 - code
+    width = 2 * db - 1
+    n_codes = (2 * da - 1) * width
+    codes = (n - p + da - 1) * width + (m - q + db - 1)
+    sectors = np.union1d(codes, n_codes - 1 - codes)
+    x = np.zeros((sectors.size, da, db), dtype=state.csr.dtype)
+    x[np.searchsorted(sectors, codes), np.minimum(n, p), np.minimum(m, q)] = coo.data
+    k_a, k_b = np.divmod(sectors, width)
+    return k_a - (da - 1), k_b - (db - 1), x
+
+
+def _from_sectors(cutoffs: ModeCutoffs, k_a, k_b, x, **kwargs) -> TwoModeState:
+    """Inverse of _to_sectors: the state whose stored entries are the nonzero
+    entries of x (the padding past a sector's end is zero)."""
+    da, db = cutoffs.cutoff_a, cutoffs.cutoff_b
+    s, j_a, j_b = np.nonzero(x)
+    ka, kb = k_a[s], k_b[s]
+    n, p = j_a + np.maximum(ka, 0), j_a + np.maximum(-ka, 0)
+    m, q = j_b + np.maximum(kb, 0), j_b + np.maximum(-kb, 0)
+    return TwoModeState.from_entries(cutoffs, n * db + m, p * db + q, x[s, j_a, j_b],
+                                     **kwargs)
 
 
 def evolve(state: TwoModeState, params: LindbladParams, config_: IntegratorConfig,
@@ -125,39 +173,43 @@ def evolve(state: TwoModeState, params: LindbladParams, config_: IntegratorConfi
         raise ValueError(f"{total_steps} steps exceed max_steps={config_.max_steps}")
 
     c = state.cutoffs
-    rho = state.tensor().copy()
+    k_a, k_b, rho = _to_sectors(state)
     k1, k2, k3, k4, tmp = (np.empty_like(rho) for _ in range(5))
-    sq_a = np.sqrt(np.arange(c.cutoff_a, dtype=np.float64))
-    sq_b = np.sqrt(np.arange(c.cutoff_b, dtype=np.float64))
+    ladder_a = _kernels.ladder("a", k_a, c.cutoff_a, params.kappa_n1, params.kappa_n2)
+    ladder_b = _kernels.ladder("b", k_b, c.cutoff_b, params.kappa_n1, params.kappa_n2)
+    # the (0, 0) sector holds the populations, rho[n, m, n, m] = x[s, n, m];
+    # pops is a view, so it follows the in-place updates of rho
+    middle = np.flatnonzero((k_a == 0) & (k_b == 0))
+    pops = rho[middle[0]].real if middle.size else None
 
     t = 0.0
     for step in range(total_steps):
         dt = h if step < n_full else rem
-        _liouvillian(rho, k1, params, sq_a, sq_b)
+        _liouvillian(rho, k1, params, ladder_a, ladder_b)
         np.multiply(k1, 0.5 * dt, out=tmp)
         tmp += rho
-        _liouvillian(tmp, k2, params, sq_a, sq_b)
+        _liouvillian(tmp, k2, params, ladder_a, ladder_b)
         np.multiply(k2, 0.5 * dt, out=tmp)
         tmp += rho
-        _liouvillian(tmp, k3, params, sq_a, sq_b)
+        _liouvillian(tmp, k3, params, ladder_a, ladder_b)
         np.multiply(k3, dt, out=tmp)
         tmp += rho
-        _liouvillian(tmp, k4, params, sq_a, sq_b)
+        _liouvillian(tmp, k4, params, ladder_a, ladder_b)
         k1 += k4
         k2 += k3
         k1 += 2.0 * k2
         k1 *= dt / 6.0
         rho += k1
-        # enforce Hermiticity each step; RK4 drift is symmetric-breaking noise
-        np.conjugate(rho.transpose(2, 3, 0, 1), out=tmp)
+        # enforce Hermiticity each step; RK4 drift is symmetric-breaking noise.
+        # The mirror of sector s is S - 1 - s, at the same (j_a, j_b)
+        np.conjugate(rho[::-1], out=tmp)
         rho += tmp
         rho *= 0.5
         t += dt
         if (step + 1) % _LEAK_CHECK_EVERY == 0 or step == total_steps - 1:
-            _check_leak(rho, params, t, leak_tol)
+            _check_leak(pops, params, t, leak_tol)
 
-    d = c.dimension
-    return TwoModeState(c, rho.reshape(d, d), validate=True, atol=1e-10)
+    return _from_sectors(c, k_a, k_b, rho, validate=True, atol=1e-10)
 
 
 def evolve_checkpoints(state: TwoModeState, params: LindbladParams,

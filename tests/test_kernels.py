@@ -1,12 +1,13 @@
+import cmath
 import math
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 
-from noonamp import _kernels, config
+from noonamp import (IntegratorConfig, LindbladParams, ModeCutoffs, NoonSpec, SqueezingSpec,
+                     TwoModeState, build_noon, evolve, photon_add_both, tmsv_fock)
+from noonamp import _kernels
+from noonamp.lindblad import _from_sectors, _to_sectors
 
 
 def random_hermitian_tensor(da, db, rng):
@@ -30,11 +31,26 @@ def dense_generator(rho_mat, adag, kn1, kn2):
     return kn1 * gain + kn2 * loss
 
 
+def sector_generator(rho, mode, kn1, kn2):
+    """Apply one sector kernel to a full (da, db, da, db) tensor and scatter
+    the result back to the full tensor."""
+    da, db = rho.shape[:2]
+    cutoffs = ModeCutoffs(da, db)
+    state = TwoModeState(cutoffs, rho.reshape(da * db, da * db), validate=False)
+    k_a, k_b, x = _to_sectors(state)
+    out = np.zeros_like(x)
+    if mode == "a":
+        _kernels.gen_mode_a(x, out, _kernels.ladder("a", k_a, da, kn1, kn2))
+    else:
+        _kernels.gen_mode_b(x, out, _kernels.ladder("b", k_b, db, kn1, kn2))
+    return _from_sectors(cutoffs, k_a, k_b, out, validate=False).tensor()
+
+
 @pytest.mark.parametrize("mode", ["a", "b"])
 def test_kernel_matches_dense_operator_algebra(mode):
     """The kernel acts as: exact generator on the zero-padded state, then
     cropped back to the box.  Build that reference with explicit ladder
-    matrices in an enlarged space."""
+    matrices in an enlarged space.  The random tensor fills every sector."""
     rng = np.random.default_rng(23)
     da, db = 7, 5
     rho = random_hermitian_tensor(da, db, rng)
@@ -45,63 +61,138 @@ def test_kernel_matches_dense_operator_algebra(mode):
     big[:da, :db, :da, :db] = rho
     if mode == "a":
         adag = np.kron(creation(ea), np.eye(eb))
-        sq = np.sqrt(np.arange(da, dtype=float))
-        kernel = _kernels.gen_mode_a
     else:
         adag = np.kron(np.eye(ea), creation(eb))
-        sq = np.sqrt(np.arange(db, dtype=float))
-        kernel = _kernels.gen_mode_b
 
     ref = dense_generator(big.reshape(ea * eb, ea * eb), adag, kn1, kn2)
     cropped = ref.reshape(ea, eb, ea, eb)[:da, :db, :da, :db]
-    out = np.zeros_like(rho)
-    kernel(rho, out, kn1, kn2, sq)
+    assert np.count_nonzero(rho) == rho.size
+    out = sector_generator(rho, mode, kn1, kn2)
     assert np.abs(out - cropped).max() <= 1e-12
-
-
-@pytest.mark.parametrize("mode", ["a", "b"])
-def test_numpy_and_numba_paths_agree(mode):
-    if _kernels.BACKEND != "numba":
-        pytest.skip("numba backend unavailable")
-    rng = np.random.default_rng(29)
-    da, db = 9, 6
-    rho = random_hermitian_tensor(da, db, rng)
-    kn1, kn2 = 0.9, 0.2
-    if mode == "a":
-        fns = (_kernels.gen_mode_a_numba, _kernels.gen_mode_a_numpy)
-        sq = np.sqrt(np.arange(da, dtype=float))
-    else:
-        fns = (_kernels.gen_mode_b_numba, _kernels.gen_mode_b_numpy)
-        sq = np.sqrt(np.arange(db, dtype=float))
-    outs = []
-    for fn in fns:
-        out = np.zeros_like(rho)
-        fn(rho, out, kn1, kn2, sq)
-        outs.append(out)
-    assert np.abs(outs[0] - outs[1]).max() <= 1e-13
 
 
 def test_kernels_accumulate():
     rng = np.random.default_rng(31)
-    rho = random_hermitian_tensor(4, 4, rng)
-    sq = np.sqrt(np.arange(4, dtype=float))
-    out = np.zeros_like(rho)
-    _kernels.gen_mode_a(rho, out, 1.0, 0.0, sq)
+    state = TwoModeState(ModeCutoffs(4, 4),
+                         random_hermitian_tensor(4, 4, rng).reshape(16, 16), validate=False)
+    k_a, k_b, x = _to_sectors(state)
+    lad_a = _kernels.ladder("a", k_a, 4, 1.0, 0.0)
+    lad_b = _kernels.ladder("b", k_b, 4, 1.0, 0.0)
+    out = np.zeros_like(x)
+    _kernels.gen_mode_a(x, out, lad_a)
     first = out.copy()
-    _kernels.gen_mode_b(rho, out, 1.0, 0.0, sq)
-    second = np.zeros_like(rho)
-    _kernels.gen_mode_b(rho, second, 1.0, 0.0, sq)
+    _kernels.gen_mode_b(x, out, lad_b)
+    second = np.zeros_like(x)
+    _kernels.gen_mode_b(x, second, lad_b)
     assert np.abs(out - (first + second)).max() <= 1e-14
 
 
-def test_env_flag_selects_numpy_backend():
-    env = dict(os.environ)
-    env[config.NUMBA_DISABLE_ENV] = "1"
-    code = ("from noonamp import _kernels; "
-            "print(_kernels.BACKEND); "
-            "print(_kernels.gen_mode_a is _kernels.gen_mode_a_numpy)")
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, check=True)
-    backend, same = proc.stdout.split()
-    assert backend == "numpy"
-    assert same == "True"
+# --- full-tensor reference integrator ---------------------------------------
+# The generator applied to the whole (da, db, da, db) tensor, and the RK4
+# loop around it, with the same floating-point operations in the same order
+# as the sector integrator.  Sector evolution must reproduce it bit for bit.
+
+def full_gen_mode_a(rho, out, kn1, kn2, sq):
+    da = rho.shape[0]
+    n = np.arange(da, dtype=np.float64)
+    up = sq[1:, None, None, None] * sq[None, None, 1:, None]
+    out[1:, :, 1:, :] += (2.0 * kn1) * up * rho[:-1, :, :-1, :]
+    out -= kn1 * ((n + 1.0)[:, None, None, None] + (n + 1.0)[None, None, :, None]) * rho
+    if kn2 != 0.0:
+        out[:-1, :, :-1, :] += (2.0 * kn2) * up * rho[1:, :, 1:, :]
+        out -= kn2 * (n[:, None, None, None] + n[None, None, :, None]) * rho
+    return out
+
+
+def full_gen_mode_b(rho, out, kn1, kn2, sq):
+    db = rho.shape[1]
+    m = np.arange(db, dtype=np.float64)
+    up = sq[None, 1:, None, None] * sq[None, None, None, 1:]
+    out[:, 1:, :, 1:] += (2.0 * kn1) * up * rho[:, :-1, :, :-1]
+    out -= kn1 * ((m + 1.0)[None, :, None, None] + (m + 1.0)[None, None, None, :]) * rho
+    if kn2 != 0.0:
+        out[:, :-1, :, :-1] += (2.0 * kn2) * up * rho[:, 1:, :, 1:]
+        out -= kn2 * (m[None, :, None, None] + m[None, None, None, :]) * rho
+    return out
+
+
+def full_tensor_evolve(state, params, cfg):
+    t_final = math.log(cfg.target_g_squared) / (2.0 * params.rate)
+    h = cfg.step_size
+    n_full = int(t_final / h)
+    rem = t_final - n_full * h
+    total_steps = n_full + (1 if rem > 1e-15 * max(t_final, 1.0) else 0)
+    c = state.cutoffs
+    rho = state.tensor().copy()
+    k1, k2, k3, k4, tmp = (np.empty_like(rho) for _ in range(5))
+    sq_a = np.sqrt(np.arange(c.cutoff_a, dtype=np.float64))
+    sq_b = np.sqrt(np.arange(c.cutoff_b, dtype=np.float64))
+
+    def generator(x, out):
+        out[:] = 0.0
+        if "a" in params.amplified_modes:
+            full_gen_mode_a(x, out, params.kappa_n1, params.kappa_n2, sq_a)
+        if "b" in params.amplified_modes:
+            full_gen_mode_b(x, out, params.kappa_n1, params.kappa_n2, sq_b)
+
+    for step in range(total_steps):
+        dt = h if step < n_full else rem
+        generator(rho, k1)
+        np.multiply(k1, 0.5 * dt, out=tmp)
+        tmp += rho
+        generator(tmp, k2)
+        np.multiply(k2, 0.5 * dt, out=tmp)
+        tmp += rho
+        generator(tmp, k3)
+        np.multiply(k3, dt, out=tmp)
+        tmp += rho
+        generator(tmp, k4)
+        k1 += k4
+        k2 += k3
+        k1 += 2.0 * k2
+        k1 *= dt / 6.0
+        rho += k1
+        np.conjugate(rho.transpose(2, 3, 0, 1), out=tmp)
+        rho += tmp
+        rho *= 0.5
+    d = c.dimension
+    return TwoModeState(c, rho.reshape(d, d), validate=True, atol=1e-10)
+
+
+def phased_noon(n, phase, cutoffs):
+    i, j = cutoffs.flat_index(n, 0), cutoffs.flat_index(0, n)
+    coh = 0.5 * cmath.exp(-1j * phase)
+    return TwoModeState.from_entries(cutoffs, [i, i, j, j], [i, j, i, j],
+                                     [0.5, coh, coh.conjugate(), 0.5])
+
+
+BOTH = ("a", "b")
+EVOLVE_CASES = {
+    "noon2_symmetric": (lambda: build_noon(NoonSpec(2), ModeCutoffs(10, 10)),
+                        LindbladParams(1.0, amplified_modes=BOTH), 1.03),
+    "noon4_asymmetric": (lambda: build_noon(NoonSpec(4), ModeCutoffs(22, 6)),
+                         LindbladParams(1.0, amplified_modes=("a",)), 1.15),
+    "photon_added_tmsv": (lambda: photon_add_both(tmsv_fock(SqueezingSpec(0.3),
+                                                            ModeCutoffs(16, 16))),
+                          LindbladParams(1.0, amplified_modes=BOTH), 1.1),
+    "noon1_eta": (lambda: build_noon(NoonSpec(1), ModeCutoffs(12, 12)),
+                  LindbladParams(1.5, 0.5, amplified_modes=BOTH), 1.05),
+    "noon2_complex_phase": (lambda: phased_noon(2, 0.7, ModeCutoffs(10, 10)),
+                            LindbladParams(1.0, amplified_modes=BOTH), 1.03),
+    "no_entries": (lambda: TwoModeState(ModeCutoffs(5, 4), np.zeros((20, 20))),
+                   LindbladParams(1.0, amplified_modes=BOTH), 1.2),
+}
+
+
+@pytest.mark.parametrize("case", list(EVOLVE_CASES))
+def test_sector_evolution_matches_full_tensor(case):
+    make, params, g2 = EVOLVE_CASES[case]
+    state = make()
+    cfg = IntegratorConfig(target_g_squared=g2)
+    got = evolve(state, params, cfg).csr
+    want = full_tensor_evolve(state, params, cfg).csr
+    assert got.dtype == want.dtype == state.csr.dtype
+    assert np.array_equal(got.indptr, want.indptr)
+    assert np.array_equal(got.indices, want.indices)
+    assert np.array_equal(got.data, want.data)
+    assert (got.nnz > 0) == (state.csr.nnz > 0)
