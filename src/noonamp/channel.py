@@ -49,6 +49,11 @@ class AmplifierParams:
         if self.mode_config not in _MODE_CONFIGS:
             raise ValueError(f"mode_config must be one of {_MODE_CONFIGS}")
 
+    @property
+    def amplified_modes(self) -> tuple[str, ...]:
+        """The modes the gain acts on, named as in ``lindblad.LindbladParams``."""
+        return ("a", "b") if self.mode_config == MODE_SYMMETRIC else ("a",)
+
 
 @dataclass(frozen=True)
 class CutoffPolicy:
@@ -226,9 +231,24 @@ def amplify_noon_asymmetric(spec: NoonSpec, params: AmplifierParams,
                           (up_a, right, w_off), (right, up_a, w_off))
 
 
+def amplify_noon(spec: NoonSpec, params: AmplifierParams,
+                 cutoffs: ModeCutoffs) -> TwoModeState:
+    """Closed-form output state for ``params.mode_config``.
+
+    The builder is looked up on this module at every call, so rebinding
+    ``amplify_noon_symmetric`` or ``amplify_noon_asymmetric`` here (fault
+    injection, tracing) reaches every caller of the dispatch.
+    """
+    if params.mode_config == MODE_SYMMETRIC:
+        return amplify_noon_symmetric(spec, params, cutoffs)
+    return amplify_noon_asymmetric(spec, params, cutoffs)
+
+
 def photon_add_both(state: TwoModeState) -> TwoModeState:
     """Add one photon to each mode: normalize(adag bdag rho a b).
 
+    Every stored entry at (n, m, p, q) moves to (n+1, m+1, p+1, q+1), scaled
+    by sqrt((n+1)(m+1)(p+1)(q+1)); entries shifted past a cutoff are dropped.
     Normalization divides by the exact trace E[(n_a+1)(n_b+1)], so weight
     pushed past the top Fock level lands in the output's trace_deficit.
     Vacuum input maps to |1,1><1,1|; inputs whose entire weight would leave
@@ -242,17 +262,18 @@ def photon_add_both(state: TwoModeState) -> TwoModeState:
     n_b = np.arange(c.cutoff_b, dtype=np.float64)
     exact_trace = float(((n_a + 1.0)[:, None] * (n_b + 1.0)[None, :] * pops).sum())
 
-    rho = state.tensor()
-    out = np.zeros_like(rho)
+    da, db = c.cutoff_a, c.cutoff_b
+    coo = state.csr.tocoo()
+    n, m = np.divmod(coo.row, db)
+    p, q = np.divmod(coo.col, db)
+    keep = (n + 1 < da) & (m + 1 < db) & (p + 1 < da) & (q + 1 < db)
+    n, m, p, q = n[keep] + 1, m[keep] + 1, p[keep] + 1, q[keep] + 1
     sa = np.sqrt(n_a)
     sb = np.sqrt(n_b)
-    factor = (sa[1:, None, None, None] * sb[None, 1:, None, None]
-              * sa[None, None, 1:, None] * sb[None, None, None, 1:])
-    out[1:, 1:, 1:, 1:] = factor * rho[:-1, :-1, :-1, :-1]
+    values = sa[n] * sb[m] * sa[p] * sb[q] * coo.data[keep]
+    rows, cols = c.flat_index(n, m), c.flat_index(p, q)
 
-    kept_trace = float(np.einsum("nmnm->", out).real)
+    kept_trace = float(values[rows == cols].real.sum())
     if kept_trace <= config.ATOL_STRUCTURAL * max(exact_trace, 1.0):
         raise ValueError("photon addition leaves no weight inside the cutoffs")
-    out /= exact_trace
-    d = c.dimension
-    return TwoModeState(c, out.reshape(d, d))
+    return TwoModeState.from_entries(c, rows, cols, values / exact_trace)

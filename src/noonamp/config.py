@@ -1,22 +1,17 @@
 """Central numeric tolerances and size limits.
 
-Every structural check in the package defaults to these values; individual
-operations accept keyword overrides so tests can tighten or relax a single
-check without touching global state.
+The structural checks, the negativity and Husimi clamps, the block-size
+limit and automatic cutoff selection default to these values; the
+operations that read a tolerance, clamp or limit accept a keyword override,
+so a test can tighten or relax one check without touching global state.
+The dimension cap has no override.
 """
 
 # Elementwise Hermiticity / trace bookkeeping.
 ATOL_STRUCTURAL = 1e-12
 
-# Spectral assertions (eigenvalue locations of exactly-known states).
-ATOL_SPECTRAL = 1e-10
-
 # Eigenvalues of a partial transpose in [-EIG_NEG_CLAMP, 0) count as zero.
 EIG_NEG_CLAMP = 1e-12
-
-# Truncation is allowed to push constructed-state eigenvalues this far
-# below zero before it is treated as an error.
-ATOL_POSITIVITY = 1e-9
 
 # Hard cap on cutoff_a * cutoff_b; keeps dense eigensolves tractable.
 MAX_TOTAL_DIMENSION = 250_000

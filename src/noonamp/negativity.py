@@ -132,3 +132,20 @@ def log_negativity_block(state: TwoModeState, clamp: float | None = None,
     if not np.isfinite(min_eig):
         min_eig = 0.0
     return _result(float(min_eig), neg_sum, "block", int(sizes.size))
+
+
+def log_negativity(state: TwoModeState, method: str = "block") -> NegativityResult:
+    """E_N by ``method``: "dense", "block", or "both", which solves both ways,
+    raises RuntimeError if they disagree by more than 1e-9 and returns the
+    dense result."""
+    if method == "dense":
+        return log_negativity_dense(state)
+    if method == "block":
+        return log_negativity_block(state)
+    if method != "both":
+        raise ValueError("method must be dense, block or both")
+    dense = log_negativity_dense(state)
+    gap = abs(dense.log_negativity - log_negativity_block(state).log_negativity)
+    if gap > 1e-9:
+        raise RuntimeError(f"dense/block negativity disagree by {gap:.3e}")
+    return dense

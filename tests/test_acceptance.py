@@ -1,11 +1,12 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
-Run with `pytest tests/test_acceptance.py -v -s` to stream the lines; the
-heavy criteria (dense method agreement, the photon-added pipeline) take a
-few minutes together.
+Criteria 1-7, 8a and 8b are the ``noonamp.checks`` functions that
+``noonamp verify`` runs on quick grids, here on their full grids.  Run with
+`pytest tests/test_acceptance.py -v -s` to stream the lines; the heavy
+criteria (dense method agreement, the photon-added pipeline) take a few
+minutes together.
 """
 
-import math
 from pathlib import Path
 
 import numpy as np
@@ -13,21 +14,14 @@ import pytest
 
 from noonamp import (AmplifierParams, CutoffPolicy, IntegratorConfig, LindbladParams,
                      MODE_ASYMMETRIC_A, MODE_SYMMETRIC, ModeCutoffs, NoonSpec,
-                     SqueezingSpec, amplified_vacuum, amplify_covariance,
-                     amplify_noon_asymmetric, amplify_noon_symmetric, build_noon,
-                     check_scaling_law, check_zero_locus, evolve,
-                     gaussian_log_negativity, noon_zero_candidates, photon_add_both,
+                     SqueezingSpec, amplify_noon, checks, evolve, photon_add_both,
                      photon_added_tmsv_negativity_sweep, select_cutoffs,
-                     threshold_asymmetric, threshold_bisection, threshold_symmetric,
-                     tmsv_covariance, tmsv_fock, trace_distance)
-from noonamp.cli import SweepConfig, rows_to_csv, run_sweep
-from noonamp.husimi import QGrid, square_mesh
-from noonamp.negativity import log_negativity_block, log_negativity_dense
+                     threshold_symmetric, tmsv_fock)
+from noonamp.cli import SweepConfig, run_sweep
+from noonamp.negativity import log_negativity_block
 
 GOLDEN_PATH = Path(__file__).resolve().parent.parent / "data" / "golden_sweep.csv"
-
-_BUILDERS = {MODE_SYMMETRIC: amplify_noon_symmetric,
-             MODE_ASYMMETRIC_A: amplify_noon_asymmetric}
+BOTH_MODES = (MODE_SYMMETRIC, MODE_ASYMMETRIC_A)
 
 
 def report(criterion: str, ok: bool, detail: str):
@@ -35,107 +29,44 @@ def report(criterion: str, ok: bool, detail: str):
     assert ok, f"{criterion}: {detail}"
 
 
-def _amplified(n_ph: int, g2: float, mode: str, tail_tol: float = 1e-10):
-    spec = NoonSpec(n_ph)
-    params = AmplifierParams(g2, mode_config=mode)
-    cutoffs = select_cutoffs(spec, params, CutoffPolicy(tail_tol=tail_tol))
-    return _BUILDERS[mode](spec, params, cutoffs), cutoffs
+def report_check(criterion: str, result: checks.CheckResult):
+    report(criterion, result.passed, result.detail)
 
 
 def test_criterion_1_unit_gain_negativity():
-    worst = 0.0
-    for n_ph in (1, 2, 4, 6):
-        for mode in (MODE_SYMMETRIC, MODE_ASYMMETRIC_A):
-            state, _ = _amplified(n_ph, 1.0, mode)
-            worst = max(worst, abs(log_negativity_dense(state).log_negativity - 1.0))
-    report("1 unit-gain E_N", worst <= 1e-9, f"max |E_N - 1| = {worst:.3e}")
+    report_check("1 unit-gain E_N", checks.unit_gain_negativity(
+        (1, 2, 4, 6), CutoffPolicy(), method="dense"))
 
 
 def test_criterion_2_vacuum_to_thermal():
-    dist = amplified_vacuum(2.0, 60)
-    mean_err = abs(dist.mean - 1.0)
-    pop_err = float(np.abs(dist.probs - 0.5 ** (np.arange(60) + 1)).max())
-    ok = mean_err <= 1e-10 and pop_err <= 1e-12
-    report("2 vacuum->thermal", ok,
-           f"mean err {mean_err:.3e}, population err {pop_err:.3e}")
+    report_check("2 vacuum->thermal", checks.vacuum_thermal(60))
 
 
 def test_criterion_3_closed_form_vs_oracle():
-    worst = 0.0
-    for mode in (MODE_SYMMETRIC, MODE_ASYMMETRIC_A):
-        state, cutoffs = _amplified(2, 1.5, mode, tail_tol=1e-10)
-        modes = ("a", "b") if mode == MODE_SYMMETRIC else ("a",)
-        evolved = evolve(build_noon(NoonSpec(2), cutoffs),
-                         LindbladParams(1.0, 0.0, modes),
-                         IntegratorConfig(target_g_squared=1.5))
-        worst = max(worst, trace_distance(state, evolved))
-    report("3 closed form vs oracle", worst <= 1e-6,
-           f"max trace distance {worst:.3e}")
+    report_check("3 closed form vs oracle", checks.closed_form_vs_oracle(
+        BOTH_MODES, 2, 1.5, CutoffPolicy()))
 
 
 def test_criterion_4_method_agreement():
-    worst = 0.0
-    worst_at = None
     grid = [round(1.0 + 0.1 * k, 10) for k in range(21)]
-    for n_ph in (2, 4, 6):
-        for mode in (MODE_SYMMETRIC, MODE_ASYMMETRIC_A):
-            for g2 in grid:
-                state, _ = _amplified(n_ph, g2, mode)
-                gap = abs(log_negativity_dense(state).log_negativity
-                          - log_negativity_block(state).log_negativity)
-                if gap > worst:
-                    worst, worst_at = gap, (n_ph, mode, g2)
-                del state
-    report("4 dense/block agreement", worst <= 1e-9,
-           f"max gap {worst:.3e} at {worst_at}")
+    report_check("4 dense/block agreement", checks.method_agreement(
+        [(n, g2) for n in (2, 4, 6) for g2 in grid], CutoffPolicy()))
 
 
 def test_criterion_5_gaussian_thresholds():
-    worst_sym = 0.0
-    for r in (0.25, 0.5, 1.0):
-        for eta in (0.0, 0.25, 1.0):
-            spec = SqueezingSpec(r)
-            worst_sym = max(worst_sym, abs(threshold_bisection(spec, eta)
-                                           - threshold_symmetric(spec, eta)))
-    worst_asym = 0.0
-    for eta in (0.25, 0.5, 1.0):
-        worst_asym = max(worst_asym, abs(
-            threshold_bisection(SqueezingSpec(0.5), eta, modes=("a",))
-            - threshold_asymmetric(eta)))
-    base = tmsv_covariance(SqueezingSpec(0.5))
-    open_ended = min(
-        gaussian_log_negativity(amplify_covariance(base, g2, eta=0.0, modes=("a",)))
-        for g2 in np.linspace(1.0, 10.0, 19))
-    ok = worst_sym <= 1e-6 and worst_asym <= 1e-6 and open_ended > 0.0
-    report("5 gaussian thresholds", ok,
-           f"sym err {worst_sym:.3e}, asym err {worst_asym:.3e}, "
-           f"min E_N up to G2=10: {open_ended:.4f}")
+    report_check("5 gaussian thresholds", checks.gaussian_thresholds(
+        [(r, eta) for r in (0.25, 0.5, 1.0) for eta in (0.0, 0.25, 1.0)],
+        (0.25, 0.5, 1.0), np.linspace(1.0, 10.0, 19)))
 
 
 def test_criterion_6_scaling_law():
-    mesh, _ = square_mesh(2.0 / math.sqrt(2.0), 9)
-    grid = QGrid(mesh, mesh.copy())
-    worst = 0.0
-    for g2 in (1.2, 2.0):
-        for mode in (MODE_SYMMETRIC, MODE_ASYMMETRIC_A):
-            spec = NoonSpec(2)
-            params = AmplifierParams(g2, mode_config=mode)
-            cutoffs = select_cutoffs(spec, params, CutoffPolicy())
-            cutoffs = ModeCutoffs(max(cutoffs.cutoff_a, 32), max(cutoffs.cutoff_b, 32))
-            state_out = _BUILDERS[mode](spec, params, cutoffs)
-            state_in = build_noon(spec, cutoffs)
-            worst = max(worst, check_scaling_law(state_in, state_out, g2, mode, grid))
-    report("6 Q scaling law", worst < 1e-8, f"max grid error {worst:.3e}")
+    report_check("6 Q scaling law", checks.scaling_law(
+        BOTH_MODES, 2, (1.2, 2.0), CutoffPolicy()))
 
 
 def test_criterion_7_zero_locus():
-    checks = []
-    for n_ph in (2, 4):
-        for g2 in (1.5, 2.5):
-            cands = noon_zero_candidates(n_ph, g2)
-            checks.append(check_zero_locus(NoonSpec(n_ph), g2, cands))
-    report("7 zero-locus preservation", all(checks),
-           f"{sum(checks)}/{len(checks)} (N, G2) combinations hold")
+    report_check("7 zero-locus preservation", checks.zero_locus(
+        [(n, g2) for n in (2, 4) for g2 in (1.5, 2.5)]))
 
 
 @pytest.fixture(scope="module")
@@ -150,27 +81,19 @@ def default_sweep_rows():
 
 
 def test_criterion_8a_monotone(default_sweep_rows):
-    worst_rise = 0.0
-    for family in ("noon_symmetric", "noon_asymmetric"):
-        for n_ph in (2, 4, 6):
-            curve = [r["log_negativity"] for r in default_sweep_rows
-                     if r["family"] == family and r["n"] == n_ph]
-            assert len(curve) == 41
-            for prev, cur in zip(curve, curve[1:]):
-                worst_rise = max(worst_rise, cur - prev)
-    report("8a E_N non-increasing", worst_rise <= 1e-9,
-           f"largest rise along a curve {worst_rise:.3e}")
+    curves = [[r["log_negativity"] for r in default_sweep_rows
+               if r["family"] == family and r["n"] == n_ph]
+              for family in ("noon_symmetric", "noon_asymmetric") for n_ph in (2, 4, 6)]
+    assert all(len(curve) == 41 for curve in curves)
+    report_check("8a E_N non-increasing", checks.monotone(curves))
 
 
 def test_criterion_8b_asymmetric_dominates(default_sweep_rows):
     sym = {(r["n"], r["g_squared"]): r["log_negativity"]
            for r in default_sweep_rows if r["family"] == "noon_symmetric"}
-    worst = 0.0
-    for r in default_sweep_rows:
-        if r["family"] == "noon_asymmetric":
-            worst = max(worst, sym[(r["n"], r["g_squared"])] - r["log_negativity"])
-    report("8b asymmetric >= symmetric", worst <= 1e-9,
-           f"largest symmetric excess {worst:.3e}")
+    report_check("8b asymmetric >= symmetric", checks.asymmetric_dominates(
+        (sym[(r["n"], r["g_squared"])], r["log_negativity"])
+        for r in default_sweep_rows if r["family"] == "noon_asymmetric"))
 
 
 def test_criterion_8c_golden_regression(default_sweep_rows):
@@ -201,8 +124,10 @@ def test_criterion_9_photon_added_comparison():
     ok_cross = (above and below and window[0] <= max(above)
                 and min(below) <= window[1])
 
-    noon_state, _ = _amplified(2, g_star, MODE_SYMMETRIC)
-    noon_en = log_negativity_block(noon_state).log_negativity
+    noon = NoonSpec(2)
+    params = AmplifierParams(g_star, mode_config=MODE_SYMMETRIC)
+    cutoffs = select_cutoffs(noon, params, CutoffPolicy())
+    noon_en = log_negativity_block(amplify_noon(noon, params, cutoffs)).log_negativity
     report("9 photon-added comparison",
            bool(ok_cross) and noon_en > 0.05,
            f"E_N<1e-3 first at G2={min(below) if below else None} "

@@ -5,9 +5,9 @@ import pytest
 
 from noonamp import (AmplifierParams, CutoffPolicy, IntegratorConfig, LindbladParams,
                      MODE_ASYMMETRIC_A, MODE_SYMMETRIC, ModeCutoffs, NoonSpec,
-                     amplified_vacuum, amplify_noon_asymmetric, amplify_noon_symmetric,
-                     build_noon, evolve, photon_add_both, select_cutoffs, tmsv_fock,
-                     trace_distance)
+                     amplified_vacuum, amplify_noon, amplify_noon_asymmetric,
+                     amplify_noon_symmetric, build_noon, checks, evolve, photon_add_both,
+                     select_cutoffs, tmsv_fock, trace_distance)
 from noonamp.fock import TwoModeState, product_state
 from noonamp.gaussian import SqueezingSpec
 
@@ -27,13 +27,8 @@ def test_amplified_vacuum_unit_gain():
 
 
 def test_amplified_vacuum_gain_two():
-    dist = amplified_vacuum(2.0, 50)
-    assert abs(dist.mean - 1.0) <= 1e-10
-    # geometric law p_n = 2^-(n+1)
-    expected = 0.5 ** (np.arange(50) + 1)
-    assert np.abs(dist.probs - expected).max() <= 1e-12
-    assert abs(dist.probs[3] - 0.0625) <= 1e-12
-    assert abs(dist.tail_mass - 0.5**50) <= 1e-15
+    assert checks.vacuum_thermal(50).passed  # p_n = 2^-(n+1), mean 1
+    assert abs(amplified_vacuum(2.0, 50).tail_mass - 0.5**50) <= 1e-15
 
 
 def test_amplified_vacuum_rejects():
@@ -74,11 +69,7 @@ def test_select_cutoffs_unit_gain():
 
 
 def test_select_cutoffs_deficit_budget():
-    spec = NoonSpec(2)
-    params = AmplifierParams(2.0)
-    cut = select_cutoffs(spec, params, CutoffPolicy(tail_tol=1e-10))
-    state = amplify_noon_symmetric(spec, params, cut)
-    assert state.trace_deficit < 1e-8
+    assert checks.trace_deficit_budget(2, 2.0, CutoffPolicy(tail_tol=1e-10)).passed
 
 
 def test_select_cutoffs_dimension_guard():
@@ -251,6 +242,49 @@ def test_photon_add_tmsv_schmidt_form():
     assert np.abs(kept - expected).max() <= 1e-10
 
 
+def _photon_add_dense(state):
+    """Reference photon addition on the dense (da, db, da, db) tensor."""
+    c = state.cutoffs
+    n_a = np.arange(c.cutoff_a, dtype=np.float64)
+    n_b = np.arange(c.cutoff_b, dtype=np.float64)
+    exact_trace = float(((n_a + 1.0)[:, None] * (n_b + 1.0)[None, :]
+                         * state.populations()).sum())
+    rho = state.tensor()
+    out = np.zeros_like(rho)
+    sa, sb = np.sqrt(n_a), np.sqrt(n_b)
+    factor = (sa[1:, None, None, None] * sb[None, 1:, None, None]
+              * sa[None, None, 1:, None] * sb[None, None, None, 1:])
+    out[1:, 1:, 1:, 1:] = factor * rho[:-1, :-1, :-1, :-1]
+    out /= exact_trace
+    return TwoModeState(c, out.reshape(c.dimension, c.dimension))
+
+
+def _random_complex_state(da, db, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(da * db, da * db)) + 1j * rng.normal(size=(da * db, da * db))
+    rho = a @ a.conj().T
+    return TwoModeState(ModeCutoffs(da, db), rho / np.trace(rho).real)
+
+
+@pytest.mark.parametrize("make_state", [
+    lambda: tmsv_fock(SqueezingSpec(0.5), ModeCutoffs(16, 16)),
+    lambda: evolve(tmsv_fock(SqueezingSpec(0.3), ModeCutoffs(16, 16)),
+                   LindbladParams(1.0), IntegratorConfig(target_g_squared=1.05)),
+    lambda: TwoModeState(ModeCutoffs(20, 20), _thermal_two_mode(1.5, 20)),
+    lambda: amplify_noon_asymmetric(NoonSpec(2), AmplifierParams(
+        1.5, mode_config=MODE_ASYMMETRIC_A), ModeCutoffs(24, 3)),
+    lambda: _random_complex_state(7, 5, seed=3),
+], ids=["squeezed_vacuum", "evolved_squeezed_vacuum", "thermal_product",
+        "asymmetric_noon", "random_complex"])
+def test_photon_add_matches_dense_tensor(make_state):
+    """The coordinate shift reproduces the dense-tensor construction bit for bit."""
+    state = make_state()
+    got, want = photon_add_both(state), _photon_add_dense(state)
+    for attr in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(got.csr, attr), getattr(want.csr, attr))
+    assert got.trace_deficit == want.trace_deficit
+
+
 @pytest.mark.parametrize("mode", [MODE_SYMMETRIC, MODE_ASYMMETRIC_A])
 def test_oracle_equivalence_grid(mode):
     """Closed forms against direct master-equation integration."""
@@ -259,11 +293,8 @@ def test_oracle_equivalence_grid(mode):
             spec = NoonSpec(n_ph)
             params = AmplifierParams(g2, mode_config=mode)
             cut = select_cutoffs(spec, params, CutoffPolicy())
-            build = (amplify_noon_symmetric if mode == MODE_SYMMETRIC
-                     else amplify_noon_asymmetric)
-            closed = build(spec, params, cut)
-            modes = ("a", "b") if mode == MODE_SYMMETRIC else ("a",)
+            closed = amplify_noon(spec, params, cut)
             evolved = evolve(build_noon(spec, cut),
-                             LindbladParams(1.0, 0.0, modes),
+                             LindbladParams(1.0, 0.0, params.amplified_modes),
                              IntegratorConfig(target_g_squared=g2, step_size=2e-3))
             assert trace_distance(closed, evolved) <= 1e-6

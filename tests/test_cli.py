@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -168,14 +169,37 @@ def test_cli_qfunc(tmp_path):
     assert len(lines) == 1 + 16 * 16
 
 
+VERIFY_CHECKS = ("unit_gain_negativity", "vacuum_thermal", "oracle_symmetric",
+                 "oracle_asymmetric", "method_agreement", "scaling_law_symmetric",
+                 "scaling_law_asymmetric", "zero_locus", "gaussian_thresholds",
+                 "trace_deficit_budget", "monotone_and_ordering")
+
+
 def test_verify_passes():
     assert run_verify() == 0
 
 
-def test_verify_detects_offdiagonal_sign_fault(monkeypatch, capsys):
-    """Deliberate fault injection: flip the sign of the symmetric closed
-    form's off-diagonal families and expect the battery to fail."""
-    original = channel.amplify_noon_symmetric
+def test_verify_reports_metric_and_bound(capsys):
+    run_verify()
+    lines = capsys.readouterr().out.strip().split("\n")
+    summary = json.loads(lines[-1])
+    assert [line.split()[1].rstrip(":") for line in lines[:-1]] == list(VERIFY_CHECKS)
+    assert sorted(summary["metrics"]) == sorted(VERIFY_CHECKS)
+    for line, name in zip(lines[:-1], VERIFY_CHECKS):
+        held = summary["metrics"][name]
+        assert math.isfinite(held["metric"]) and math.isfinite(held["bound"])
+        assert line.endswith(f"[metric {held['metric']:.3e}, bound {held['bound']:.3e}]")
+
+
+@pytest.mark.parametrize("builder,oracle_check", [
+    ("amplify_noon_symmetric", "oracle_symmetric"),
+    ("amplify_noon_asymmetric", "oracle_asymmetric"),
+], ids=["symmetric", "asymmetric"])
+def test_verify_detects_offdiagonal_sign_fault(builder, oracle_check, monkeypatch, capsys):
+    """Deliberate fault injection: flip the sign of one closed form's
+    off-diagonal entries and expect the battery, which reaches the builder
+    through channel.amplify_noon at call time, to fail."""
+    original = getattr(channel, builder)
 
     def corrupted(spec, params, cutoffs):
         state = original(spec, params, cutoffs)
@@ -184,11 +208,11 @@ def test_verify_detects_offdiagonal_sign_fault(monkeypatch, capsys):
         m[off] = -m[off]
         return TwoModeState(cutoffs, m)
 
-    monkeypatch.setattr(channel, "amplify_noon_symmetric", corrupted)
+    monkeypatch.setattr(channel, builder, corrupted)
     assert run_verify() == 1
     summary = json.loads(capsys.readouterr().out.strip().split("\n")[-1])
     assert summary["failed"] >= 1
-    assert (not summary["checks"]["oracle_symmetric"]
+    assert (not summary["checks"][oracle_check]
             or not summary["checks"]["method_agreement"])
 
 

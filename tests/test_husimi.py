@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from noonamp import (AmplifierParams, MODE_ASYMMETRIC_A, MODE_SYMMETRIC, ModeCutoffs,
-                     NoonSpec, QGrid, amplify_noon_asymmetric, amplify_noon_symmetric,
-                     build_noon, check_scaling_law, check_zero_locus,
+from noonamp import (AmplifierParams, CutoffPolicy, MODE_ASYMMETRIC_A, MODE_SYMMETRIC,
+                     ModeCutoffs, NoonSpec, QGrid, amplify_noon_symmetric, build_noon,
+                     check_scaling_law, check_zero_locus, checks,
                      default_grid_for_state, noon_zero_candidates, q_evaluate, q_pairs,
                      riemann_mass, square_mesh, write_qgrid_csv)
 from noonamp.fock import TwoModeState, product_state
@@ -99,14 +99,8 @@ def test_q_negative_state_raises():
 
 @pytest.mark.parametrize("mode,g2", [(MODE_SYMMETRIC, 1.5), (MODE_ASYMMETRIC_A, 2.0)])
 def test_scaling_law(mode, g2):
-    spec = NoonSpec(2)
-    cut = ModeCutoffs(36, 36)
-    build = amplify_noon_symmetric if mode == MODE_SYMMETRIC else amplify_noon_asymmetric
-    out = build(spec, AmplifierParams(g2, mode_config=mode), cut)
-    inn = build_noon(spec, cut)
-    mesh, _ = square_mesh(2.0 / math.sqrt(2.0), 9)  # radius-2 disk, corner-safe
-    err = check_scaling_law(inn, out, g2, mode, QGrid(mesh, mesh.copy()))
-    assert err < 1e-8
+    fixed = CutoffPolicy(mode="fixed", fixed_cutoffs=ModeCutoffs(36, 36))
+    assert checks.scaling_law((mode,), 2, (g2,), fixed).passed
 
 
 def test_scaling_law_unit_gain():

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from noonamp import (AmplifierParams, CutoffPolicy, MODE_ASYMMETRIC_A, MODE_SYMMETRIC,
-                     ModeCutoffs, NoonSpec, TwoModeState, amplify_noon_asymmetric,
-                     amplify_noon_symmetric, build_noon, select_cutoffs)
+                     ModeCutoffs, NoonSpec, TwoModeState, amplify_noon,
+                     amplify_noon_asymmetric, amplify_noon_symmetric, build_noon,
+                     select_cutoffs)
 from noonamp.fock import product_state
 from noonamp.negativity import log_negativity_block, log_negativity_dense
 
@@ -59,12 +60,11 @@ def test_golden_symmetric_value():
 
 @pytest.mark.parametrize("mode", [MODE_SYMMETRIC, MODE_ASYMMETRIC_A])
 def test_block_dense_agreement(mode):
-    build = amplify_noon_symmetric if mode == MODE_SYMMETRIC else amplify_noon_asymmetric
     for n_ph in (2, 3):
         for g2 in (1.1, 1.5, 2.0, 3.0):
             spec = NoonSpec(n_ph)
             params = AmplifierParams(g2, mode_config=mode)
-            state = build(spec, params, select_cutoffs(spec, params, CutoffPolicy()))
+            state = amplify_noon(spec, params, select_cutoffs(spec, params, CutoffPolicy()))
             dense = log_negativity_dense(state)
             block = log_negativity_block(state)
             assert abs(dense.log_negativity - block.log_negativity) <= 1e-9

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from noonamp import (AmplifierParams, CutoffPolicy, MODE_ASYMMETRIC_A, MODE_SYMMETRIC,
-                     ModeCutoffs, NoonSpec, TwoModeState, amplify_noon_asymmetric,
-                     amplify_noon_symmetric, partial_transpose_b, select_cutoffs)
+                     ModeCutoffs, NoonSpec, TwoModeState, amplify_noon, partial_transpose_b,
+                     select_cutoffs)
 from noonamp.negativity import log_negativity_block, log_negativity_dense
 
 DENSE_DIM_MAX = 1500  # keeps each dense eigensolve well under a second
@@ -22,8 +22,7 @@ modes = st.sampled_from((MODE_SYMMETRIC, MODE_ASYMMETRIC_A))
 def amplified(n, g2, mode) -> TwoModeState:
     spec = NoonSpec(n)
     params = AmplifierParams(g2, mode_config=mode)
-    build = amplify_noon_symmetric if mode == MODE_SYMMETRIC else amplify_noon_asymmetric
-    return build(spec, params, select_cutoffs(spec, params, CutoffPolicy()))
+    return amplify_noon(spec, params, select_cutoffs(spec, params, CutoffPolicy()))
 
 
 def assert_block_matches_dense(state, **block_kw):
