@@ -27,7 +27,6 @@ class CheckResult:
     and any side condition that ``detail`` names; ``metric`` and ``bound``
     are None when the check raised before measuring anything."""
 
-    name: str
     passed: bool
     metric: float | None
     bound: float | None
@@ -60,8 +59,7 @@ def unit_gain_negativity(photon_numbers, policy, method="block") -> CheckResult:
     worst = max(abs(negativity.log_negativity(_amplified(n, 1.0, mode, policy),
                                               method).log_negativity - 1.0)
                 for n in photon_numbers for mode in MODES)
-    return CheckResult("unit_gain_negativity", worst <= 1e-9, worst, 1e-9,
-                       f"max |E_N - 1| = {worst:.3e}")
+    return CheckResult(worst <= 1e-9, worst, 1e-9, f"max |E_N - 1| = {worst:.3e}")
 
 
 def vacuum_thermal(cutoff: int) -> CheckResult:
@@ -70,8 +68,8 @@ def vacuum_thermal(cutoff: int) -> CheckResult:
     dist = channel.amplified_vacuum(2.0, cutoff)
     mean_err = abs(dist.mean - 1.0)
     pop_err = float(np.abs(dist.probs - 0.5 ** (np.arange(cutoff) + 1)).max())
-    return CheckResult("vacuum_thermal", mean_err <= 1e-10 and pop_err <= 1e-12,
-                       pop_err, 1e-12, f"population err {pop_err:.3e}, mean err {mean_err:.3e}")
+    return CheckResult(mean_err <= 1e-10 and pop_err <= 1e-12, pop_err, 1e-12,
+                       f"population err {pop_err:.3e}, mean err {mean_err:.3e}")
 
 
 def closed_form_vs_oracle(modes, n_photons: int, g_squared: float, policy) -> CheckResult:
@@ -83,8 +81,7 @@ def closed_form_vs_oracle(modes, n_photons: int, g_squared: float, policy) -> Ch
         cutoffs = channel.select_cutoffs(spec, params, policy)
         worst = max(worst, oracle_distance(channel.amplify_noon(spec, params, cutoffs),
                                            spec, params))
-    return CheckResult("closed_form_vs_oracle", worst <= 1e-6, worst, 1e-6,
-                       f"max trace distance {worst:.3e}")
+    return CheckResult(worst <= 1e-6, worst, 1e-6, f"max trace distance {worst:.3e}")
 
 
 def method_agreement(points, policy) -> CheckResult:
@@ -97,7 +94,7 @@ def method_agreement(points, policy) -> CheckResult:
                       - negativity.log_negativity_block(state).log_negativity)
             if gap > worst:
                 worst, worst_at = gap, (n, mode, g2)
-    return CheckResult("method_agreement", worst <= 1e-9, worst, 1e-9,
+    return CheckResult(worst <= 1e-9, worst, 1e-9,
                        f"max |dense - block| = {worst:.3e} at {worst_at}")
 
 
@@ -112,7 +109,7 @@ def scaling_law(modes, n_photons: int, gains, policy) -> CheckResult:
             state_out = _amplified(n_photons, g2, mode, policy, min_cutoff=32)
             state_in = fock.build_noon(fock.NoonSpec(n_photons), state_out.cutoffs)
             worst = max(worst, husimi.check_scaling_law(state_in, state_out, g2, mode, grid))
-    return CheckResult("scaling_law", worst < 1e-8, worst, 1e-8, f"max grid error {worst:.3e}")
+    return CheckResult(worst < 1e-8, worst, 1e-8, f"max grid error {worst:.3e}")
 
 
 def zero_locus(points) -> CheckResult:
@@ -121,7 +118,7 @@ def zero_locus(points) -> CheckResult:
     held = [husimi.check_zero_locus(fock.NoonSpec(n), g2, husimi.noon_zero_candidates(n, g2))
             for n, g2 in points]
     failed = len(held) - sum(held)
-    return CheckResult("zero_locus", failed == 0, float(failed), 0.0,
+    return CheckResult(failed == 0, float(failed), 0.0,
                        f"{sum(held)}/{len(held)} (N, G2) combinations hold")
 
 
@@ -141,7 +138,7 @@ def gaussian_thresholds(symmetric_points, asymmetric_etas, open_ended_gains) -> 
         gaussian.amplify_covariance(base, g2, eta=0.0, modes=("a",)))
         for g2 in open_ended_gains)
     worst = max(sym_err, asym_err)
-    return CheckResult("gaussian_thresholds", worst <= 1e-6 and open_ended > 0.0, worst, 1e-6,
+    return CheckResult(worst <= 1e-6 and open_ended > 0.0, worst, 1e-6,
                        f"sym err {sym_err:.3e}, asym err {asym_err:.3e}, min E_N up to "
                        f"G2={max(open_ended_gains):g}: {open_ended:.4f}")
 
@@ -150,23 +147,21 @@ def trace_deficit_budget(n_photons: int, g_squared: float, policy) -> CheckResul
     """The symmetric state's lost weight stays under 100 tail_tol."""
     deficit = _amplified(n_photons, g_squared, channel.MODE_SYMMETRIC, policy).trace_deficit
     budget = 100.0 * policy.tail_tol
-    return CheckResult("trace_deficit_budget", deficit < budget, deficit, budget,
+    return CheckResult(deficit < budget, deficit, budget,
                        f"trace_deficit {deficit:.3e} vs budget {budget:.3e}")
 
 
 def monotone(curves) -> CheckResult:
     """E_N never rises with gain along any of ``curves``."""
     rise = max([0.0] + [b - a for curve in curves for a, b in zip(curve, curve[1:])])
-    return CheckResult("monotone", rise <= 1e-9, rise, 1e-9,
-                       f"largest rise along a curve {rise:.3e}")
+    return CheckResult(rise <= 1e-9, rise, 1e-9, f"largest rise along a curve {rise:.3e}")
 
 
 def asymmetric_dominates(pairs) -> CheckResult:
     """Amplifying one mode keeps at least the E_N of amplifying both;
     ``pairs`` holds (symmetric E_N, asymmetric E_N) at equal N and G^2."""
     excess = max([0.0] + [sym - asym for sym, asym in pairs])
-    return CheckResult("asymmetric_dominates", excess <= 1e-9, excess, 1e-9,
-                       f"largest symmetric excess {excess:.3e}")
+    return CheckResult(excess <= 1e-9, excess, 1e-9, f"largest symmetric excess {excess:.3e}")
 
 
 def monotone_and_ordering(n_photons: int, gains, policy) -> CheckResult:
@@ -175,21 +170,20 @@ def monotone_and_ordering(n_photons: int, gains, policy) -> CheckResult:
         _amplified(n_photons, g2, mode, policy)).log_negativity for g2 in gains]
         for mode in MODES)
     parts = (monotone([sym, asym]), asymmetric_dominates(zip(sym, asym)))
-    return CheckResult("monotone_and_ordering", all(p.passed for p in parts),
-                       max(p.metric for p in parts), 1e-9,
+    return CheckResult(all(p.passed for p in parts), max(p.metric for p in parts), 1e-9,
                        f"sym {['%.4f' % v for v in sym]}, asym {['%.4f' % v for v in asym]}")
 
 
-def _run(name: str, check, *args) -> CheckResult:
+def _run(check, *args) -> CheckResult:
     try:
-        return dataclasses.replace(check(*args), name=name)
+        return check(*args)
     except Exception as exc:  # noqa: BLE001 - the battery reports, not raises
-        return CheckResult(name, False, None, None, f"{type(exc).__name__}: {exc}")
+        return CheckResult(False, None, None, f"{type(exc).__name__}: {exc}")
 
 
-def battery(policy: channel.CutoffPolicy) -> list[CheckResult]:
-    """The ``noonamp verify`` checks on their quick grids, in a fixed order;
-    a check that raises counts as failed."""
+def battery(policy: channel.CutoffPolicy) -> dict[str, CheckResult]:
+    """The ``noonamp verify`` checks on their quick grids, by name in a
+    fixed order; a check that raises counts as failed."""
     sym, asym = (channel.MODE_SYMMETRIC,), (channel.MODE_ASYMMETRIC_A,)
     quick = (
         ("unit_gain_negativity", unit_gain_negativity, (1, 2), policy),
@@ -206,4 +200,4 @@ def battery(policy: channel.CutoffPolicy) -> list[CheckResult]:
         ("monotone_and_ordering", monotone_and_ordering, 2, (1.0, 1.25, 1.5, 1.75, 2.0),
          policy),
     )
-    return [_run(name, check, *args) for name, check, *args in quick]
+    return {name: _run(check, *args) for name, check, *args in quick}

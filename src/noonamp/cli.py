@@ -153,13 +153,14 @@ def run_verify(policy: channel.CutoffPolicy | None = None, stream=None) -> int:
     stream = sys.stdout if stream is None else stream
     policy = channel.CutoffPolicy() if policy is None else policy
     results = checks.battery(policy)
-    for r in results:
+    for name, r in results.items():
         held = "" if r.metric is None else f" [metric {r.metric:.3e}, bound {r.bound:.3e}]"
-        print(f"{'PASS' if r.passed else 'FAIL'} {r.name}: {r.detail}{held}", file=stream)
-    failed = sum(not r.passed for r in results)
+        print(f"{'PASS' if r.passed else 'FAIL'} {name}: {r.detail}{held}", file=stream)
+    failed = sum(not r.passed for r in results.values())
     summary = {"passed": len(results) - failed, "failed": failed,
-               "checks": {r.name: r.passed for r in results},
-               "metrics": {r.name: {"metric": r.metric, "bound": r.bound} for r in results}}
+               "checks": {name: r.passed for name, r in results.items()},
+               "metrics": {name: {"metric": r.metric, "bound": r.bound}
+                           for name, r in results.items()}}
     print(json.dumps(summary, sort_keys=True), file=stream)
     return 1 if failed else 0
 

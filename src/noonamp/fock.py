@@ -14,6 +14,7 @@ construction; every operation here is a pure function.
 """
 
 from dataclasses import dataclass
+import math
 
 import numpy as np
 
@@ -53,6 +54,39 @@ class NoonSpec:
     def __post_init__(self):
         if self.n_photons < 1:
             raise ValueError("n_photons must be >= 1")
+
+
+@dataclass(frozen=True)
+class ThermalSpec:
+    """Bose-Einstein occupation written two ways.
+
+    ``mean_photons`` is the mean occupation; ``beta_param`` the matching
+    exponent of exp(-beta * n).  An amplified vacuum at intensity gain g2
+    is thermal with mean g2 - 1 and beta = ln(g2 / (g2 - 1)).
+    """
+
+    mean_photons: float
+    beta_param: float
+
+    def __post_init__(self):
+        if self.mean_photons < 0:
+            raise ValueError("mean_photons must be >= 0")
+        if not self.beta_param > 0:
+            raise ValueError("beta_param must be > 0")
+        implied = 1.0 / math.expm1(self.beta_param) if math.isfinite(self.beta_param) else 0.0
+        if abs(implied - self.mean_photons) > 1e-12:
+            raise ValueError(
+                f"inconsistent thermal parameters: mean_photons={self.mean_photons}, "
+                f"1/(e^beta - 1)={implied}"
+            )
+
+    @classmethod
+    def from_gain(cls, g_squared: float) -> "ThermalSpec":
+        if g_squared < 1.0:
+            raise ValueError("g_squared must be >= 1")
+        if g_squared == 1.0:
+            return cls(mean_photons=0.0, beta_param=math.inf)
+        return cls(mean_photons=g_squared - 1.0, beta_param=math.log(g_squared / (g_squared - 1.0)))
 
 
 class TwoModeState:

@@ -44,6 +44,11 @@ def square_mesh(extent: float, points: int) -> tuple[np.ndarray, float]:
     return (re + 1j * im).ravel(), float(spacing)
 
 
+def default_grid(extent: float = 3.0, points: int = 41) -> QGrid:
+    samples, _ = square_mesh(extent, points)
+    return QGrid(alpha_samples=samples, beta_samples=samples.copy())
+
+
 def default_grid_for_state(state: TwoModeState, extent: float = 3.0,
                            points: int = 41) -> QGrid:
     """Default grid, shrunk so the amplitude guard of q_evaluate holds.

@@ -5,9 +5,8 @@ import pytest
 
 from noonamp import (AmplifierParams, CutoffPolicy, IntegratorConfig, LindbladParams,
                      MODE_ASYMMETRIC_A, MODE_SYMMETRIC, ModeCutoffs, NoonSpec,
-                     amplified_vacuum, amplify_noon, amplify_noon_asymmetric,
-                     amplify_noon_symmetric, build_noon, checks, evolve, photon_add_both,
-                     select_cutoffs, tmsv_fock, trace_distance)
+                     amplified_vacuum, amplify_noon_asymmetric, amplify_noon_symmetric,
+                     build_noon, checks, evolve, photon_add_both, select_cutoffs, tmsv_fock)
 from noonamp.fock import TwoModeState, product_state
 from noonamp.gaussian import SqueezingSpec
 
@@ -290,11 +289,4 @@ def test_oracle_equivalence_grid(mode):
     """Closed forms against direct master-equation integration."""
     for n_ph in (1, 2):
         for g2 in (1.2, 1.5, 2.0):
-            spec = NoonSpec(n_ph)
-            params = AmplifierParams(g2, mode_config=mode)
-            cut = select_cutoffs(spec, params, CutoffPolicy())
-            closed = amplify_noon(spec, params, cut)
-            evolved = evolve(build_noon(spec, cut),
-                             LindbladParams(1.0, 0.0, params.amplified_modes),
-                             IntegratorConfig(target_g_squared=g2, step_size=2e-3))
-            assert trace_distance(closed, evolved) <= 1e-6
+            assert checks.closed_form_vs_oracle((mode,), n_ph, g2, CutoffPolicy()).passed

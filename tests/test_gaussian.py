@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from noonamp import (CovarianceState, IntegratorConfig, LindbladParams, ModeCutoffs,
-                     SqueezingSpec, amplify_covariance, evolve,
+                     SqueezingSpec, amplify_covariance, checks, evolve,
                      gaussian_log_negativity, photon_added_tmsv_negativity_sweep,
                      threshold_asymmetric, threshold_bisection, threshold_symmetric,
                      tmsv_covariance, tmsv_fock)
@@ -95,12 +95,8 @@ def test_threshold_formulas():
 
 
 def test_bisection_matches_closed_forms():
-    for r in (0.25, 0.5):
-        for eta in (0.0, 0.25):
-            spec = SqueezingSpec(r)
-            assert abs(threshold_bisection(spec, eta)
-                       - threshold_symmetric(spec, eta)) <= 1e-6
-    assert abs(threshold_bisection(SqueezingSpec(0.5), 0.5, modes=("a",)) - 3.0) <= 1e-6
+    assert checks.gaussian_thresholds([(r, eta) for r in (0.25, 0.5) for eta in (0.0, 0.25)],
+                                      (0.5,), (1.0, 10.0)).passed
     # r = 0: nothing entangled, crossing sits at unit gain
     assert threshold_bisection(SqueezingSpec(0.0), 0.0) == 1.0
 
