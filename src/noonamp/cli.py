@@ -105,8 +105,10 @@ def run_sweep(cfg: SweepConfig) -> list[dict]:
         if cfg.eta != 0.0:
             raise ValueError("photon_added_tmsv pipeline supports eta = 0 only")
         spec = gaussian.SqueezingSpec(cfg.r)
-        rows = [_row(cfg, g2, method="dense", log_negativity=en)
-                for g2, en in gaussian.photon_added_tmsv_negativity_sweep(spec, grid)]
+        rows = [_row(cfg, g2, method="dense", log_negativity=en,
+                     cutoff_a=st.cutoffs.cutoff_a, cutoff_b=st.cutoffs.cutoff_b,
+                     trace_deficit=st.trace_deficit)
+                for g2, en, st in gaussian.photon_added_tmsv_negativity_sweep(spec, grid)]
     rows.sort(key=lambda r: (r["family"], r["n"] if r["n"] is not None else -1,
                              r["g_squared"]))
     return rows

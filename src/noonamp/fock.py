@@ -8,9 +8,8 @@ of the d^2 entries, so everything that needs only the nonzeros (trace,
 populations, purity, partial transpose, the block negativity) runs in
 O(nnz).  The entries are real (float64) for every state the package
 builds and complex128 only for genuinely complex input.  Dense copies are
-made on request for the dense eigensolve, the Husimi contraction and the
-trace distance.  States are immutable after
-construction; every operation here is a pure function.
+made on request for the dense eigensolve and the trace distance.  States
+are immutable after construction; every operation here is a pure function.
 """
 
 from dataclasses import dataclass

@@ -196,12 +196,15 @@ def _pipeline_cutoff(r: float, g_max: float, tail_tol: float) -> int:
 def photon_added_tmsv_negativity_sweep(
         spec: SqueezingSpec, g_grid, cutoff: int | None = None,
         step_size: float = 5e-4,
-        tail_tol: float = config.DEFAULT_TAIL_TOL) -> list[tuple[float, float]]:
+        tail_tol: float = config.DEFAULT_TAIL_TOL
+) -> list[tuple[float, float, TwoModeState]]:
     """Fock-side E_N of the photon-added squeezed vacuum at each gain.
 
     Builds adag bdag |tmsv><tmsv| b a (normalized), integrates the master
     equation continuously through the sorted gain grid (eta = 0), and
-    diagonalizes the partial transpose at each checkpoint.
+    diagonalizes the partial transpose at each checkpoint.  Each row is
+    (g2, E_N, checkpoint state); the state carries the cutoffs and the
+    trace_deficit that E_N was computed at.
     """
     if spec.r > 0.8:
         raise ValueError("r > 0.8 needs cutoffs beyond the desk-scale budget")
@@ -217,4 +220,4 @@ def photon_added_tmsv_negativity_sweep(
     params = LindbladParams(kappa_n1=1.0, kappa_n2=0.0, amplified_modes=("a", "b"))
 
     states = evolve_checkpoints(added, params, gains, step_size=step_size)
-    return [(g, log_negativity_dense(st).log_negativity) for g, st in zip(gains, states)]
+    return [(g, log_negativity_dense(st).log_negativity, st) for g, st in zip(gains, states)]

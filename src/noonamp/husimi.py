@@ -2,9 +2,13 @@
 
 Q(alpha, beta) = <alpha, beta| rho |alpha, beta> / pi^2, evaluated for all
 pairs drawn from a list of mode-a amplitudes and a list of mode-b
-amplitudes.  Coherent coefficients are assembled in log space and the
-quadratic form is contracted as a pair of matrix products, so a full
-41 x 41-per-plane grid stays cheap at desk-scale cutoffs.
+amplitudes.  Coherent coefficients are assembled in log space.  The
+quadratic form is contracted from the stored entries alone: they are
+grouped by their mode-a pair (n, p) and mode-b pair (m, q) into a small
+sparse coupling matrix C, and Q = Re(Pa C Pb^T) / pi^2 with
+Pa[i, (n, p)] = conj(va[i, n]) va[i, p] over the used mode-a pairs and Pb
+the same for mode b.  No dense copy of the state is made; the cost
+follows the number of stored entries and used pairs, not d^2.
 
 The amplifier acts on Q by pure argument scaling: equal gain on both
 modes sends Q(a, b) to Q(a/G, b/G)/G^4, gain on mode a alone to
@@ -94,34 +98,58 @@ def _guard(samples: np.ndarray, cutoff: int, label: str, enforce: bool):
         )
 
 
+def _pair_coupling(state: TwoModeState):
+    """The stored entries regrouped by mode pair: ((n, p), coupling, (m, q)).
+
+    ``coupling[k, l]`` is the entry rho[n, m, p, q] with (n, p) the k-th used
+    mode-a pair and (m, q) the l-th used mode-b pair, so that
+    Q = Re(Pa @ coupling @ Pb.T) / pi^2 with Pa[i, k] = conj(va[i, n_k])
+    va[i, p_k] and Pb[j, l] = conj(vb[j, m_l]) vb[j, q_l].  Only pairs that
+    carry a stored entry get a row or column.
+    """
+    from scipy import sparse
+
+    da, db = state.cutoffs.cutoff_a, state.cutoffs.cutoff_b
+    coo = state.csr.tocoo()
+    n, m = np.divmod(coo.row, db)
+    p, q = np.divmod(coo.col, db)
+    a_pairs, a_at = np.unique(n * da + p, return_inverse=True)
+    b_pairs, b_at = np.unique(m * db + q, return_inverse=True)
+    coupling = sparse.csr_array((coo.data, (a_at, b_at)),
+                                shape=(len(a_pairs), len(b_pairs)))
+    return np.divmod(a_pairs, da), coupling, np.divmod(b_pairs, db)
+
+
+def _projectors(v: np.ndarray, pairs) -> np.ndarray:
+    """conj(v[:, left]) * v[:, right] for each (left, right) pair."""
+    left, right = pairs
+    return v[:, left].conj() * v[:, right]
+
+
+def _chunks(total: int, width: int):
+    """Slices over ``total`` samples, each holding about 2M entries of
+    ``width``: bounds the intermediates of a state that fills every pair."""
+    step = max(1, 2_000_000 // max(width, 1))
+    return (slice(lo, min(lo + step, total)) for lo in range(0, total, step))
+
+
 def q_evaluate(state: TwoModeState, grid: QGrid, enforce_guard: bool = True,
                clamp: float | None = None) -> QGrid:
     """Q over all (alpha_i, beta_j) pairs of the grid."""
     clamp = config.Q_CLAMP if clamp is None else clamp
     c = state.cutoffs
-    da, db = c.cutoff_a, c.cutoff_b
-    _guard(grid.alpha_samples, da, "alpha", enforce_guard)
-    _guard(grid.beta_samples, db, "beta", enforce_guard)
+    _guard(grid.alpha_samples, c.cutoff_a, "alpha", enforce_guard)
+    _guard(grid.beta_samples, c.cutoff_b, "beta", enforce_guard)
 
-    va = coherent_matrix(grid.alpha_samples, da)
-    vb = coherent_matrix(grid.beta_samples, db)
-    t = state.tensor().astype(np.complex128)  # once, not per tensordot chunk
-    n_alpha = va.shape[0]
+    va = coherent_matrix(grid.alpha_samples, c.cutoff_a)
+    vb = coherent_matrix(grid.beta_samples, c.cutoff_b)
+    a_pairs, coupling, b_pairs = _pair_coupling(state)
+    pb_t = _projectors(vb, b_pairs).T
+    values = np.empty((len(va), len(vb)))
+    for rows in _chunks(len(va), sum(coupling.shape) + len(vb)):
+        pa = _projectors(va[rows], a_pairs)
+        values[rows] = ((pa @ coupling) @ pb_t).real / math.pi**2
 
-    # pairwise coherent projectors of mode b, flattened: w[j, m*db+q]
-    w = (vb.conj()[:, :, None] * vb[:, None, :]).reshape(len(vb), db * db)
-
-    # chunk mode-a samples so the (chunk, db, da, db) intermediate stays at
-    # 32 MB: with the dense state it sets the peak memory of a Q dump
-    chunk = max(1, int(2_000_000 / max(db * da * db, 1)))
-    u = np.empty((n_alpha, db * db), dtype=np.complex128)
-    for lo in range(0, n_alpha, chunk):
-        hi = min(lo + chunk, n_alpha)
-        x = np.tensordot(va[lo:hi].conj(), t, axes=([1], [0]))  # (k, db, da, db)
-        u[lo:hi] = np.einsum("kmpq,kp->kmq", x, va[lo:hi],
-                             optimize=True).reshape(hi - lo, db * db)
-
-    values = (u @ w.T).real / math.pi**2
     low = float(values.min(initial=0.0))
     if low < -clamp:
         raise ValueError(f"Q dipped to {low:.3e}, beyond the clamp {-clamp:g}")
@@ -142,12 +170,11 @@ def q_pairs(state: TwoModeState, alphas: np.ndarray, betas: np.ndarray,
     _guard(betas, c.cutoff_b, "beta", enforce_guard)
     va = coherent_matrix(alphas, c.cutoff_a)
     vb = coherent_matrix(betas, c.cutoff_b)
-    t = state.tensor().astype(np.complex128)
-    out = np.empty(len(alphas))
-    for k in range(len(alphas)):
-        amp = np.einsum("nmpq,n,m,p,q->", t, va[k].conj(), vb[k].conj(), va[k], vb[k],
-                        optimize=True)
-        out[k] = amp.real / math.pi**2
+    a_pairs, coupling, b_pairs = _pair_coupling(state)
+    out = np.empty(len(va))
+    for rows in _chunks(len(va), sum(coupling.shape)):
+        pa_c = _projectors(va[rows], a_pairs) @ coupling
+        out[rows] = (pa_c * _projectors(vb[rows], b_pairs)).sum(axis=1).real / math.pi**2
     return np.clip(out, 0.0, None)
 
 
@@ -233,9 +260,10 @@ def write_qgrid_csv(grid: QGrid, path) -> None:
     """Columns re_alpha, im_alpha, re_beta, im_beta, q_value, one row per pair."""
     if grid.values is None:
         raise ValueError("grid has no evaluated values")
+    # each amplitude is formatted once per axis, each Q value once per row
+    alphas = [f"{a.real:.12g},{a.imag:.12g}," for a in grid.alpha_samples]
+    betas = [f"{b.real:.12g},{b.imag:.12g}," for b in grid.beta_samples]
     with open(path, "w") as fh:
         fh.write("re_alpha,im_alpha,re_beta,im_beta,q_value\n")
-        for i, a in enumerate(grid.alpha_samples):
-            for j, b in enumerate(grid.beta_samples):
-                fh.write(f"{a.real:.12g},{a.imag:.12g},{b.real:.12g},{b.imag:.12g},"
-                         f"{grid.values[i, j]:.12g}\n")
+        for a, row in zip(alphas, grid.values.tolist()):
+            fh.write("".join(f"{a}{b}{q:.12g}\n" for b, q in zip(betas, row)))

@@ -119,8 +119,8 @@ def test_criterion_9_photon_added_comparison():
     window = (0.98 * g_star, 1.02 * g_star)
     grid = [1.40, 1.43, 1.45, 1.46, 1.47, 1.48]
     rows = photon_added_tmsv_negativity_sweep(spec, grid, step_size=1e-3)
-    above = [g for g, en in rows if en >= 1e-3]
-    below = [g for g, en in rows if en < 1e-3]
+    above = [g for g, en, _ in rows if en >= 1e-3]
+    below = [g for g, en, _ in rows if en < 1e-3]
     ok_cross = (above and below and window[0] <= max(above)
                 and min(below) <= window[1])
 

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from noonamp import (AmplifierParams, CutoffPolicy, IntegratorConfig, LindbladParams,
                      MODE_ASYMMETRIC_A, MODE_SYMMETRIC, ModeCutoffs, NoonSpec,
@@ -210,13 +211,15 @@ def test_photon_add_thermal_against_ladder():
     state = product_state(therm, therm)
     added = photon_add_both(state)
 
-    adag = np.kron(creation(dim), np.eye(dim))
-    bdag = np.kron(np.eye(dim), creation(dim))
-    raw = adag @ bdag @ state.matrix @ adag.conj().T @ bdag.conj().T
-    pops = np.diagonal(state.matrix).real.reshape(dim, dim)
+    # sparse ladder operators: dense 3600 x 3600 products dominate the test
+    one = sparse.csr_array(creation(dim))
+    adag = sparse.kron(one, sparse.eye_array(dim), format="csr")
+    bdag = sparse.kron(sparse.eye_array(dim), one, format="csr")
+    raw = adag @ bdag @ state.csr @ adag.conj().T @ bdag.conj().T
+    pops = state.populations()
     levels = np.arange(dim)
     exact_trace = (((levels + 1.0)[:, None]) * ((levels + 1.0)[None, :]) * pops).sum()
-    assert np.abs(added.matrix - raw / exact_trace).max() <= 1e-12
+    assert abs(added.csr - raw / exact_trace).max() <= 1e-12
 
     # mean per mode by direct summation over the ladder-built distribution
     mean_a = float((levels[:, None] * added.populations()).sum())

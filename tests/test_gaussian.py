@@ -138,7 +138,7 @@ def test_photon_added_enhancement():
 def test_photon_added_vacuum_stays_separable():
     # r = 0: photon-added vacuum is |1,1>, a product state
     rows = photon_added_tmsv_negativity_sweep(SqueezingSpec(0.0), [1.0, 1.3])
-    for _, en in rows:
+    for _, en, _ in rows:
         assert en <= 1e-12
 
 

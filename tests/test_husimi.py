@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from noonamp import (AmplifierParams, CutoffPolicy, MODE_ASYMMETRIC_A, MODE_SYMMETRIC,
-                     ModeCutoffs, NoonSpec, QGrid, amplify_noon_symmetric, build_noon,
-                     check_scaling_law, check_zero_locus, checks,
-                     default_grid_for_state, noon_zero_candidates, q_evaluate, q_pairs,
-                     riemann_mass, square_mesh, write_qgrid_csv)
+from noonamp import (AmplifierParams, CutoffPolicy, IntegratorConfig, LindbladParams,
+                     MODE_ASYMMETRIC_A, MODE_SYMMETRIC, ModeCutoffs, NoonSpec, QGrid,
+                     amplify_noon, amplify_noon_symmetric, build_noon, check_scaling_law,
+                     check_zero_locus, checks, default_grid_for_state, evolve,
+                     noon_zero_candidates, photon_add_both, q_evaluate, q_pairs,
+                     riemann_mass, select_cutoffs, square_mesh, tmsv_fock, write_qgrid_csv)
 from noonamp.fock import TwoModeState, product_state
+from noonamp.gaussian import SqueezingSpec
 from noonamp.husimi import coherent_matrix
 
 
@@ -74,6 +76,65 @@ def test_q_pairs_matches_grid_diagonal():
     grid = q_evaluate(state, QGrid(alphas, betas))
     pairs = q_pairs(state, alphas, betas)
     assert np.abs(pairs - np.diagonal(grid.values)).max() <= 1e-14
+
+
+def _q_dense(state, alphas, betas):
+    """Q over the product grid by contracting the dense (da, db, da, db)
+    tensor, as q_evaluate did before it read the stored entries."""
+    c = state.cutoffs
+    db = c.cutoff_b
+    va = coherent_matrix(alphas, c.cutoff_a)
+    vb = coherent_matrix(betas, db)
+    t = state.tensor().astype(np.complex128)
+    w = (vb.conj()[:, :, None] * vb[:, None, :]).reshape(len(vb), db * db)
+    x = np.tensordot(va.conj(), t, axes=([1], [0]))  # (k, db, da, db)
+    u = np.einsum("kmpq,kp->kmq", x, va, optimize=True).reshape(len(va), db * db)
+    return np.clip((u @ w.T).real / math.pi**2, 0.0, None)
+
+
+def _q_pairs_dense(state, alphas, betas):
+    """Q at matched pairs from the dense tensor, one einsum per pair."""
+    c = state.cutoffs
+    va = coherent_matrix(alphas, c.cutoff_a)
+    vb = coherent_matrix(betas, c.cutoff_b)
+    t = state.tensor().astype(np.complex128)
+    out = [np.einsum("nmpq,n,m,p,q->", t, va[k].conj(), vb[k].conj(), va[k], vb[k],
+                     optimize=True).real / math.pi**2 for k in range(len(va))]
+    return np.clip(np.array(out), 0.0, None)
+
+
+def _auto_noon(n, g2, mode):
+    spec = NoonSpec(n)
+    params = AmplifierParams(g2, mode_config=mode)
+    return amplify_noon(spec, params, select_cutoffs(spec, params, CutoffPolicy()))
+
+
+def _random_complex_state(da, db, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(da * db, da * db)) + 1j * rng.normal(size=(da * db, da * db))
+    rho = a @ a.conj().T
+    return TwoModeState(ModeCutoffs(da, db), rho / np.trace(rho).real)
+
+
+@pytest.mark.parametrize("make_state", [
+    lambda: _auto_noon(4, 2.0, MODE_SYMMETRIC),
+    lambda: _auto_noon(4, 2.0, MODE_ASYMMETRIC_A),
+    lambda: _random_complex_state(7, 5, seed=11),
+    lambda: evolve(photon_add_both(tmsv_fock(SqueezingSpec(0.3), ModeCutoffs(16, 16))),
+                   LindbladParams(1.0), IntegratorConfig(target_g_squared=1.05)),
+    lambda: vacuum_state(5, 3),
+], ids=["symmetric_noon", "asymmetric_noon", "random_complex",
+        "evolved_photon_added", "vacuum"])
+def test_stored_entry_contraction_matches_dense(make_state):
+    """The contraction over stored entries reproduces the dense-tensor one;
+    the random complex state fills every (n, p) and (m, q) pair."""
+    state = make_state()
+    grid = default_grid_for_state(state, points=5)
+    got = q_evaluate(state, grid).values
+    assert np.abs(got - _q_dense(state, grid.alpha_samples, grid.beta_samples)).max() <= 1e-15
+    alphas, betas = grid.alpha_samples, grid.beta_samples[::-1]
+    got = q_pairs(state, alphas, betas)
+    assert np.abs(got - _q_pairs_dense(state, alphas, betas)).max() <= 1e-15
 
 
 def test_q_values_nonnegative_and_clamped():
@@ -181,3 +242,20 @@ def test_qgrid_csv_dump(tmp_path):
     assert len(lines) == 1 + 9 * 9
     first = [float(x) for x in lines[1].split(",")]
     assert len(first) == 5
+
+
+def test_qgrid_csv_matches_per_row_format(tmp_path):
+    """Formatting each amplitude once per axis writes the bytes that
+    formatting every field of every row does."""
+    state = build_noon(NoonSpec(2), ModeCutoffs(40, 40))
+    mesh, _ = square_mesh(2.0, 5)  # -2, -1, 0, 1, 2 on both axes
+    betas = np.concatenate([mesh, [0.35 - 1.25j, complex(-0.0, 1.0)]])
+    grid = q_evaluate(state, QGrid(mesh, betas))
+    path = tmp_path / "q.csv"
+    write_qgrid_csv(grid, path)
+    want = ["re_alpha,im_alpha,re_beta,im_beta,q_value\n"]
+    for i, a in enumerate(grid.alpha_samples):
+        for j, b in enumerate(grid.beta_samples):
+            want.append(f"{a.real:.12g},{a.imag:.12g},{b.real:.12g},{b.imag:.12g},"
+                        f"{grid.values[i, j]:.12g}\n")
+    assert path.read_bytes() == "".join(want).encode()

@@ -1,5 +1,6 @@
-"""Property tests over the (N, G^2, mode) space of the closed forms and over
-random sparse density matrices, real and complex."""
+"""Property tests over the (N, G^2, mode) space of the closed forms (stored
+entries, trace, negativity, Husimi Q) and over random sparse density
+matrices, real and complex."""
 
 import warnings
 
@@ -8,7 +9,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from noonamp import (AmplifierParams, CutoffPolicy, MODE_ASYMMETRIC_A, MODE_SYMMETRIC,
-                     ModeCutoffs, NoonSpec, TwoModeState, amplify_noon, partial_transpose_b,
+                     ModeCutoffs, NoonSpec, TwoModeState, amplify_noon,
+                     default_grid_for_state, partial_transpose_b, q_evaluate,
                      select_cutoffs)
 from noonamp.negativity import log_negativity_block, log_negativity_dense
 
@@ -75,6 +77,14 @@ def test_asymmetric_at_least_symmetric(n, g2):
     sym = log_negativity_block(amplified(n, g2, MODE_SYMMETRIC)).log_negativity
     asym = log_negativity_block(amplified(n, g2, MODE_ASYMMETRIC_A)).log_negativity
     assert asym >= sym - 1e-9
+
+
+@settings(deadline=None, max_examples=40)
+@given(photons, gains, modes)
+def test_husimi_q_nonnegative(n, g2, mode):
+    state = amplified(n, g2, mode)
+    values = q_evaluate(state, default_grid_for_state(state, points=7)).values
+    assert values.min() >= 0.0
 
 
 @st.composite
