@@ -7,9 +7,12 @@ matrix is stored as its nonzero entries over that basis, in a
 of the d^2 entries, so everything that needs only the nonzeros (trace,
 populations, purity, partial transpose, the block negativity) runs in
 O(nnz).  The entries are real (float64) for every state the package
-builds and complex128 only for genuinely complex input.  Dense copies are
-made on request for the dense eigensolve and the trace distance.  States
-are immutable after construction; every operation here is a pure function.
+builds and complex128 only for genuinely complex input.  The dense
+eigensolves behind the dense negativity and the trace distance
+(``hermitian_eigvalsh``) read the stored entries too and solve one
+conserved-charge block at a time.  A dense (d, d) copy is made only for
+``save_state_npz`` and for a matrix that conserves no charge.  States are
+immutable after construction; every operation here is a pure function.
 """
 
 from dataclasses import dataclass
@@ -94,8 +97,8 @@ class TwoModeState:
     The stored entries are a ``scipy.sparse.csr_array`` over the flattened
     basis with explicit zeros removed (``csr``).  They are float64 unless the
     input has a nonzero imaginary part, in which case they are complex128.
-    ``matrix`` and ``tensor()`` build read-only dense copies for consumers
-    that need one; everything that reads only the nonzeros uses ``csr``.
+    ``matrix`` builds a read-only dense copy for consumers that need one;
+    everything that reads only the nonzeros uses ``csr``.
 
     Construction checks the stored entries: Hermiticity, a non-negative
     diagonal and a trace of at most 1.  ``trace_deficit`` records
@@ -173,11 +176,6 @@ class TwoModeState:
         dense.setflags(write=False)
         return dense
 
-    def tensor(self) -> np.ndarray:
-        """Read-only dense copy of shape (da, db, da, db)."""
-        c = self.cutoffs
-        return self.matrix.reshape(c.cutoff_a, c.cutoff_b, c.cutoff_a, c.cutoff_b)
-
     def populations(self) -> np.ndarray:
         """Diagonal occupation probabilities as a real (da, db) array."""
         c = self.cutoffs
@@ -252,5 +250,57 @@ def trace_distance(state_1: TwoModeState, state_2: TwoModeState) -> float:
     """Half the trace norm of the difference (states must share cutoffs)."""
     if state_1.cutoffs != state_2.cutoffs:
         raise ValueError("states have different cutoffs")
-    eigs = np.linalg.eigvalsh((state_1.csr - state_2.csr).toarray())
+    eigs = hermitian_eigvalsh(state_1.csr - state_2.csr, state_1.cutoffs)
     return 0.5 * float(np.abs(eigs).sum())
+
+
+def hermitian_eigvalsh(csr, cutoffs: ModeCutoffs) -> np.ndarray:
+    """Ascending eigenvalues of the Hermitian (d, d) matrix stored in ``csr``.
+
+    Phase-insensitive channels commute with phase rotations, so the
+    matrices this package diagonalizes conserve a U(1) charge: each stored
+    entry joins two basis states of equal n_a - n_b (the partial transpose
+    of an amplified NOON state, the squeezed vacuum itself) or of equal
+    n_a + n_b (an amplified NOON state itself, the partial transpose of
+    the squeezed vacuum).  Such a matrix is block diagonal in the charge
+    and its spectrum is the union of the blocks' spectra.  The test is exact
+    over the integers and reads each stored entry once.  Every basis state
+    of a charge, rows without a stored entry included, joins its block, and
+    each block is solved densely.  A matrix that conserves neither charge is
+    solved whole, up to ``config.FULL_SOLVE_MAX_DIMENSION``.
+    """
+    d = cutoffs.dimension
+    coo = csr.tocoo()
+    coo.sum_duplicates()  # the scatter below writes each position once
+    n_a, n_b = np.divmod(np.arange(d), cutoffs.cutoff_b)
+    for charge in (n_a - n_b, n_a + n_b):
+        if np.array_equal(charge[coo.row], charge[coo.col]):
+            break
+    else:
+        if d > config.FULL_SOLVE_MAX_DIMENSION:
+            raise ValueError(
+                f"matrix of dimension {d} conserves neither n_a - n_b nor n_a + n_b; "
+                f"a full eigensolve is limited to {config.FULL_SOLVE_MAX_DIMENSION}")
+        return np.linalg.eigvalsh(csr.toarray())
+
+    # block k holds the basis states of the k-th smallest charge in index
+    # order; an entry's block is its row's, its place the rank within it
+    charge = charge - charge.min()
+    sizes = np.bincount(charge)
+    starts = np.cumsum(sizes) - sizes
+    place = np.empty(d, dtype=np.intp)
+    place[np.argsort(charge, kind="stable")] = np.arange(d) - np.repeat(starts, sizes)
+    order = np.argsort(charge[coo.row], kind="stable")
+    rows, cols, vals = place[coo.row[order]], place[coo.col[order]], coo.data[order]
+    bounds = np.searchsorted(charge[coo.row[order]], np.arange(sizes.size + 1))
+
+    eigs = []
+    for k, size in enumerate(sizes.tolist()):
+        lo, hi = bounds[k], bounds[k + 1]
+        if lo == hi:
+            eigs.append(np.zeros(size))
+            continue
+        block = np.zeros((size, size), dtype=vals.dtype)
+        block[rows[lo:hi], cols[lo:hi]] = vals[lo:hi]
+        eigs.append(np.linalg.eigvalsh(block))
+    return np.sort(np.concatenate(eigs))

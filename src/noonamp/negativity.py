@@ -1,12 +1,23 @@
 """Logarithmic negativity from partial-transpose spectra.
 
-Two routes to the same number: a dense Hermitian eigensolve of the full
-partial transpose, and a block route that remaps the state's stored
+Two routes to the same number.  The block route remaps the state's stored
 entries to partial-transpose coordinates, finds the connected components
 of that coupling graph with ``scipy.sparse.csgraph`` and diagonalizes each
 one.  For amplified NOON states the components are short chains (both
-modes amplified) or 2x2 blocks (one mode amplified), so the block route is
-orders of magnitude cheaper; the dense route is the oracle it must match.
+modes amplified) or 2x2 blocks (one mode amplified).
+
+The dense route is the oracle the block route must match.  It hands the
+partial transpose to ``fock.hermitian_eigvalsh``, which solves it one
+conserved-charge block at a time.  Phase-insensitive amplification commutes
+with phase rotations, so the partial transpose of every state the package
+builds conserves n_a - n_b (amplified NOON states) or n_a + n_b (states
+built from the squeezed vacuum).  The matrix is then exactly block diagonal
+in that charge, and the union of the blocks' spectra is its spectrum; a
+matrix that conserves neither charge is solved whole.  The oracle stays
+independent of the block route: it shares no code with it, and its blocks
+come from a symmetry tested on the data, not from the sparsity graph.
+Each charge block is a full dense block that holds every basis state of
+its charge, so a coupling the block route missed would still show.
 """
 
 from dataclasses import dataclass
@@ -15,7 +26,7 @@ import warnings
 import numpy as np
 
 from . import config
-from .fock import TwoModeState, partial_transpose_b, pt_coordinates
+from .fock import TwoModeState, hermitian_eigvalsh, partial_transpose_b, pt_coordinates
 
 
 @dataclass(frozen=True)
@@ -54,10 +65,16 @@ def _check_hermitian(state: TwoModeState, atol: float):
 
 def log_negativity_dense(state: TwoModeState, clamp: float | None = None,
                          atol: float | None = None) -> NegativityResult:
-    """Full eigendecomposition of the partial transpose."""
+    """Full spectrum of the partial transpose, solved one conserved-charge
+    block at a time (``fock.hermitian_eigvalsh``).
+
+    Every eigenvalue of the d x d partial transpose is computed, zeros
+    included; the blocks are dense and come from an exact charge test on
+    the stored entries, not from the coupling graph the block route uses.
+    """
     clamp = config.EIG_NEG_CLAMP if clamp is None else clamp
     _check_hermitian(state, config.ATOL_STRUCTURAL if atol is None else atol)
-    eigs = np.linalg.eigvalsh(partial_transpose_b(state).matrix)
+    eigs = hermitian_eigvalsh(partial_transpose_b(state).csr, state.cutoffs)
     return _result(float(eigs[0]), _neg_sum(eigs, clamp), "dense")
 
 

@@ -11,6 +11,8 @@ from noonamp import (AmplifierParams, CutoffPolicy, IntegratorConfig, LindbladPa
 from noonamp.fock import TwoModeState, product_state
 from noonamp.gaussian import SqueezingSpec
 
+from helpers import dense_tensor
+
 
 def creation(dim):
     op = np.zeros((dim, dim), dtype=complex)
@@ -153,7 +155,7 @@ def test_asymmetric_matches_ladder_construction():
 def test_symmetric_support_pattern():
     n_ph = 2
     state = amplify_noon_symmetric(NoonSpec(n_ph), AmplifierParams(1.8), ModeCutoffs(14, 14))
-    t = state.tensor()
+    t = dense_tensor(state)
     nz = np.argwhere(np.abs(t) > 0)
     for n, m, p, q in nz:
         delta = (n - p, m - q)
@@ -165,7 +167,7 @@ def test_asymmetric_b_support():
     state = amplify_noon_asymmetric(NoonSpec(n_ph),
                                     AmplifierParams(2.5, mode_config=MODE_ASYMMETRIC_A),
                                     ModeCutoffs(30, 6))
-    t = state.tensor()
+    t = dense_tensor(state)
     nz = np.argwhere(np.abs(t) > 0)
     assert set(np.unique(nz[:, 1])) <= {0, n_ph}
     assert set(np.unique(nz[:, 3])) <= {0, n_ph}
@@ -251,7 +253,7 @@ def _photon_add_dense(state):
     n_b = np.arange(c.cutoff_b, dtype=np.float64)
     exact_trace = float(((n_a + 1.0)[:, None] * (n_b + 1.0)[None, :]
                          * state.populations()).sum())
-    rho = state.tensor()
+    rho = dense_tensor(state)
     out = np.zeros_like(rho)
     sa, sb = np.sqrt(n_a), np.sqrt(n_b)
     factor = (sa[1:, None, None, None] * sb[None, 1:, None, None]

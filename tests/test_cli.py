@@ -1,9 +1,14 @@
 import json
 import math
+import os
+from pathlib import Path
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import noonamp
 from noonamp import channel
 from noonamp.channel import CutoffPolicy
 from noonamp.cli import (SweepConfig, build_parser, g2_values, main, rows_to_csv,
@@ -185,6 +190,17 @@ def test_verify_passes(capsys):
         held = summary["metrics"][name]
         assert math.isfinite(held["metric"]) and math.isfinite(held["bound"])
         assert line.endswith(f"[metric {held['metric']:.3e}, bound {held['bound']:.3e}]")
+
+
+def test_verify_output_independent_of_blas_threads():
+    """``verify`` prints the same bytes with one BLAS thread and with two."""
+    env = {**os.environ, "PYTHONPATH": str(Path(noonamp.__file__).parents[1])}
+    outputs = [subprocess.run([sys.executable, "-m", "noonamp.cli", "verify"],
+                              env={**env, "OPENBLAS_NUM_THREADS": threads},
+                              capture_output=True, text=True, timeout=300, check=True).stdout
+               for threads in ("1", "2")]
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0].splitlines()[-1])["failed"] == 0
 
 
 @pytest.mark.parametrize("builder,oracle_check", [

@@ -1,9 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy import sparse
 
 from noonamp import (ModeCutoffs, NoonSpec, ThermalSpec, TwoModeState, build_noon,
-                     partial_transpose_b, product_state, trace_and_purity,
-                     trace_distance)
+                     config, log_negativity_dense, partial_transpose_b, product_state,
+                     trace_and_purity, trace_distance)
+from noonamp.fock import hermitian_eigvalsh
 
 TOL = 1e-12
 
@@ -169,3 +173,40 @@ def test_trace_distance():
     assert abs(trace_distance(a, b) - 1.0) <= TOL
     with pytest.raises(ValueError):
         trace_distance(a, product_state(vac[:2, :2], vac[:2, :2]))
+
+
+def test_hermitian_eigvalsh_sums_repeated_entries():
+    """scipy allows a position to be stored twice; its value is the sum."""
+    c = ModeCutoffs(2, 2)
+    # (0,0) twice; |0,1><1,0| and its mirror keep n_a + n_b
+    m = sparse.csr_array((np.array([0.25, 0.25, 0.1, 0.1]), np.array([0, 0, 2, 1]),
+                          np.array([0, 2, 3, 4, 4])), shape=(4, 4))
+    assert not m.has_canonical_format
+    assert np.abs(hermitian_eigvalsh(m, c) - np.linalg.eigvalsh(m.toarray())).max() <= TOL
+
+
+def test_full_solve_refused_above_dimension_limit():
+    """A matrix that conserves neither n_a - n_b nor n_a + n_b is solved
+    whole, which above config.FULL_SOLVE_MAX_DIMENSION is refused before any
+    d x d array exists; charge-conserving matrices of that size are solved
+    in blocks."""
+    cutoffs = ModeCutoffs(101, 101)
+    d = cutoffs.dimension
+    assert d > config.FULL_SOLVE_MAX_DIMENSION
+    # |0,0><1,0| changes both charges, and the partial transpose keeps it
+    i, j = cutoffs.flat_index(0, 0), cutoffs.flat_index(1, 0)
+    mixed = TwoModeState.from_entries(cutoffs, [i, j, i, j], [i, j, j, i],
+                                      [0.5, 0.5, 0.25, 0.25])
+    noon = build_noon(NoonSpec(2), cutoffs)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="conserves neither"):
+            trace_distance(mixed, noon)
+        with pytest.raises(ValueError, match="conserves neither"):
+            log_negativity_dense(mixed)
+        assert trace_distance(noon, noon) == 0.0
+        assert log_negativity_dense(noon).log_negativity == 1.0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < d * d * 8 // 100

@@ -13,6 +13,8 @@ from noonamp.fock import TwoModeState, product_state
 from noonamp.gaussian import SqueezingSpec
 from noonamp.husimi import coherent_matrix
 
+from helpers import dense_tensor
+
 
 def vacuum_state(da=4, db=4):
     vac_a = np.zeros((da, da), dtype=complex)
@@ -85,7 +87,7 @@ def _q_dense(state, alphas, betas):
     db = c.cutoff_b
     va = coherent_matrix(alphas, c.cutoff_a)
     vb = coherent_matrix(betas, db)
-    t = state.tensor().astype(np.complex128)
+    t = dense_tensor(state).astype(np.complex128)
     w = (vb.conj()[:, :, None] * vb[:, None, :]).reshape(len(vb), db * db)
     x = np.tensordot(va.conj(), t, axes=([1], [0]))  # (k, db, da, db)
     u = np.einsum("kmpq,kp->kmq", x, va, optimize=True).reshape(len(va), db * db)
@@ -97,7 +99,7 @@ def _q_pairs_dense(state, alphas, betas):
     c = state.cutoffs
     va = coherent_matrix(alphas, c.cutoff_a)
     vb = coherent_matrix(betas, c.cutoff_b)
-    t = state.tensor().astype(np.complex128)
+    t = dense_tensor(state).astype(np.complex128)
     out = [np.einsum("nmpq,n,m,p,q->", t, va[k].conj(), vb[k].conj(), va[k], vb[k],
                      optimize=True).real / math.pi**2 for k in range(len(va))]
     return np.clip(np.array(out), 0.0, None)

@@ -9,6 +9,8 @@ from noonamp import (IntegratorConfig, LindbladParams, ModeCutoffs, NoonSpec, Sq
 from noonamp import _kernels
 from noonamp.lindblad import _from_sectors, _to_sectors
 
+from helpers import dense_tensor
+
 
 def random_hermitian_tensor(da, db, rng):
     d = da * db
@@ -43,7 +45,7 @@ def sector_generator(rho, mode, kn1, kn2):
         _kernels.gen_mode_a(x, out, _kernels.ladder("a", k_a, da, kn1, kn2))
     else:
         _kernels.gen_mode_b(x, out, _kernels.ladder("b", k_b, db, kn1, kn2))
-    return _from_sectors(cutoffs, k_a, k_b, out, validate=False).tensor()
+    return dense_tensor(_from_sectors(cutoffs, k_a, k_b, out, validate=False))
 
 
 @pytest.mark.parametrize("mode", ["a", "b"])
@@ -123,7 +125,7 @@ def full_tensor_evolve(state, params, cfg):
     rem = t_final - n_full * h
     total_steps = n_full + (1 if rem > 1e-15 * max(t_final, 1.0) else 0)
     c = state.cutoffs
-    rho = state.tensor().copy()
+    rho = dense_tensor(state).copy()
     k1, k2, k3, k4, tmp = (np.empty_like(rho) for _ in range(5))
     sq_a = np.sqrt(np.arange(c.cutoff_a, dtype=np.float64))
     sq_b = np.sqrt(np.arange(c.cutoff_b, dtype=np.float64))

@@ -10,6 +10,8 @@ from noonamp import (AmplifierParams, CutoffPolicy, MODE_ASYMMETRIC_A, MODE_SYMM
 from noonamp.fock import product_state
 from noonamp.negativity import log_negativity_block, log_negativity_dense
 
+from helpers import dense_tensor
+
 # dense eigensolve at auto cutoffs (tail 1e-10), stable to 4e-16 under
 # cutoff doubling; see test_golden_symmetric_value
 GOLDEN_EN_SYM_N2_G2_1P5 = 0.5384015191883607
@@ -81,7 +83,7 @@ def test_block_components_asymmetric_are_pairs():
     assert res.block_count is not None and res.block_count > 0
 
     # the 2x2 Hermitian spectrum in closed form, accumulated independently
-    t = state.tensor()
+    t = dense_tensor(state)
     pt = t.transpose(0, 3, 2, 1)
     d = state.dimension
     ptm = pt.reshape(d, d)
@@ -109,7 +111,7 @@ def test_block_components_symmetric_are_rays():
     state = amplify_noon_symmetric(spec, params, cut)
     db = cut.cutoff_b
 
-    t = state.tensor()
+    t = dense_tensor(state)
     pt = t.transpose(0, 3, 2, 1).reshape(state.dimension, state.dimension)
     rows, cols = np.nonzero(pt)
     parent = {}

@@ -1,17 +1,20 @@
 """Property tests over the (N, G^2, mode) space of the closed forms (stored
-entries, trace, negativity, Husimi Q) and over random sparse density
-matrices, real and complex."""
+entries, trace, negativity, Husimi Q, charge-blocked spectra) and over
+random sparse density matrices, real and complex."""
 
+from unittest import mock
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from noonamp import (AmplifierParams, CutoffPolicy, MODE_ASYMMETRIC_A, MODE_SYMMETRIC,
-                     ModeCutoffs, NoonSpec, TwoModeState, amplify_noon,
-                     default_grid_for_state, partial_transpose_b, q_evaluate,
-                     select_cutoffs)
+from noonamp import (AmplifierParams, CutoffPolicy, IntegratorConfig, LindbladParams,
+                     MODE_ASYMMETRIC_A, MODE_SYMMETRIC, ModeCutoffs, NoonSpec,
+                     SqueezingSpec, TwoModeState, amplify_noon, build_noon,
+                     default_grid_for_state, evolve, partial_transpose_b, q_evaluate,
+                     select_cutoffs, tmsv_fock, trace_distance)
+from noonamp.fock import hermitian_eigvalsh
 from noonamp.negativity import log_negativity_block, log_negativity_dense
 
 DENSE_DIM_MAX = 1500  # keeps each dense eigensolve well under a second
@@ -87,6 +90,46 @@ def test_husimi_q_nonnegative(n, g2, mode):
     assert values.min() >= 0.0
 
 
+def assert_spectrum_equals_full_solve(state, charge_conserved):
+    """``hermitian_eigvalsh`` on the stored entries against one unblocked
+    ``np.linalg.eigvalsh`` of the dense matrix, eigenvalue by eigenvalue.
+    A charge-conserving matrix must be solved in blocks of at most one
+    cutoff's rows, never whole."""
+    want = np.linalg.eigvalsh(state.matrix)
+    with mock.patch("numpy.linalg.eigvalsh", wraps=np.linalg.eigvalsh) as solve:
+        got = hermitian_eigvalsh(state.csr, state.cutoffs)
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-14
+    if charge_conserved:
+        largest = max((call.args[0].shape[0] for call in solve.call_args_list), default=0)
+        assert largest <= min(state.cutoffs.cutoff_a, state.cutoffs.cutoff_b)
+
+
+@settings(deadline=None, max_examples=25)
+@given(photons, gains, modes, st.floats(0.05, 1.5))
+def test_charge_blocked_spectrum_equals_full_solve(n, g2, mode, r):
+    state = amplified(n, g2, mode)
+    assume(state.dimension <= DENSE_DIM_MAX)
+    assert_spectrum_equals_full_solve(partial_transpose_b(state), True)  # n_a - n_b
+    assert_spectrum_equals_full_solve(state, True)  # n_a + n_b
+    squeezed = tmsv_fock(SqueezingSpec(r), state.cutoffs)
+    assert_spectrum_equals_full_solve(partial_transpose_b(squeezed), True)  # n_a + n_b
+
+
+@settings(deadline=None, max_examples=8)
+@given(st.integers(1, 3), st.floats(1.05, 1.3), modes)
+def test_trace_distance_equals_full_solve(n, g2, mode):
+    spec = NoonSpec(n)
+    params = AmplifierParams(g2, mode_config=mode)
+    closed = amplify_noon(spec, params, select_cutoffs(spec, params, CutoffPolicy()))
+    evolved = evolve(build_noon(spec, closed.cutoffs),
+                     LindbladParams(kappa_n1=1.0, kappa_n2=0.0,
+                                    amplified_modes=params.amplified_modes),
+                     IntegratorConfig(target_g_squared=g2))
+    want = 0.5 * float(np.abs(np.linalg.eigvalsh(closed.matrix - evolved.matrix)).sum())
+    assert abs(trace_distance(closed, evolved) - want) <= 1e-14
+
+
 @st.composite
 def sparse_density(draw):
     """Mixture of a few random pure states, each on a few basis vectors, so
@@ -113,6 +156,8 @@ def test_random_states_block_equals_dense(drawn):
     state, has_imag = drawn
     assert state.csr.dtype == (np.complex128 if has_imag else np.float64)
     assert assert_block_matches_dense(state).method == "block"
+    for matrix in (state, partial_transpose_b(state)):
+        assert_spectrum_equals_full_solve(matrix, False)
 
     pt = partial_transpose_b(state).csr.tocoo()
     if np.any(pt.row != pt.col):
