@@ -57,19 +57,15 @@ class AmplifierParams:
 
 @dataclass(frozen=True)
 class CutoffPolicy:
-    """How to pick Fock cutoffs: tail-mass driven (auto) or caller-fixed."""
+    """How to pick Fock cutoffs: ``fixed_cutoffs`` when given, otherwise the
+    smallest keeping the neglected tail mass below ``tail_tol``."""
 
-    mode: str = "auto"
     tail_tol: float = config.DEFAULT_TAIL_TOL
     fixed_cutoffs: ModeCutoffs | None = None
 
     def __post_init__(self):
-        if self.mode not in ("auto", "fixed"):
-            raise ValueError("mode must be 'auto' or 'fixed'")
         if not 0.0 < self.tail_tol < 1.0:
             raise ValueError("tail_tol must be in (0, 1)")
-        if self.mode == "fixed" and self.fixed_cutoffs is None:
-            raise ValueError("fixed mode requires fixed_cutoffs")
 
 
 @dataclass(frozen=True)
@@ -111,7 +107,7 @@ def _amplified_mode_cutoff(n_photons: int, g_squared: float, tail_tol: float) ->
 
 def select_cutoffs(spec: NoonSpec, params: AmplifierParams, policy: CutoffPolicy) -> ModeCutoffs:
     """Cutoffs adequate for the amplified NOON state under ``policy``."""
-    if policy.mode == "fixed":
+    if policy.fixed_cutoffs is not None:
         return policy.fixed_cutoffs
     n = spec.n_photons
     amp = _amplified_mode_cutoff(n, params.g_squared, policy.tail_tol)

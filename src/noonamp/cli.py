@@ -7,7 +7,10 @@ Subcommands
     verify      the noonamp.checks battery on quick grids; exit 1 on any failure
     thresholds  entanglement-breaking gains of the squeezed vacuum
 
-Exit codes: 0 success, 1 invariant failure, 2 configuration error.
+Exit codes: 0 success; 1 invariant failure, including a RuntimeError such
+as the integrator's leak monitor aborting or ``--method both`` disagreeing;
+2 configuration error, including an ``--out`` path that cannot be written.
+Either failure prints one line to stderr and writes no ``--out`` file.
 Floats are printed with 12 significant digits and rows are sorted, so a
 fixed configuration reproduces its output byte for byte.
 """
@@ -178,7 +181,7 @@ def _parse_g2(text: str) -> tuple[float, float, float]:
     return float(parts[0]), float(parts[1]), float(parts[2])
 
 
-def _parse_cutoff(text: str) -> channel.CutoffPolicy | tuple[int, int]:
+def _parse_cutoff(text: str) -> str | tuple[int, int]:
     if text == "auto":
         return "auto"
     parts = text.split(",")
@@ -231,10 +234,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _policy_from(cutoff, tail_tol: float) -> channel.CutoffPolicy:
-    if cutoff == "auto":
-        return channel.CutoffPolicy(mode="auto", tail_tol=tail_tol)
-    return channel.CutoffPolicy(mode="fixed", tail_tol=tail_tol,
-                                fixed_cutoffs=ModeCutoffs(cutoff[0], cutoff[1]))
+    fixed = None if cutoff == "auto" else ModeCutoffs(*cutoff)
+    return channel.CutoffPolicy(tail_tol=tail_tol, fixed_cutoffs=fixed)
 
 
 def _sweep(args) -> int:
@@ -256,7 +257,7 @@ def _sweep(args) -> int:
 def _qfunc(args) -> int:
     spec = NoonSpec(args.n)
     params = channel.AmplifierParams(g_squared=args.g2, mode_config=_FAMILY_MODES[args.family])
-    policy = channel.CutoffPolicy(mode="auto", tail_tol=args.tail_tol)
+    policy = channel.CutoffPolicy(tail_tol=args.tail_tol)
     state = channel.amplify_noon(spec, params, channel.select_cutoffs(spec, params, policy))
     grid = husimi.default_grid_for_state(state, extent=args.extent, points=args.points)
     husimi.write_qgrid_csv(husimi.q_evaluate(state, grid), args.out)
@@ -286,10 +287,15 @@ def main(argv=None) -> int:
         if unknown:
             raise ValueError(f"unrecognized arguments: {' '.join(unknown)}")
         return _COMMANDS[args.command](args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         # input validation throughout the package raises ValueError
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
+    except RuntimeError as exc:
+        # a check that failed while computing: leakage past the cutoffs,
+        # dense/block disagreement
+        print(f"invariant failure: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -1,10 +1,11 @@
 """Central numeric tolerances and size limits.
 
-The structural checks, the negativity and Husimi clamps, the block-size
-limit and automatic cutoff selection default to these values; the
-operations that read a tolerance, clamp or limit accept a keyword override,
-so a test can tighten or relax one check without touching global state.
-The two dimension caps have no override.
+The negativity and Husimi clamps, the negativity's Hermiticity check and
+the two dimension caps read these values directly and take no override.
+Two defaults can be changed per call: ``TwoModeState(atol=...)`` relaxes the
+structural checks of one constructed state (the integrator's output is
+checked at 1e-10), and ``channel.CutoffPolicy.tail_tol`` (the ``--tail-tol``
+flag) replaces DEFAULT_TAIL_TOL.
 """
 
 # Elementwise Hermiticity / trace bookkeeping.
@@ -20,17 +21,15 @@ EIG_NEG_CLAMP = 1e-12
 # 500 GB and is bounded by FULL_SOLVE_MAX_DIMENSION instead.
 MAX_TOTAL_DIMENSION = 250_000
 
-# Largest matrix that fock.hermitian_eigvalsh diagonalizes whole, which it
-# does only when neither U(1) charge is conserved: one float64 d x d copy at
-# this size is 0.8 GB.
+# Largest dense block the package diagonalizes: the whole matrix in
+# fock.hermitian_eigvalsh (the dense negativity and the trace distance) when
+# neither U(1) charge is conserved, or one partial-transpose component in
+# negativity.log_negativity_block.  One float64 d x d copy at this size is
+# 0.8 GB.
 FULL_SOLVE_MAX_DIMENSION = 10_000
 
 # Default neglected-weight budget when choosing Fock cutoffs automatically.
 DEFAULT_TAIL_TOL = 1e-10
-
-# Largest partial-transpose block the structure-exploiting negativity path
-# will diagonalize before falling back to the dense solver.
-BLOCK_SIZE_LIMIT = 512
 
 # Husimi values in [-Q_CLAMP, 0) are clamped to zero; anything lower raises.
 Q_CLAMP = 1e-14

@@ -10,13 +10,13 @@ O(nnz).  The entries are real (float64) for every state the package
 builds and complex128 only for genuinely complex input.  The dense
 eigensolves behind the dense negativity and the trace distance
 (``hermitian_eigvalsh``) read the stored entries too and solve one
-conserved-charge block at a time.  A dense (d, d) copy is made only for
-``save_state_npz`` and for a matrix that conserves no charge.  States are
-immutable after construction; every operation here is a pure function.
+conserved-charge block at a time.  A dense (d, d) copy is made only for a
+matrix that conserves no charge and by ``TwoModeState.matrix``, which no
+package code reads.  States are immutable after construction; every
+operation here is a pure function.
 """
 
 from dataclasses import dataclass
-import math
 
 import numpy as np
 
@@ -56,39 +56,6 @@ class NoonSpec:
     def __post_init__(self):
         if self.n_photons < 1:
             raise ValueError("n_photons must be >= 1")
-
-
-@dataclass(frozen=True)
-class ThermalSpec:
-    """Bose-Einstein occupation written two ways.
-
-    ``mean_photons`` is the mean occupation; ``beta_param`` the matching
-    exponent of exp(-beta * n).  An amplified vacuum at intensity gain g2
-    is thermal with mean g2 - 1 and beta = ln(g2 / (g2 - 1)).
-    """
-
-    mean_photons: float
-    beta_param: float
-
-    def __post_init__(self):
-        if self.mean_photons < 0:
-            raise ValueError("mean_photons must be >= 0")
-        if not self.beta_param > 0:
-            raise ValueError("beta_param must be > 0")
-        implied = 1.0 / math.expm1(self.beta_param) if math.isfinite(self.beta_param) else 0.0
-        if abs(implied - self.mean_photons) > 1e-12:
-            raise ValueError(
-                f"inconsistent thermal parameters: mean_photons={self.mean_photons}, "
-                f"1/(e^beta - 1)={implied}"
-            )
-
-    @classmethod
-    def from_gain(cls, g_squared: float) -> "ThermalSpec":
-        if g_squared < 1.0:
-            raise ValueError("g_squared must be >= 1")
-        if g_squared == 1.0:
-            return cls(mean_photons=0.0, beta_param=math.inf)
-        return cls(mean_photons=g_squared - 1.0, beta_param=math.log(g_squared / (g_squared - 1.0)))
 
 
 class TwoModeState:

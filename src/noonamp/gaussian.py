@@ -141,9 +141,9 @@ def threshold_asymmetric(eta: float) -> float:
 
 
 def threshold_bisection(spec: SqueezingSpec, eta: float,
-                        modes: tuple[str, ...] = ("a", "b"),
-                        g_hi: float | None = None, tol: float = 1e-10) -> float:
-    """Zero crossing of nu_minus(g2) - 1 along the gain axis.
+                        modes: tuple[str, ...] = ("a", "b")) -> float:
+    """Zero crossing of nu_minus(g2) - 1 along the gain axis, bracketed from
+    G^2 = 2 upward by doubling and bisected to a width of 1e-10.
 
     Independent of the closed-form thresholds: pure covariance sweep.
     """
@@ -155,12 +155,12 @@ def threshold_bisection(spec: SqueezingSpec, eta: float,
     lo = 1.0
     if f(lo) >= 0.0:
         return lo  # no entanglement to lose
-    hi = g_hi if g_hi is not None else 2.0
+    hi = 2.0
     while f(hi) < 0.0:
         hi *= 2.0
         if hi > 1e9:
             raise ValueError("no entanglement-breaking gain below 1e9")
-    while hi - lo > tol:
+    while hi - lo > 1e-10:
         mid = 0.5 * (lo + hi)
         if f(mid) < 0.0:
             lo = mid
@@ -182,21 +182,19 @@ def tmsv_fock(spec: SqueezingSpec, cutoffs: ModeCutoffs) -> TwoModeState:
                                      np.outer(amps, amps).ravel())
 
 
-def _pipeline_cutoff(r: float, g_max: float, tail_tol: float) -> int:
+def _pipeline_cutoff(r: float, g_max: float) -> int:
     """Cutoff for the photon-added pipeline, from the amplified thermal
     envelope plus margin for the photon-addition polynomial tilt."""
     mean = g_max * (math.sinh(r) ** 2 + 1.0) - 1.0
     if mean <= 0.0:
         return 8
     q = mean / (mean + 1.0)
-    geometric = math.ceil(math.log(tail_tol * (1.0 - q)) / math.log(q))
+    geometric = math.ceil(math.log(config.DEFAULT_TAIL_TOL * (1.0 - q)) / math.log(q))
     return geometric + 4
 
 
 def photon_added_tmsv_negativity_sweep(
-        spec: SqueezingSpec, g_grid, cutoff: int | None = None,
-        step_size: float = 5e-4,
-        tail_tol: float = config.DEFAULT_TAIL_TOL
+        spec: SqueezingSpec, g_grid, step_size: float = 5e-4
 ) -> list[tuple[float, float, TwoModeState]]:
     """Fock-side E_N of the photon-added squeezed vacuum at each gain.
 
@@ -212,8 +210,7 @@ def photon_added_tmsv_negativity_sweep(
     if gains and gains[0] < 1.0:
         raise ValueError("gains must be >= 1")
     g_max = gains[-1] if gains else 1.0
-    if cutoff is None:
-        cutoff = max(_pipeline_cutoff(spec.r, g_max, tail_tol), 8)
+    cutoff = max(_pipeline_cutoff(spec.r, g_max), 8)
     cutoffs = ModeCutoffs(cutoff, cutoff)
 
     added = photon_add_both(tmsv_fock(spec, cutoffs))

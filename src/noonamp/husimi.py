@@ -48,14 +48,10 @@ def square_mesh(extent: float, points: int) -> tuple[np.ndarray, float]:
     return (re + 1j * im).ravel(), float(spacing)
 
 
-def default_grid(extent: float = 3.0, points: int = 41) -> QGrid:
-    samples, _ = square_mesh(extent, points)
-    return QGrid(alpha_samples=samples, beta_samples=samples.copy())
-
-
 def default_grid_for_state(state: TwoModeState, extent: float = 3.0,
                            points: int = 41) -> QGrid:
-    """Default grid, shrunk so the amplitude guard of q_evaluate holds.
+    """Square mesh over [-extent, extent]^2 per mode, shrunk so the
+    amplitude guard of q_evaluate holds.
 
     The guard caps |amplitude|^2 at cutoff/4; the square's corner carries
     2 * extent^2, so the extent shrinks to sqrt(cutoff/8) when needed.
@@ -87,9 +83,7 @@ def coherent_matrix(samples: np.ndarray, cutoff: int) -> np.ndarray:
     return out
 
 
-def _guard(samples: np.ndarray, cutoff: int, label: str, enforce: bool):
-    if not enforce:
-        return
+def _guard(samples: np.ndarray, cutoff: int, label: str):
     top = float(np.max(np.abs(samples) ** 2, initial=0.0))
     if top > cutoff / 4.0 + 1e-12:
         raise ValueError(
@@ -133,13 +127,12 @@ def _chunks(total: int, width: int):
     return (slice(lo, min(lo + step, total)) for lo in range(0, total, step))
 
 
-def q_evaluate(state: TwoModeState, grid: QGrid, enforce_guard: bool = True,
-               clamp: float | None = None) -> QGrid:
-    """Q over all (alpha_i, beta_j) pairs of the grid."""
-    clamp = config.Q_CLAMP if clamp is None else clamp
+def q_evaluate(state: TwoModeState, grid: QGrid) -> QGrid:
+    """Q over all (alpha_i, beta_j) pairs of the grid; values in
+    [-config.Q_CLAMP, 0) are clipped to zero and anything lower raises."""
     c = state.cutoffs
-    _guard(grid.alpha_samples, c.cutoff_a, "alpha", enforce_guard)
-    _guard(grid.beta_samples, c.cutoff_b, "beta", enforce_guard)
+    _guard(grid.alpha_samples, c.cutoff_a, "alpha")
+    _guard(grid.beta_samples, c.cutoff_b, "beta")
 
     va = coherent_matrix(grid.alpha_samples, c.cutoff_a)
     vb = coherent_matrix(grid.beta_samples, c.cutoff_b)
@@ -151,23 +144,22 @@ def q_evaluate(state: TwoModeState, grid: QGrid, enforce_guard: bool = True,
         values[rows] = ((pa @ coupling) @ pb_t).real / math.pi**2
 
     low = float(values.min(initial=0.0))
-    if low < -clamp:
-        raise ValueError(f"Q dipped to {low:.3e}, beyond the clamp {-clamp:g}")
+    if low < -config.Q_CLAMP:
+        raise ValueError(f"Q dipped to {low:.3e}, beyond the clamp {-config.Q_CLAMP:g}")
     np.clip(values, 0.0, None, out=values)
     return QGrid(alpha_samples=grid.alpha_samples, beta_samples=grid.beta_samples,
                  values=values)
 
 
-def q_pairs(state: TwoModeState, alphas: np.ndarray, betas: np.ndarray,
-            enforce_guard: bool = True) -> np.ndarray:
+def q_pairs(state: TwoModeState, alphas: np.ndarray, betas: np.ndarray) -> np.ndarray:
     """Q at matched (alpha_k, beta_k) pairs (not the full product grid)."""
     alphas = np.asarray(alphas, dtype=np.complex128)
     betas = np.asarray(betas, dtype=np.complex128)
     if alphas.shape != betas.shape:
         raise ValueError("alphas and betas must have matching shapes")
     c = state.cutoffs
-    _guard(alphas, c.cutoff_a, "alpha", enforce_guard)
-    _guard(betas, c.cutoff_b, "beta", enforce_guard)
+    _guard(alphas, c.cutoff_a, "alpha")
+    _guard(betas, c.cutoff_b, "beta")
     va = coherent_matrix(alphas, c.cutoff_a)
     vb = coherent_matrix(betas, c.cutoff_b)
     a_pairs, coupling, b_pairs = _pair_coupling(state)
@@ -214,39 +206,34 @@ def noon_zero_candidates(n_photons: int, g_squared: float,
     return np.asarray(alphas, dtype=np.complex128), np.asarray(betas, dtype=np.complex128)
 
 
-def check_zero_locus(spec, g_squared: float, zero_candidates,
-                     rel_tol: float = 1e-12, perturb: float = 1.05,
-                     tail_tol: float = config.DEFAULT_TAIL_TOL,
-                     reference_points: int = 11) -> bool:
-    """True iff Q of the amplified NOON state vanishes (relative to the grid
-    maximum) at every candidate zero and is cleanly nonzero at perturbed
-    control points.
+def check_zero_locus(spec, g_squared: float, zero_candidates) -> bool:
+    """True iff Q of the amplified NOON state, at the default auto cutoffs,
+    stays below 1e-12 of its maximum over an 11 x 11 grid at every
+    candidate zero and above 1e-6 of it at perturbed control points.
 
     ``zero_candidates`` is a pair (alphas, betas) of matched arrays, already
-    stretched by the gain; controls multiply each beta by ``perturb``.
+    stretched by the gain; controls multiply each beta by 1.05.
     """
     alphas, betas = zero_candidates
     alphas = np.asarray(alphas, dtype=np.complex128)
     betas = np.asarray(betas, dtype=np.complex128)
+    perturb = 1.05
 
     params = channel.AmplifierParams(g_squared=g_squared, mode_config=channel.MODE_SYMMETRIC)
-    policy = channel.CutoffPolicy(mode="auto", tail_tol=tail_tol)
-    cutoffs = channel.select_cutoffs(spec, params, policy)
+    cutoffs = channel.select_cutoffs(spec, params, channel.CutoffPolicy())
     need_a = int(4.0 * float(np.max(np.abs(alphas) ** 2, initial=0.0))) + 1
     need_b = int(4.0 * float(np.max(np.abs(betas) ** 2, initial=0.0)) * perturb**2) + 1
     if cutoffs.cutoff_a < need_a or cutoffs.cutoff_b < need_b:
         cutoffs = ModeCutoffs(max(cutoffs.cutoff_a, need_a), max(cutoffs.cutoff_b, need_b))
     state = channel.amplify_noon_symmetric(spec, params, cutoffs)
 
-    reference = q_evaluate(state, default_grid_for_state(state, points=reference_points))
+    reference = q_evaluate(state, default_grid_for_state(state, points=11))
     q_max = float(reference.values.max())
     q_zero = q_pairs(state, alphas, betas)
     q_ctrl = q_pairs(state, alphas, betas * perturb)
 
-    zero_ok = bool(np.all(q_zero < rel_tol * q_max))
-    # sqrt(rel_tol) leaves six orders of magnitude between zeros and controls
-    ctrl_ok = bool(np.all(q_ctrl > math.sqrt(rel_tol) * q_max))
-    return zero_ok and ctrl_ok
+    # six orders of magnitude lie between the zeros and the controls
+    return bool(np.all(q_zero < 1e-12 * q_max) and np.all(q_ctrl > 1e-6 * q_max))
 
 
 def riemann_mass(grid: QGrid, spacing_a: float, spacing_b: float) -> float:

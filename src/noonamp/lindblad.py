@@ -100,24 +100,24 @@ def _liouvillian(x, out, params: LindbladParams, ladder_a, ladder_b):
     return out
 
 
-def _check_leak(pops, params: LindbladParams, t: float, leak_tol: float):
-    """Abort if an amplified mode's top two Fock levels hold more than leak_tol;
+def _check_leak(pops, params: LindbladParams, t: float):
+    """Abort if an amplified mode's top two Fock levels hold more than _LEAK_TOL;
     ``pops`` is the (da, db) population array, or None if it is all zero."""
     if pops is None:
         return
     msgs = []
     if "a" in params.amplified_modes and pops.shape[0] >= 2:
         leak = float(pops[-2:, :].sum())
-        if leak > leak_tol:
+        if leak > _LEAK_TOL:
             msgs.append(f"mode a top-two population {leak:.3e}")
     if "b" in params.amplified_modes and pops.shape[1] >= 2:
         leak = float(pops[:, -2:].sum())
-        if leak > leak_tol:
+        if leak > _LEAK_TOL:
             msgs.append(f"mode b top-two population {leak:.3e}")
     if msgs:
         raise RuntimeError(
             f"cutoff leakage at t={t:.6g} (G^2={gain_from_time(params, t):.6g}): "
-            + "; ".join(msgs) + f" exceeds {leak_tol:g}; raise the cutoffs"
+            + "; ".join(msgs) + f" exceeds {_LEAK_TOL:g}; raise the cutoffs"
         )
 
 
@@ -156,8 +156,8 @@ def _from_sectors(cutoffs: ModeCutoffs, k_a, k_b, x, **kwargs) -> TwoModeState:
                                      **kwargs)
 
 
-def evolve(state: TwoModeState, params: LindbladParams, config_: IntegratorConfig,
-           leak_tol: float = _LEAK_TOL) -> TwoModeState:
+def evolve(state: TwoModeState, params: LindbladParams,
+           config_: IntegratorConfig) -> TwoModeState:
     """Integrate the master equation until the gain reaches target_g_squared."""
     if config_.target_g_squared < 1.0:
         raise ValueError("target_g_squared must be >= 1")
@@ -207,14 +207,14 @@ def evolve(state: TwoModeState, params: LindbladParams, config_: IntegratorConfi
         rho *= 0.5
         t += dt
         if (step + 1) % _LEAK_CHECK_EVERY == 0 or step == total_steps - 1:
-            _check_leak(pops, params, t, leak_tol)
+            _check_leak(pops, params, t)
 
     return _from_sectors(c, k_a, k_b, rho, validate=True, atol=1e-10)
 
 
 def evolve_checkpoints(state: TwoModeState, params: LindbladParams,
-                       g_squared_list: list[float], step_size: float = 5e-4,
-                       leak_tol: float = _LEAK_TOL) -> list[TwoModeState]:
+                       g_squared_list: list[float],
+                       step_size: float = 5e-4) -> list[TwoModeState]:
     """States at an increasing sequence of gains, integrated continuously."""
     gains = list(g_squared_list)
     if any(g < 1.0 for g in gains):
@@ -226,17 +226,21 @@ def evolve_checkpoints(state: TwoModeState, params: LindbladParams,
     g_prev = 1.0
     for g in gains:
         cfg = IntegratorConfig(target_g_squared=g / g_prev, step_size=step_size)
-        current = evolve(current, params, cfg, leak_tol=leak_tol)
+        current = evolve(current, params, cfg)
         out.append(current)
         g_prev = g
     return out
 
 
 def save_state_npz(state: TwoModeState, path) -> None:
-    """Binary checkpoint: density matrix plus cutoffs and trace_deficit."""
+    """Binary checkpoint: the stored entries as (rows, cols, values) over the
+    flattened basis, plus cutoffs and trace_deficit; O(nnz), no d x d copy."""
+    coo = state.csr.tocoo()
     np.savez_compressed(
         path,
-        matrix=state.matrix,
+        rows=coo.row,
+        cols=coo.col,
+        values=coo.data,
         cutoff_a=state.cutoffs.cutoff_a,
         cutoff_b=state.cutoffs.cutoff_b,
         trace_deficit=state.trace_deficit,
@@ -244,11 +248,15 @@ def save_state_npz(state: TwoModeState, path) -> None:
 
 
 def load_state_npz(path) -> TwoModeState:
-    """Inverse of save_state_npz; the stored trace_deficit must match the
-    rebuilt state's within 1e-12, so a tampered or mismatched file is refused."""
+    """Inverse of save_state_npz.  A file without the stored-entry triplets
+    is refused, and so is one whose trace_deficit differs from the rebuilt
+    state's by more than 1e-12 (tampered or mismatched)."""
     with np.load(path) as data:
+        if not {"rows", "cols", "values"} <= set(data.files):
+            raise ValueError(f"{path} holds no rows/cols/values entries")
         cutoffs = ModeCutoffs(int(data["cutoff_a"]), int(data["cutoff_b"]))
-        state = TwoModeState(cutoffs, data["matrix"])
+        state = TwoModeState.from_entries(cutoffs, data["rows"], data["cols"],
+                                          data["values"])
         stored = float(data["trace_deficit"])
     if abs(state.trace_deficit - stored) > 1e-12:
         raise ValueError(f"stored trace_deficit {stored:.6e} disagrees with the "

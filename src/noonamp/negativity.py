@@ -3,8 +3,8 @@
 Two routes to the same number.  The block route remaps the state's stored
 entries to partial-transpose coordinates, finds the connected components
 of that coupling graph with ``scipy.sparse.csgraph`` and diagonalizes each
-one.  For amplified NOON states the components are short chains (both
-modes amplified) or 2x2 blocks (one mode amplified).
+one, whatever its size.  For amplified NOON states the components are
+short chains (both modes amplified) or 2x2 blocks (one mode amplified).
 
 The dense route is the oracle the block route must match.  It hands the
 partial transpose to ``fock.hermitian_eigvalsh``, which solves it one
@@ -18,10 +18,16 @@ independent of the block route: it shares no code with it, and its blocks
 come from a symmetry tested on the data, not from the sparsity graph.
 Each charge block is a full dense block that holds every basis state of
 its charge, so a coupling the block route missed would still show.
+
+No dense solve on either route exceeds ``config.FULL_SOLVE_MAX_DIMENSION``:
+a charge block holds at most min(cutoff_a, cutoff_b) basis states, and a
+whole-matrix solve or a coupling component above the limit is refused with
+ValueError before it is allocated.  Eigenvalues in
+[-``config.EIG_NEG_CLAMP``, 0) count as zero, and a state must be Hermitian
+within ``config.ATOL_STRUCTURAL``.
 """
 
 from dataclasses import dataclass
-import warnings
 
 import numpy as np
 
@@ -51,20 +57,20 @@ def _result(eigs_min: float, neg_sum: float, method: str,
     )
 
 
-def _neg_sum(eigs: np.ndarray, clamp: float) -> float:
-    # eigenvalues in [-clamp, 0) are floating-point noise, not negativity
-    neg = eigs[eigs < -clamp]
+def _neg_sum(eigs: np.ndarray) -> float:
+    # eigenvalues in [-EIG_NEG_CLAMP, 0) are floating-point noise, not negativity
+    neg = eigs[eigs < -config.EIG_NEG_CLAMP]
     return float(-neg.sum()) if neg.size else 0.0
 
 
-def _check_hermitian(state: TwoModeState, atol: float):
+def _check_hermitian(state: TwoModeState):
     err = state.hermiticity_error()
-    if err > atol:
-        raise ValueError(f"state is not Hermitian within {atol:g}: {err:.3e}")
+    if err > config.ATOL_STRUCTURAL:
+        raise ValueError(f"state is not Hermitian within {config.ATOL_STRUCTURAL:g}: "
+                         f"{err:.3e}")
 
 
-def log_negativity_dense(state: TwoModeState, clamp: float | None = None,
-                         atol: float | None = None) -> NegativityResult:
+def log_negativity_dense(state: TwoModeState) -> NegativityResult:
     """Full spectrum of the partial transpose, solved one conserved-charge
     block at a time (``fock.hermitian_eigvalsh``).
 
@@ -72,32 +78,27 @@ def log_negativity_dense(state: TwoModeState, clamp: float | None = None,
     included; the blocks are dense and come from an exact charge test on
     the stored entries, not from the coupling graph the block route uses.
     """
-    clamp = config.EIG_NEG_CLAMP if clamp is None else clamp
-    _check_hermitian(state, config.ATOL_STRUCTURAL if atol is None else atol)
+    _check_hermitian(state)
     eigs = hermitian_eigvalsh(partial_transpose_b(state).csr, state.cutoffs)
-    return _result(float(eigs[0]), _neg_sum(eigs, clamp), "dense")
+    return _result(float(eigs[0]), _neg_sum(eigs), "dense")
 
 
-def log_negativity_block(state: TwoModeState, clamp: float | None = None,
-                         atol: float | None = None,
-                         size_limit: int | None = None) -> NegativityResult:
+def log_negativity_block(state: TwoModeState) -> NegativityResult:
     """Partial-transpose spectrum via its coupling-graph components.
 
     The partial transpose is never materialized: the stored entries of the
     state are remapped to PT coordinates, the connected components of the
     off-diagonal couplings are found with scipy's csgraph, and each
     component is diagonalized on its own, in order of its smallest PT index.
-    A component larger than ``size_limit`` (states without the closed-form
-    sparsity) triggers a dense fallback.
+    A component larger than ``config.FULL_SOLVE_MAX_DIMENSION`` is refused
+    with ValueError before any block is allocated.
     """
     # imported at first use: at module level csgraph would add about 0.09 s
     # to every import of the package
     from scipy import sparse
     from scipy.sparse.csgraph import connected_components
 
-    clamp = config.EIG_NEG_CLAMP if clamp is None else clamp
-    size_limit = config.BLOCK_SIZE_LIMIT if size_limit is None else size_limit
-    _check_hermitian(state, config.ATOL_STRUCTURAL if atol is None else atol)
+    _check_hermitian(state)
 
     d = state.dimension
     coo = state.csr.tocoo()
@@ -111,13 +112,10 @@ def log_negativity_block(state: TwoModeState, clamp: float | None = None,
     _, first, comp = np.unique(labels[occupied], return_index=True, return_inverse=True)
     comp = np.argsort(np.argsort(first))[comp]
     sizes = np.bincount(comp)
-    if sizes.max(initial=0) > size_limit:
-        warnings.warn(
-            f"partial-transpose component of size {sizes.max()} exceeds "
-            f"{size_limit}; falling back to the dense eigensolver",
-            RuntimeWarning,
-        )
-        return log_negativity_dense(state, clamp=clamp)
+    if sizes.max(initial=0) > config.FULL_SOLVE_MAX_DIMENSION:
+        raise ValueError(
+            f"partial-transpose component of size {sizes.max()} exceeds the "
+            f"eigensolve limit {config.FULL_SOLVE_MAX_DIMENSION}")
 
     # every stored entry lands in the block of its PT row, at the positions
     # of its PT row and column among the block's members (ascending)
@@ -137,14 +135,14 @@ def log_negativity_block(state: TwoModeState, clamp: float | None = None,
         if size == 1:
             val = float(vals[lo].real)  # PT leaves the diagonal in place
             min_eig = min(min_eig, val)
-            if val < -clamp:
+            if val < -config.EIG_NEG_CLAMP:
                 neg_sum += -val
             continue
         sub = np.zeros((size, size), dtype=vals.dtype)
         sub[loc_i[lo:hi], loc_j[lo:hi]] = vals[lo:hi]
         eigs = np.linalg.eigvalsh(sub)
         min_eig = min(min_eig, float(eigs[0]))
-        neg_sum += _neg_sum(eigs, clamp)
+        neg_sum += _neg_sum(eigs)
 
     if not np.isfinite(min_eig):
         min_eig = 0.0

@@ -53,9 +53,7 @@ def test_cutoff_policy_validation():
     with pytest.raises(ValueError):
         CutoffPolicy(tail_tol=1.5)
     with pytest.raises(ValueError):
-        CutoffPolicy(mode="fixed")
-    with pytest.raises(ValueError):
-        CutoffPolicy(mode="manual")
+        CutoffPolicy(tail_tol=0.0)
 
 
 def test_select_cutoffs_asymmetric_b_mode():
@@ -81,7 +79,7 @@ def test_select_cutoffs_dimension_guard():
 
 def test_select_cutoffs_fixed():
     fixed = ModeCutoffs(7, 5)
-    policy = CutoffPolicy(mode="fixed", fixed_cutoffs=fixed)
+    policy = CutoffPolicy(fixed_cutoffs=fixed)
     assert select_cutoffs(NoonSpec(2), AmplifierParams(2.0), policy) is fixed
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 import noonamp
-from noonamp import channel
+from noonamp import channel, negativity
 from noonamp.channel import CutoffPolicy
 from noonamp.cli import (SweepConfig, build_parser, g2_values, main, rows_to_csv,
                          run_sweep, run_verify)
@@ -140,15 +141,53 @@ def test_cli_configuration_errors():
     ["sweep", "--family", "noon_symmetric", "--n", "2", "--jobs", "2"],
     ["qfunc", "--points", "0"],
     ["qfunc", "--g2", "0.5"],
+    # unwritable --out: a missing directory, or a directory itself
+    ["sweep", "--family", "noon_symmetric", "--n", "2", "--g2", "1.0:1.1:0.1",
+     "--out", "{tmp}/missing/x.csv"],
+    ["sweep", "--family", "noon_symmetric", "--n", "2", "--g2", "1.0:1.1:0.1",
+     "--out", "{tmp}"],
+    ["qfunc", "--out", "{tmp}/missing/q.csv"],
 ], ids=lambda argv: " ".join(argv))
 def test_cli_misuse_exits_2(argv, tmp_path, capsys):
     out = tmp_path / "out.csv"
-    extra = ["--out", str(out)] if argv[0] == "qfunc" else []
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    extra = ["--out", str(out)] if argv[0] == "qfunc" and "--out" not in argv else []
     assert main(argv + extra) == 2
     err = capsys.readouterr().err
     assert err.startswith("configuration error: ")
     assert "Traceback" not in err
     assert not out.exists()
+
+
+def _assert_invariant_failure(argv, tmp_path, capsys, match):
+    out = tmp_path / "out.csv"
+    assert main(argv + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("invariant failure: ") and match in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_cli_oracle_leak_exits_1(tmp_path, capsys):
+    """The integrator's leak monitor aborts at the auto cutoffs of N=4,
+    G^2=1.55: one stderr line, exit 1, no output file."""
+    _assert_invariant_failure(["sweep", "--family", "noon_symmetric", "--n", "4",
+                               "--g2", "1.55:1.56:0.05", "--oracle-check"],
+                              tmp_path, capsys, "cutoff leakage")
+
+
+def test_cli_method_disagreement_exits_1(tmp_path, capsys, monkeypatch):
+    """``--method both`` raises when the routes disagree by more than 1e-9."""
+    block = negativity.log_negativity_block
+
+    def shifted(state):
+        res = block(state)
+        return dataclasses.replace(res, log_negativity=res.log_negativity + 1e-6)
+
+    monkeypatch.setattr(negativity, "log_negativity_block", shifted)
+    _assert_invariant_failure(["sweep", "--family", "noon_symmetric", "--n", "2",
+                               "--g2", "1.0:1.1:0.1", "--method", "both"],
+                              tmp_path, capsys, "disagree")
 
 
 def test_cli_thresholds(capsys):
@@ -229,7 +268,7 @@ def test_verify_detects_offdiagonal_sign_fault(builder, oracle_check, monkeypatc
 
 
 def test_verify_under_truncation_fails_loudly(capsys):
-    policy = CutoffPolicy(mode="fixed", fixed_cutoffs=ModeCutoffs(3, 3))
+    policy = CutoffPolicy(fixed_cutoffs=ModeCutoffs(3, 3))
     assert run_verify(policy) == 1
     out = capsys.readouterr().out
     summary = json.loads(out.strip().split("\n")[-1])

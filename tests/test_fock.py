@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from noonamp import (ModeCutoffs, NoonSpec, ThermalSpec, TwoModeState, build_noon,
+from noonamp import (ModeCutoffs, NoonSpec, TwoModeState, build_noon,
                      config, log_negativity_dense, partial_transpose_b, product_state,
                      trace_and_purity, trace_distance)
 from noonamp.fock import hermitian_eigvalsh
@@ -127,17 +127,6 @@ def test_trace_and_purity_noon_and_zero():
     zero = TwoModeState(ModeCutoffs(3, 3), np.zeros((9, 9), dtype=complex))
     assert trace_and_purity(zero) == (0.0, 0.0)
     assert zero.trace_deficit == 1.0
-
-
-def test_thermal_spec():
-    spec = ThermalSpec.from_gain(2.0)
-    assert abs(spec.mean_photons - 1.0) <= TOL
-    assert abs(spec.beta_param - np.log(2.0)) <= TOL
-    assert ThermalSpec.from_gain(1.0).mean_photons == 0.0
-    with pytest.raises(ValueError, match="inconsistent"):
-        ThermalSpec(mean_photons=1.0, beta_param=1.0)
-    with pytest.raises(ValueError):
-        ThermalSpec.from_gain(0.5)
 
 
 def test_state_validation():

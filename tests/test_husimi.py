@@ -65,9 +65,11 @@ def test_amplitude_guard():
     big = QGrid(np.array([3.0 + 0j]), np.array([0j]))
     with pytest.raises(ValueError, match="cutoff/4"):
         q_evaluate(state, big)
-    # the finite-support state is still exact when the guard is waived
-    out = q_evaluate(state, big, enforce_guard=False)
-    analytic = (abs(3.0) ** 2 * math.exp(-9.0)) / (2 * math.pi**2)
+    with pytest.raises(ValueError, match="cutoff/4"):
+        q_pairs(state, np.array([0j]), np.array([3.0 + 0j]))
+    # |alpha|^2 = cutoff/4 itself is admitted, and exact for a finite support
+    out = q_evaluate(state, QGrid(np.array([1.0 + 0j]), np.array([0j])))
+    analytic = math.exp(-1.0) / (2 * math.pi**2)
     assert abs(out.values[0, 0] - analytic) <= 1e-12
 
 
@@ -162,7 +164,7 @@ def test_q_negative_state_raises():
 
 @pytest.mark.parametrize("mode,g2", [(MODE_SYMMETRIC, 1.5), (MODE_ASYMMETRIC_A, 2.0)])
 def test_scaling_law(mode, g2):
-    fixed = CutoffPolicy(mode="fixed", fixed_cutoffs=ModeCutoffs(36, 36))
+    fixed = CutoffPolicy(fixed_cutoffs=ModeCutoffs(36, 36))
     assert checks.scaling_law((mode,), 2, (g2,), fixed).passed
 
 

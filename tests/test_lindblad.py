@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from noonamp import (AmplifierParams, CutoffPolicy, IntegratorConfig, LindbladPa
                      build_noon, check_scaling_law, evolve, evolve_checkpoints,
                      gain_from_time, load_state_npz, save_state_csv, save_state_npz,
                      select_cutoffs, square_mesh, trace_distance)
+from noonamp import config
 from noonamp.fock import product_state
 from noonamp.husimi import QGrid
 
@@ -188,3 +190,32 @@ def test_load_rejects_tampered_trace_deficit(tmp_path):
     np.savez_compressed(bad, **fields)
     with pytest.raises(ValueError, match="trace_deficit"):
         load_state_npz(bad)
+
+
+def test_npz_stores_entries_not_dense_matrix(tmp_path):
+    """Saving and loading stay O(nnz): a state above the full-solve limit
+    round-trips exactly with a tracemalloc peak under 1% of one d x d copy,
+    and a file without the (rows, cols, values) triplets is refused."""
+    cutoffs = ModeCutoffs(101, 101)
+    d = cutoffs.dimension
+    assert d > config.FULL_SOLVE_MAX_DIMENSION
+    state = amplify_noon_symmetric(NoonSpec(2), AmplifierParams(1.5), cutoffs)
+    path = tmp_path / "big.npz"
+    tracemalloc.start()
+    try:
+        save_state_npz(state, path)
+        back = load_state_npz(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < d * d * 8 // 100
+    assert back.cutoffs == cutoffs and back.csr.dtype == state.csr.dtype
+    assert (back.csr != state.csr).nnz == 0
+    assert back.trace_deficit == state.trace_deficit
+
+    with np.load(path) as data:
+        fields = {k: data[k] for k in ("cutoff_a", "cutoff_b", "trace_deficit")}
+    legacy = tmp_path / "legacy.npz"
+    np.savez_compressed(legacy, matrix=np.zeros((1, 1)), **fields)
+    with pytest.raises(ValueError, match="rows/cols/values"):
+        load_state_npz(legacy)

@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -7,7 +9,8 @@ from noonamp import (AmplifierParams, CutoffPolicy, MODE_ASYMMETRIC_A, MODE_SYMM
                      ModeCutoffs, NoonSpec, TwoModeState, amplify_noon,
                      amplify_noon_asymmetric, amplify_noon_symmetric, build_noon,
                      select_cutoffs)
-from noonamp.fock import product_state
+from noonamp import config
+from noonamp.fock import partial_transpose_b, product_state
 from noonamp.negativity import log_negativity_block, log_negativity_dense
 
 from helpers import dense_tensor
@@ -138,26 +141,68 @@ def test_block_components_symmetric_are_rays():
 
 
 def test_block_fallback_on_dense_state():
+    """A state without the closed-form sparsity has one 600-dimensional
+    partial-transpose component; the block route solves it as it is."""
     rng = np.random.default_rng(17)
     dim = 24 * 25
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     rho = g @ g.conj().T
     rho /= rho.trace().real
     state = TwoModeState(ModeCutoffs(24, 25), rho)
-    with pytest.warns(RuntimeWarning, match="falling back"):
-        res = log_negativity_block(state, size_limit=64)
-    assert res.method == "dense"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = log_negativity_block(state)
+    assert res.method == "block"
+    assert res.block_count == 1
     dense = log_negativity_dense(state)
     assert abs(res.log_negativity - dense.log_negativity) <= 1e-12
 
 
 def test_negative_eigenvalue_clamp():
-    state = build_noon(NoonSpec(1), ModeCutoffs(3, 3))
-    # with a clamp past -1/2 the negativity is suppressed entirely
-    res = log_negativity_dense(state, clamp=0.6)
-    assert res.neg_sum == 0.0
-    assert res.log_negativity == 0.0
-    assert res.min_eigenvalue < -0.4
+    """PT eigenvalues in [-config.EIG_NEG_CLAMP, 0) count as zero on both
+    routes, in a 2x2 block and in a 1x1 block; one past the clamp is counted."""
+    assert config.EIG_NEG_CLAMP == 1e-12
+    c = ModeCutoffs(2, 2)
+    i00, i01, i11 = c.flat_index(0, 0), c.flat_index(0, 1), c.flat_index(1, 1)
+    for coupled, eig, counted in ((True, -5e-13, False), (True, -5e-12, True),
+                                  (False, -5e-13, False), (False, -5e-12, True)):
+        if coupled:
+            # |0,0><1,1| + h.c. becomes |0,1><1,0| + h.c. under the partial
+            # transpose: a 2x2 block with eigenvalues +-|eig|
+            state = TwoModeState.from_entries(c, [i00, i11, i00, i11], [i00, i11, i11, i00],
+                                              [0.5, 0.5, -eig, -eig])
+        else:
+            # a diagonal entry is its own 1x1 block, left in place by the PT
+            # (unvalidated: -5e-12 is past the structural check's 1e-12)
+            state = TwoModeState.from_entries(c, [i00, i11, i01], [i00, i11, i01],
+                                              [0.5, 0.5, eig], validate=False)
+        for res in (log_negativity_dense(state), log_negativity_block(state)):
+            assert abs(res.min_eigenvalue - eig) <= 1e-24
+            assert res.neg_sum == pytest.approx(-eig if counted else 0.0, rel=1e-12, abs=0.0)
+
+
+def test_component_above_limit_refused_before_allocation():
+    """A partial-transpose component larger than config.FULL_SOLVE_MAX_DIMENSION
+    is refused before the block route allocates it."""
+    cutoffs = ModeCutoffs(101, 101)
+    d = cutoffs.dimension
+    assert d > config.FULL_SOLVE_MAX_DIMENSION
+    # the partial transpose of a chain coupling basis state k to k + 1:
+    # one component holding all d basis states
+    k = np.arange(d - 1)
+    chain = TwoModeState.from_entries(
+        cutoffs, np.concatenate([np.arange(d), k, k + 1]),
+        np.concatenate([np.arange(d), k + 1, k]),
+        np.concatenate([np.full(d, 1.0 / d), np.full(2 * (d - 1), 0.1 / d)]))
+    state = partial_transpose_b(chain)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="component of size 10201"):
+            log_negativity_block(state)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < d * d * 8 // 100
 
 
 def test_non_hermitian_rejected():

@@ -3,10 +3,8 @@ entries, trace, negativity, Husimi Q, charge-blocked spectra) and over
 random sparse density matrices, real and complex."""
 
 from unittest import mock
-import warnings
 
 import numpy as np
-import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from noonamp import (AmplifierParams, CutoffPolicy, IntegratorConfig, LindbladParams,
@@ -30,9 +28,9 @@ def amplified(n, g2, mode) -> TwoModeState:
     return amplify_noon(spec, params, select_cutoffs(spec, params, CutoffPolicy()))
 
 
-def assert_block_matches_dense(state, **block_kw):
+def assert_block_matches_dense(state):
     dense = log_negativity_dense(state)
-    block = log_negativity_block(state, **block_kw)
+    block = log_negativity_block(state)
     assert abs(block.log_negativity - dense.log_negativity) <= 1e-9
     assert abs(block.neg_sum - dense.neg_sum) <= 1e-9
     assert abs(block.min_eigenvalue - dense.min_eigenvalue) <= 1e-9
@@ -158,14 +156,3 @@ def test_random_states_block_equals_dense(drawn):
     assert assert_block_matches_dense(state).method == "block"
     for matrix in (state, partial_transpose_b(state)):
         assert_spectrum_equals_full_solve(matrix, False)
-
-    pt = partial_transpose_b(state).csr.tocoo()
-    if np.any(pt.row != pt.col):
-        # a component couples two basis states: size_limit=1 forces the fallback
-        with pytest.warns(RuntimeWarning, match="falling back"):
-            forced = assert_block_matches_dense(state, size_limit=1)
-        assert forced.method == "dense"
-    else:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert assert_block_matches_dense(state, size_limit=1).method == "block"
