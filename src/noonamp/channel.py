@@ -1,4 +1,5 @@
-"""Closed-form output states of the phase-insensitive amplifier.
+"""The phase-insensitive amplifier: closed-form output states and the
+exact channel on any stored state.
 
 A NOON input with both modes amplified becomes a two-mode photon-added
 thermal state; with only mode a amplified, the b labels stay pinned to
@@ -13,20 +14,29 @@ with geometric weights c ~ q^(n+m), q = (g2-1)/g2.  Coefficients are
 assembled in log space: factorial ratios like (n+N)!/n! overflow doubles
 long before the cutoffs needed at N=6 and g2=3.  The families go straight
 into the state's sparse storage as (row, col, value) triplets; no d x d
-array is ever allocated.
+array is ever allocated.  These closed forms hold for the fully inverted
+amplifier (eta = 0) only.
 
-Closed forms exist only for the fully inverted amplifier (eta = 0);
-requests with eta > 0 are rejected and belong to the lindblad integrator.
+``amplify_state`` applies the channel at any bath parameter eta >= 0 to
+any state, through its Kraus operators (Ivan, Sabapathy & Simon, PRA 84,
+042311 (2011)): a quantum-limited attenuator of transmissivity tau = G^2/g'
+followed by a quantum-limited amplifier of gain g' = 1 + (G^2 - 1)(1 + eta)
+(Caruso, Giovannetti & Holevo, NJP 8, 310 (2006)); at eta = 0 the
+attenuator is the identity.  Both Kraus families keep every phase sector
+(n - p, m - q), so on the sector stack of ``fock.to_sectors`` the channel is
+one matrix per amplified mode and distinct |n - p|, applied by batched
+matrix products.  Weight carried past a cutoff is dropped and lands in
+``trace_deficit`` exactly; there is no step size and nothing to monitor.
+``amplify_noon`` takes the closed form at eta = 0 and the map otherwise.
 """
 
 from dataclasses import dataclass
 import math
 
 import numpy as np
-from scipy.special import gammaln
 
 from . import config
-from .fock import ModeCutoffs, NoonSpec, TwoModeState, build_noon
+from .fock import ModeCutoffs, NoonSpec, TwoModeState, build_noon, from_sectors, to_sectors
 
 MODE_SYMMETRIC = "symmetric"
 MODE_ASYMMETRIC_A = "asymmetric_a_only"
@@ -48,6 +58,14 @@ class AmplifierParams:
             raise ValueError("eta must be >= 0")
         if self.mode_config not in _MODE_CONFIGS:
             raise ValueError(f"mode_config must be one of {_MODE_CONFIGS}")
+
+    @property
+    def stage_gain(self) -> float:
+        """Gain g' = 1 + (G^2 - 1)(1 + eta) of the quantum-limited amplifier
+        stage; exactly g_squared at eta = 0."""
+        if self.eta == 0.0:
+            return self.g_squared
+        return 1.0 + (self.g_squared - 1.0) * (1.0 + self.eta)
 
     @property
     def amplified_modes(self) -> tuple[str, ...]:
@@ -110,7 +128,7 @@ def select_cutoffs(spec: NoonSpec, params: AmplifierParams, policy: CutoffPolicy
     if policy.fixed_cutoffs is not None:
         return policy.fixed_cutoffs
     n = spec.n_photons
-    amp = _amplified_mode_cutoff(n, params.g_squared, policy.tail_tol)
+    amp = _amplified_mode_cutoff(n, params.stage_gain, policy.tail_tol)
     if params.mode_config == MODE_SYMMETRIC:
         cutoff_a = cutoff_b = amp
     else:
@@ -129,8 +147,8 @@ def _require_closed_form(params: AmplifierParams, expected_mode: str):
         raise ValueError(f"params.mode_config must be '{expected_mode}'")
     if params.eta != 0.0:
         raise ValueError(
-            "no closed form for eta != 0; integrate the master equation instead "
-            "(lindblad.evolve)"
+            "no closed form for eta != 0; apply the channel with amplify_state "
+            "(amplify_noon does so)"
         )
 
 
@@ -141,6 +159,8 @@ def amplify_noon_symmetric(spec: NoonSpec, params: AmplifierParams,
     At g_squared = 1 this is exactly the input NOON state.  The recorded
     trace_deficit is the geometric weight lost to truncation.
     """
+    from scipy.special import gammaln
+
     _require_closed_form(params, MODE_SYMMETRIC)
     n_ph = spec.n_photons
     if cutoffs.cutoff_a <= n_ph or cutoffs.cutoff_b <= n_ph:
@@ -191,6 +211,8 @@ def _from_families(cutoffs: ModeCutoffs, *families) -> TwoModeState:
 def amplify_noon_asymmetric(spec: NoonSpec, params: AmplifierParams,
                             cutoffs: ModeCutoffs) -> TwoModeState:
     """NOON state after gain on mode a only; mode-b labels stay in {0, N}."""
+    from scipy.special import gammaln
+
     _require_closed_form(params, MODE_ASYMMETRIC_A)
     n_ph = spec.n_photons
     if cutoffs.cutoff_a <= n_ph or cutoffs.cutoff_b < n_ph + 1:
@@ -229,15 +251,80 @@ def amplify_noon_asymmetric(spec: NoonSpec, params: AmplifierParams,
 
 def amplify_noon(spec: NoonSpec, params: AmplifierParams,
                  cutoffs: ModeCutoffs) -> TwoModeState:
-    """Closed-form output state for ``params.mode_config``.
+    """Output state for ``params.mode_config``: the closed form at eta = 0,
+    the exact channel applied to the NOON input otherwise.
 
     The builder is looked up on this module at every call, so rebinding
-    ``amplify_noon_symmetric`` or ``amplify_noon_asymmetric`` here (fault
-    injection, tracing) reaches every caller of the dispatch.
+    ``amplify_noon_symmetric``, ``amplify_noon_asymmetric`` or
+    ``amplify_state`` here (fault injection, tracing) reaches every caller
+    of the dispatch.
     """
+    if params.eta != 0.0:
+        return amplify_state(build_noon(spec, cutoffs), params)
     if params.mode_config == MODE_SYMMETRIC:
         return amplify_noon_symmetric(spec, params, cutoffs)
     return amplify_noon_asymmetric(spec, params, cutoffs)
+
+
+def _mode_matrices(dim: int, ks: np.ndarray, params: AmplifierParams) -> np.ndarray:
+    """The channel on one mode's sector diagonals: M[i, j', j] carries the
+    entry at position j of a sector whose phase offset in this mode has
+    magnitude ks[i] (rho[j + k, j] or its mirror) to position j'.
+
+    Kraus terms moving l photons give sqrt(C(hi + k, l) C(hi, l)) with
+    hi = max(j, j'): the amplifier of gain g' adds them, weighted by
+    ((g'-1)/g')^l g'^-(j + k/2 + 1); the attenuator of transmissivity tau
+    removes them, weighted by tau^(j' + k/2) (1 - tau)^l.  Positions at or
+    past dim - k do not exist, so their rows and columns are zero.
+    """
+    from scipy.special import gammaln
+
+    k = ks[:, None, None]
+    out, inp = np.arange(dim)[:, None], np.arange(dim)[None, :]
+    hi, lo = np.maximum(out, inp), np.minimum(out, inp)
+    steps = hi - lo
+    inside = hi < dim - k
+    lf = gammaln(np.arange(2 * dim) + 1.0)
+
+    def log_binomial(n, l):
+        # the closer pair of arguments first, so their large logs cancel early
+        return (lf[n] - lf[np.maximum(l, n - l)]) - lf[np.minimum(l, n - l)]
+
+    log_paths = 0.5 * (log_binomial(hi + k, steps) + log_binomial(hi, steps))
+
+    g_amp, g2 = params.stage_gain, params.g_squared
+    log_g = math.log(g_amp)
+    log_amp = (log_paths + steps * (math.log(g_amp - 1.0) - log_g)
+               - (inp + 0.5 * k + 1.0) * log_g)
+    mats = np.exp(np.where(inside & (out >= inp), log_amp, -np.inf))
+    if params.eta == 0.0:
+        return mats
+    log_tau = math.log(g2) - log_g
+    log_loss = math.log((g2 - 1.0) * params.eta) - log_g
+    log_att = log_paths + (out + 0.5 * k) * log_tau + steps * log_loss
+    return mats @ np.exp(np.where(inside & (out <= inp), log_att, -np.inf))
+
+
+def amplify_state(state: TwoModeState, params: AmplifierParams) -> TwoModeState:
+    """The amplifier channel applied exactly to ``state``, at its cutoffs.
+
+    Every phase sector (k_a, k_b) maps to itself: x[s] -> A x[s] B^T with
+    A the mode-a matrix for |k_a| and B the mode-b matrix for |k_b| (the
+    identity for a mode the gain does not act on).  Weight carried past a
+    cutoff is dropped, so the output's trace_deficit exceeds the input's by
+    exactly the weight lost.  At unit gain the state is returned as it is.
+    """
+    if params.g_squared == 1.0:
+        return state
+    c = state.cutoffs
+    k_a, k_b, x = to_sectors(state)
+    for mode, ks, dim in (("a", k_a, c.cutoff_a), ("b", k_b, c.cutoff_b)):
+        if mode not in params.amplified_modes:
+            continue
+        distinct, at = np.unique(np.abs(ks), return_inverse=True)
+        mats = _mode_matrices(dim, distinct, params)[at]
+        x = mats @ x if mode == "a" else x @ mats.transpose(0, 2, 1)
+    return from_sectors(c, k_a, k_b, x)
 
 
 def photon_add_both(state: TwoModeState) -> TwoModeState:

@@ -1,4 +1,5 @@
-"""Named invariant checks of the amplifier's closed forms and thresholds.
+"""Named invariant checks of the amplifier's closed forms, its exact channel
+and the Gaussian thresholds.
 
 Each check takes its grid as arguments and returns a ``CheckResult``: the
 measured metric, the bound it is held to, whether it passed and a line of
@@ -46,8 +47,9 @@ def _amplified(n_photons: int, g_squared: float, mode: str, policy: channel.Cuto
 def oracle_distance(state: fock.TwoModeState, spec: fock.NoonSpec,
                     params: channel.AmplifierParams) -> float:
     """Trace distance from ``state`` to the NOON input integrated by the
-    master equation up to ``params.g_squared``, at the state's cutoffs."""
-    lparams = lindblad.LindbladParams(kappa_n1=1.0, kappa_n2=0.0,
+    master equation up to ``params.g_squared``, at the state's cutoffs, with
+    kappa N1 = 1 + eta and kappa N2 = eta."""
+    lparams = lindblad.LindbladParams(kappa_n1=1.0 + params.eta, kappa_n2=params.eta,
                                       amplified_modes=params.amplified_modes)
     evolved = lindblad.evolve(fock.build_noon(spec, state.cutoffs), lparams,
                               lindblad.IntegratorConfig(target_g_squared=params.g_squared))
@@ -82,6 +84,39 @@ def closed_form_vs_oracle(modes, n_photons: int, g_squared: float, policy) -> Ch
         worst = max(worst, oracle_distance(channel.amplify_noon(spec, params, cutoffs),
                                            spec, params))
     return CheckResult(worst <= 1e-6, worst, 1e-6, f"max trace distance {worst:.3e}")
+
+
+def map_vs_closed_form(points, policy) -> CheckResult:
+    """At eta = 0 the exact channel applied to the NOON input reproduces the
+    closed forms at every (N, G^2) point, both modes: at most 1e-15 per
+    stored entry; side condition: trace_deficit equal within 1e-14."""
+    worst = deficit_gap = 0.0
+    for n, g2 in points:
+        spec = fock.NoonSpec(n)
+        for mode in MODES:
+            params = channel.AmplifierParams(g_squared=g2, mode_config=mode)
+            cutoffs = channel.select_cutoffs(spec, params, policy)
+            closed = channel.amplify_noon(spec, params, cutoffs)
+            mapped = channel.amplify_state(fock.build_noon(spec, cutoffs), params)
+            diff = closed.csr - mapped.csr
+            worst = max(worst, float(abs(diff).max()) if diff.nnz else 0.0)
+            deficit_gap = max(deficit_gap, abs(closed.trace_deficit - mapped.trace_deficit))
+    return CheckResult(worst <= 1e-15 and deficit_gap <= 1e-14, worst, 1e-15,
+                       f"max entry gap {worst:.3e}, max trace_deficit gap {deficit_gap:.3e}")
+
+
+def map_vs_oracle(modes, etas, n_photons: int, g_squared: float,
+                  cutoffs: fock.ModeCutoffs) -> CheckResult:
+    """At eta > 0, where no closed form exists, the exact channel applied to
+    the NOON input matches direct integration of the master equation."""
+    spec = fock.NoonSpec(n_photons)
+    worst = 0.0
+    for mode in modes:
+        for eta in etas:
+            params = channel.AmplifierParams(g_squared=g_squared, eta=eta, mode_config=mode)
+            mapped = channel.amplify_state(fock.build_noon(spec, cutoffs), params)
+            worst = max(worst, oracle_distance(mapped, spec, params))
+    return CheckResult(worst <= 1e-9, worst, 1e-9, f"max trace distance {worst:.3e}")
 
 
 def method_agreement(points, policy) -> CheckResult:
@@ -190,6 +225,7 @@ def battery(policy: channel.CutoffPolicy) -> dict[str, CheckResult]:
         ("vacuum_thermal", vacuum_thermal, 50),
         ("oracle_symmetric", closed_form_vs_oracle, sym, 2, 1.3, policy),
         ("oracle_asymmetric", closed_form_vs_oracle, asym, 2, 1.3, policy),
+        ("map_vs_closed_form", map_vs_closed_form, ((2, 1.5),), policy),
         ("method_agreement", method_agreement, ((2, 1.5), (2, 2.0), (4, 1.5)), policy),
         ("scaling_law_symmetric", scaling_law, sym, 2, (1.5,), policy),
         ("scaling_law_asymmetric", scaling_law, asym, 2, (1.5,), policy),

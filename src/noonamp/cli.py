@@ -104,14 +104,13 @@ def run_sweep(cfg: SweepConfig) -> list[dict]:
                      log_negativity=gaussian.gaussian_log_negativity(
                          gaussian.amplify_covariance(base, g2, eta=cfg.eta)))
                 for g2 in grid]
-    else:  # photon_added_tmsv: one continuous integration, inherently ordered
-        if cfg.eta != 0.0:
-            raise ValueError("photon_added_tmsv pipeline supports eta = 0 only")
+    else:  # photon_added_tmsv
         spec = gaussian.SqueezingSpec(cfg.r)
         rows = [_row(cfg, g2, method="dense", log_negativity=en,
                      cutoff_a=st.cutoffs.cutoff_a, cutoff_b=st.cutoffs.cutoff_b,
                      trace_deficit=st.trace_deficit)
-                for g2, en, st in gaussian.photon_added_tmsv_negativity_sweep(spec, grid)]
+                for g2, en, st in gaussian.photon_added_tmsv_negativity_sweep(
+                    spec, grid, eta=cfg.eta)]
     rows.sort(key=lambda r: (r["family"], r["n"] if r["n"] is not None else -1,
                              r["g_squared"]))
     return rows

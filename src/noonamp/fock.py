@@ -80,8 +80,9 @@ class TwoModeState:
                  atol: float | None = None):
         """``matrix`` is a dense (d, d) array or any scipy sparse array."""
         # scipy.sparse is imported at first use: at module level it would add
-        # about 20 ms to importing the package, which commands without a
-        # state (thresholds, the Gaussian family) pay for nothing
+        # about 270 ms to importing the package (when nothing else has loaded
+        # scipy yet), which commands without a state (thresholds, the
+        # Gaussian family) pay for nothing
         from scipy import sparse
 
         atol = config.ATOL_STRUCTURAL if atol is None else atol
@@ -163,6 +164,44 @@ def _trace(csr) -> float:
 def _hermiticity_error(csr) -> float:
     diff = csr - csr.conj().T
     return float(abs(diff).max()) if diff.nnz else 0.0
+
+
+def to_sectors(state: TwoModeState):
+    """(k_a, k_b, x): the phase sectors holding a stored entry of ``state``,
+    together with their mirrors (-k_a, -k_b), in increasing (k_a, k_b)
+    order, and their entries stacked as x[s, j_a, j_b].
+
+    Sector (k_a, k_b) holds the entries rho[n, m, p, q] with n - p = k_a and
+    m - q = k_b, at j_a = min(n, p) and j_b = min(m, q); only
+    j_a < cutoff_a - |k_a| and j_b < cutoff_b - |k_b| exist, and the padding
+    beyond is zero.  Mirroring a sector reverses its place in the order, so
+    the sector paired with s by Hermitian conjugation is S - 1 - s.
+    """
+    da, db = state.cutoffs.cutoff_a, state.cutoffs.cutoff_b
+    coo = state.csr.tocoo()
+    n, m = np.divmod(coo.row, db)
+    p, q = np.divmod(coo.col, db)
+    # (k_a, k_b) -> code is increasing, and code(-k_a, -k_b) = n_codes - 1 - code
+    width = 2 * db - 1
+    n_codes = (2 * da - 1) * width
+    codes = (n - p + da - 1) * width + (m - q + db - 1)
+    sectors = np.union1d(codes, n_codes - 1 - codes)
+    x = np.zeros((sectors.size, da, db), dtype=state.csr.dtype)
+    x[np.searchsorted(sectors, codes), np.minimum(n, p), np.minimum(m, q)] = coo.data
+    k_a, k_b = np.divmod(sectors, width)
+    return k_a - (da - 1), k_b - (db - 1), x
+
+
+def from_sectors(cutoffs: ModeCutoffs, k_a, k_b, x, **kwargs) -> TwoModeState:
+    """Inverse of to_sectors: the state whose stored entries are the nonzero
+    entries of x (the padding past a sector's end is zero)."""
+    da, db = cutoffs.cutoff_a, cutoffs.cutoff_b
+    s, j_a, j_b = np.nonzero(x)
+    ka, kb = k_a[s], k_b[s]
+    n, p = j_a + np.maximum(ka, 0), j_a + np.maximum(-ka, 0)
+    m, q = j_b + np.maximum(kb, 0), j_b + np.maximum(-kb, 0)
+    return TwoModeState.from_entries(cutoffs, n * db + m, p * db + q, x[s, j_a, j_b],
+                                     **kwargs)
 
 
 def build_noon(spec: NoonSpec, cutoffs: ModeCutoffs) -> TwoModeState:

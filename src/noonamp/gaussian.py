@@ -16,8 +16,9 @@ The squeezed vacuum loses all entanglement at a finite gain,
 photon-added squeezed vacuum inherits the two-sided bound because photon
 addition commutes with the channel up to normalization.  The Fock-side
 pipeline here makes that bound measurable: expand the squeezed vacuum in
-the number basis, add a photon to each mode, integrate the master
-equation to each gain, and read off the negativity.
+the number basis, add a photon to each mode, apply the exact channel
+(``channel.amplify_state``, any eta >= 0) at each gain, and read off the
+negativity.
 """
 
 from dataclasses import dataclass
@@ -26,9 +27,8 @@ import math
 import numpy as np
 
 from . import config
-from .channel import photon_add_both
+from .channel import AmplifierParams, amplify_state, photon_add_both
 from .fock import ModeCutoffs, TwoModeState
-from .lindblad import LindbladParams, evolve_checkpoints
 from .negativity import log_negativity_dense
 
 _OMEGA = np.array([
@@ -184,7 +184,8 @@ def tmsv_fock(spec: SqueezingSpec, cutoffs: ModeCutoffs) -> TwoModeState:
 
 def _pipeline_cutoff(r: float, g_max: float) -> int:
     """Cutoff for the photon-added pipeline, from the amplified thermal
-    envelope plus margin for the photon-addition polynomial tilt."""
+    envelope plus margin for the photon-addition polynomial tilt; ``g_max``
+    is the top amplifier-stage gain g' (G^2 at eta = 0)."""
     mean = g_max * (math.sinh(r) ** 2 + 1.0) - 1.0
     if mean <= 0.0:
         return 8
@@ -194,14 +195,14 @@ def _pipeline_cutoff(r: float, g_max: float) -> int:
 
 
 def photon_added_tmsv_negativity_sweep(
-        spec: SqueezingSpec, g_grid, step_size: float = 5e-4
+        spec: SqueezingSpec, g_grid, eta: float = 0.0
 ) -> list[tuple[float, float, TwoModeState]]:
     """Fock-side E_N of the photon-added squeezed vacuum at each gain.
 
-    Builds adag bdag |tmsv><tmsv| b a (normalized), integrates the master
-    equation continuously through the sorted gain grid (eta = 0), and
-    diagonalizes the partial transpose at each checkpoint.  Each row is
-    (g2, E_N, checkpoint state); the state carries the cutoffs and the
+    Builds adag bdag |tmsv><tmsv| b a (normalized), applies the exact
+    channel with bath parameter ``eta`` to it at each gain of the sorted
+    grid, and diagonalizes the partial transpose of each output.  Each row
+    is (g2, E_N, output state); the state carries the cutoffs and the
     trace_deficit that E_N was computed at.
     """
     if spec.r > 0.8:
@@ -209,12 +210,10 @@ def photon_added_tmsv_negativity_sweep(
     gains = sorted(float(g) for g in g_grid)
     if gains and gains[0] < 1.0:
         raise ValueError("gains must be >= 1")
-    g_max = gains[-1] if gains else 1.0
-    cutoff = max(_pipeline_cutoff(spec.r, g_max), 8)
+    top = AmplifierParams(gains[-1] if gains else 1.0, eta=eta)
+    cutoff = max(_pipeline_cutoff(spec.r, top.stage_gain), 8)
     cutoffs = ModeCutoffs(cutoff, cutoff)
 
     added = photon_add_both(tmsv_fock(spec, cutoffs))
-    params = LindbladParams(kappa_n1=1.0, kappa_n2=0.0, amplified_modes=("a", "b"))
-
-    states = evolve_checkpoints(added, params, gains, step_size=step_size)
+    states = [amplify_state(added, AmplifierParams(g, eta=eta)) for g in gains]
     return [(g, log_negativity_dense(st).log_negativity, st) for g, st in zip(gains, states)]

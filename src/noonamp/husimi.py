@@ -22,7 +22,6 @@ from dataclasses import dataclass
 import math
 
 import numpy as np
-from scipy.special import gammaln
 
 from . import channel, config
 from .fock import ModeCutoffs, TwoModeState
@@ -66,6 +65,8 @@ def default_grid_for_state(state: TwoModeState, extent: float = 3.0,
 def coherent_matrix(samples: np.ndarray, cutoff: int) -> np.ndarray:
     """Rows are truncated coherent-state coefficient vectors
     v_n = exp(-|z|^2/2) z^n / sqrt(n!), built in log space."""
+    from scipy.special import gammaln
+
     samples = np.asarray(samples, dtype=np.complex128)
     n = np.arange(cutoff)
     log_fact_half = 0.5 * gammaln(n + 1.0)

@@ -23,9 +23,13 @@ so the populations of the top two Fock levels of each amplified mode are
 checked every ten steps and the run aborts if they grow past the leak
 budget.
 
-This module is the independent oracle for every closed-form constructor:
-it supports arbitrary eta = N2/(N1-N2) >= 0, not just the eta = 0 limit
-the closed forms assume.
+This module is the independent oracle for the physical model: the
+package's states come from the closed forms and from the exact Kraus map
+(``channel.amplify_state``), and ``evolve`` checks both by integrating the
+equation they solve, for any eta = N2/(N1-N2) >= 0 (kappa N1 = 1 + eta,
+kappa N2 = eta gives the channel of ``channel.AmplifierParams``).  No
+package pipeline integrates; ``evolve`` serves the ``noonamp.checks``
+oracle checks and ``sweep --oracle-check``.
 """
 
 from dataclasses import dataclass
@@ -34,7 +38,7 @@ import math
 import numpy as np
 
 from . import _kernels
-from .fock import ModeCutoffs, TwoModeState
+from .fock import ModeCutoffs, TwoModeState, from_sectors, to_sectors
 
 _LEAK_TOL = 1e-8
 _LEAK_CHECK_EVERY = 10
@@ -121,41 +125,6 @@ def _check_leak(pops, params: LindbladParams, t: float):
         )
 
 
-def _to_sectors(state: TwoModeState):
-    """(k_a, k_b, x): the phase sectors holding a stored entry of ``state``,
-    together with their mirrors (-k_a, -k_b), in increasing (k_a, k_b)
-    order, and their entries stacked as x[s, j_a, j_b].
-
-    Mirroring a sector reverses its place in that order, so the sector
-    paired with s by Hermitian conjugation is S - 1 - s.
-    """
-    da, db = state.cutoffs.cutoff_a, state.cutoffs.cutoff_b
-    coo = state.csr.tocoo()
-    n, m = np.divmod(coo.row, db)
-    p, q = np.divmod(coo.col, db)
-    # (k_a, k_b) -> code is increasing, and code(-k_a, -k_b) = n_codes - 1 - code
-    width = 2 * db - 1
-    n_codes = (2 * da - 1) * width
-    codes = (n - p + da - 1) * width + (m - q + db - 1)
-    sectors = np.union1d(codes, n_codes - 1 - codes)
-    x = np.zeros((sectors.size, da, db), dtype=state.csr.dtype)
-    x[np.searchsorted(sectors, codes), np.minimum(n, p), np.minimum(m, q)] = coo.data
-    k_a, k_b = np.divmod(sectors, width)
-    return k_a - (da - 1), k_b - (db - 1), x
-
-
-def _from_sectors(cutoffs: ModeCutoffs, k_a, k_b, x, **kwargs) -> TwoModeState:
-    """Inverse of _to_sectors: the state whose stored entries are the nonzero
-    entries of x (the padding past a sector's end is zero)."""
-    da, db = cutoffs.cutoff_a, cutoffs.cutoff_b
-    s, j_a, j_b = np.nonzero(x)
-    ka, kb = k_a[s], k_b[s]
-    n, p = j_a + np.maximum(ka, 0), j_a + np.maximum(-ka, 0)
-    m, q = j_b + np.maximum(kb, 0), j_b + np.maximum(-kb, 0)
-    return TwoModeState.from_entries(cutoffs, n * db + m, p * db + q, x[s, j_a, j_b],
-                                     **kwargs)
-
-
 def evolve(state: TwoModeState, params: LindbladParams,
            config_: IntegratorConfig) -> TwoModeState:
     """Integrate the master equation until the gain reaches target_g_squared."""
@@ -173,7 +142,7 @@ def evolve(state: TwoModeState, params: LindbladParams,
         raise ValueError(f"{total_steps} steps exceed max_steps={config_.max_steps}")
 
     c = state.cutoffs
-    k_a, k_b, rho = _to_sectors(state)
+    k_a, k_b, rho = to_sectors(state)
     k1, k2, k3, k4, tmp = (np.empty_like(rho) for _ in range(5))
     ladder_a = _kernels.ladder("a", k_a, c.cutoff_a, params.kappa_n1, params.kappa_n2)
     ladder_b = _kernels.ladder("b", k_b, c.cutoff_b, params.kappa_n1, params.kappa_n2)
@@ -209,27 +178,7 @@ def evolve(state: TwoModeState, params: LindbladParams,
         if (step + 1) % _LEAK_CHECK_EVERY == 0 or step == total_steps - 1:
             _check_leak(pops, params, t)
 
-    return _from_sectors(c, k_a, k_b, rho, validate=True, atol=1e-10)
-
-
-def evolve_checkpoints(state: TwoModeState, params: LindbladParams,
-                       g_squared_list: list[float],
-                       step_size: float = 5e-4) -> list[TwoModeState]:
-    """States at an increasing sequence of gains, integrated continuously."""
-    gains = list(g_squared_list)
-    if any(g < 1.0 for g in gains):
-        raise ValueError("all gains must be >= 1")
-    if sorted(gains) != gains:
-        raise ValueError("gains must be non-decreasing")
-    out = []
-    current = state
-    g_prev = 1.0
-    for g in gains:
-        cfg = IntegratorConfig(target_g_squared=g / g_prev, step_size=step_size)
-        current = evolve(current, params, cfg)
-        out.append(current)
-        g_prev = g
-    return out
+    return from_sectors(c, k_a, k_b, rho, validate=True, atol=1e-10)
 
 
 def save_state_npz(state: TwoModeState, path) -> None:

@@ -1,7 +1,8 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
-Criteria 1-7, 8a and 8b are the ``noonamp.checks`` functions that
-``noonamp verify`` runs on quick grids, here on their full grids.  Run with
+Criteria 1-7, 8a, 8b and 11 are the ``noonamp.checks`` functions that
+``noonamp verify`` runs on quick grids, here on their full grids;
+criterion 12 is a ``noonamp.checks`` function that only this suite runs.  Run with
 `pytest tests/test_acceptance.py -v -s` to stream the lines; the heavy
 criteria (dense method agreement, the photon-added pipeline) take a few
 minutes together.
@@ -12,11 +13,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from noonamp import (AmplifierParams, CutoffPolicy, IntegratorConfig, LindbladParams,
-                     MODE_ASYMMETRIC_A, MODE_SYMMETRIC, ModeCutoffs, NoonSpec,
-                     SqueezingSpec, amplify_noon, checks, evolve, photon_add_both,
-                     photon_added_tmsv_negativity_sweep, select_cutoffs,
-                     threshold_symmetric, tmsv_fock)
+from noonamp import (AmplifierParams, CutoffPolicy, MODE_ASYMMETRIC_A, MODE_SYMMETRIC,
+                     ModeCutoffs, NoonSpec, SqueezingSpec, amplify_noon, amplify_state,
+                     checks, photon_add_both, photon_added_tmsv_negativity_sweep,
+                     select_cutoffs, threshold_symmetric, tmsv_fock)
 from noonamp.cli import SweepConfig, run_sweep
 from noonamp.negativity import log_negativity_block
 
@@ -118,7 +118,7 @@ def test_criterion_9_photon_added_comparison():
     g_star = threshold_symmetric(spec, 0.0)  # 2/(1 + e^-1)
     window = (0.98 * g_star, 1.02 * g_star)
     grid = [1.40, 1.43, 1.45, 1.46, 1.47, 1.48]
-    rows = photon_added_tmsv_negativity_sweep(spec, grid, step_size=1e-3)
+    rows = photon_added_tmsv_negativity_sweep(spec, grid)
     above = [g for g, en, _ in rows if en >= 1e-3]
     below = [g for g, en, _ in rows if en < 1e-3]
     ok_cross = (above and below and window[0] <= max(above)
@@ -139,13 +139,22 @@ def test_criterion_10_commutation_identity():
     spec = SqueezingSpec(0.5)
     cutoffs = ModeCutoffs(36, 36)
     squeezed = tmsv_fock(spec, cutoffs)
-    params = LindbladParams(1.0, 0.0, ("a", "b"))
-    cfg = IntegratorConfig(target_g_squared=1.3, step_size=1e-3)
+    params = AmplifierParams(1.3)
 
-    add_then_evolve = evolve(photon_add_both(squeezed), params, cfg)
-    evolve_then_add = photon_add_both(evolve(squeezed, params, cfg))
-    m1 = add_then_evolve.matrix / add_then_evolve.trace
-    m2 = evolve_then_add.matrix / evolve_then_add.trace
+    add_then_amplify = amplify_state(photon_add_both(squeezed), params)
+    amplify_then_add = photon_add_both(amplify_state(squeezed, params))
+    m1 = add_then_amplify.matrix / add_then_amplify.trace
+    m2 = amplify_then_add.matrix / amplify_then_add.trace
     dist = 0.5 * float(np.abs(np.linalg.eigvalsh(m1 - m2)).sum())
-    report("10 evolve/photon-add commutation", dist <= 1e-6,
+    report("10 amplify/photon-add commutation", dist <= 1e-12,
            f"normalized trace distance {dist:.3e}")
+
+
+def test_criterion_11_map_vs_closed_form():
+    report_check("11 exact channel vs closed forms", checks.map_vs_closed_form(
+        [(n, g2) for n in (2, 6) for g2 in (1.5, 3.0)], CutoffPolicy()))
+
+
+def test_criterion_12_map_vs_oracle():
+    report_check("12 exact channel vs oracle at eta > 0", checks.map_vs_oracle(
+        BOTH_MODES, (0.25, 1.0), 2, 1.5, ModeCutoffs(40, 40)))

@@ -6,8 +6,9 @@ from scipy import sparse
 
 from noonamp import (AmplifierParams, CutoffPolicy, IntegratorConfig, LindbladParams,
                      MODE_ASYMMETRIC_A, MODE_SYMMETRIC, ModeCutoffs, NoonSpec,
-                     amplified_vacuum, amplify_noon_asymmetric, amplify_noon_symmetric,
-                     build_noon, checks, evolve, photon_add_both, select_cutoffs, tmsv_fock)
+                     amplified_vacuum, amplify_noon, amplify_noon_asymmetric,
+                     amplify_noon_symmetric, amplify_state, build_noon, checks, evolve,
+                     photon_add_both, select_cutoffs, tmsv_fock)
 from noonamp.fock import TwoModeState, product_state
 from noonamp.gaussian import SqueezingSpec
 
@@ -101,6 +102,66 @@ def test_eta_requests_rejected():
     with pytest.raises(ValueError, match="eta"):
         amplify_noon_asymmetric(spec, AmplifierParams(1.5, eta=0.3,
                                                       mode_config=MODE_ASYMMETRIC_A), cut)
+
+
+def test_amplify_noon_sends_eta_to_the_map():
+    """eta > 0 goes through the exact channel, at cutoffs sized by the
+    amplifier-stage gain g' = 1 + (G^2 - 1)(1 + eta)."""
+    spec = NoonSpec(2)
+    params = AmplifierParams(1.5, eta=0.5)
+    assert params.stage_gain == 1.75
+    assert AmplifierParams(1.5).stage_gain == 1.5
+    cut = select_cutoffs(spec, params, CutoffPolicy())
+    assert cut == select_cutoffs(spec, AmplifierParams(1.75), CutoffPolicy())
+    state = amplify_noon(spec, params, cut)
+    want = amplify_state(build_noon(spec, cut), params)
+    assert (state.csr != want.csr).nnz == 0
+    assert state.trace_deficit <= 100.0 * CutoffPolicy().tail_tol  # the verify budget
+
+
+def _kraus_reference(rho, dims, mode_matrices):
+    """Sum over Kraus pairs K_a (x) K_b rho (K_a (x) K_b)^dag, with each
+    mode's Kraus list given as dense matrices (the identity when absent)."""
+    out = rho
+    for axis, kraus in enumerate(mode_matrices):
+        if kraus is None:
+            continue
+        eye = np.eye(dims[1 - axis])
+        ops = [np.kron(k, eye) if axis == 0 else np.kron(eye, k) for k in kraus]
+        out = sum(op @ out @ op.T for op in ops)
+    return out
+
+
+def _single_mode_kraus(dim, g2, eta):
+    """Attenuator tau = G^2/g' then amplifier g' on a truncated mode, from
+    integer binomials: <n+l|A_l|n> = sqrt(C(n+l, l)) t^l g'^-(n+1)/2 with
+    t^2 = (g'-1)/g', and <n-l|B_l|n> = sqrt(C(n, l) tau^(n-l) (1-tau)^l)."""
+    g_amp = 1.0 + (g2 - 1.0) * (1.0 + eta)
+    tau = g2 / g_amp
+    amp = [np.array([[math.sqrt(math.comb(n + l, l)) * ((g_amp - 1.0) / g_amp) ** (l / 2)
+                      * g_amp ** (-(n + 1) / 2) if m == n + l else 0.0
+                      for n in range(dim)] for m in range(dim)]) for l in range(dim)]
+    att = [np.array([[math.sqrt(math.comb(n, l) * tau ** (n - l) * (1.0 - tau) ** l)
+                      if m == n - l else 0.0
+                      for n in range(dim)] for m in range(dim)]) for l in range(dim)]
+    return [a @ b for a in amp for b in att]
+
+
+@pytest.mark.parametrize("eta", [0.0, 0.7])
+@pytest.mark.parametrize("mode", [MODE_SYMMETRIC, MODE_ASYMMETRIC_A])
+def test_amplify_state_matches_dense_kraus(mode, eta):
+    """The sector map against dense Kraus operators built from integer
+    binomials, on a complex state that fills every phase sector."""
+    state = _random_complex_state(6, 5, seed=11)
+    params = AmplifierParams(1.7, eta=eta, mode_config=mode)
+    got = amplify_state(state, params)
+    kraus = [_single_mode_kraus(6, 1.7, eta),
+             _single_mode_kraus(5, 1.7, eta) if mode == MODE_SYMMETRIC else None]
+    want = _kraus_reference(state.matrix, (6, 5), kraus)
+    assert np.abs(got.matrix - want).max() <= 1e-14
+    assert got.trace < state.trace
+    assert abs(got.trace_deficit - (1.0 - np.trace(want).real)) <= 1e-14
+    assert amplify_state(state, AmplifierParams(1.0, eta=eta, mode_config=mode)) is state
 
 
 def _thermal_two_mode(g2, dim):

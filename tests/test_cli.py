@@ -122,6 +122,37 @@ def test_cli_fixed_cutoff_flag(tmp_path):
     assert line[9] == "20" and line[10] == "3"
 
 
+@pytest.mark.parametrize("argv", [
+    ["--family", "noon_symmetric", "--n", "2", "--g2", "1.0:1.1:0.1", "--oracle-check"],
+    ["--family", "noon_asymmetric", "--n", "2", "--g2", "1.0:1.1:0.1", "--oracle-check"],
+    ["--family", "photon_added_tmsv", "--r", "0.3", "--g2", "1.0:1.1:0.1"],
+], ids=["noon_symmetric", "noon_asymmetric", "photon_added_tmsv"])
+def test_cli_sweep_eta_above_zero(argv, capsys):
+    """eta > 0 rows come from the exact channel; the NOON rows agree with
+    the integrated master equation."""
+    assert main(["sweep", "--eta", "0.5"] + argv) == 0
+    lines = capsys.readouterr().out.strip().split("\n")
+    rows = [dict(zip(lines[0].split(","), line.split(","))) for line in lines[1:]]
+    assert len(rows) == 2
+    for row in rows:
+        assert row["eta"] == "0.5"
+        assert float(row["trace_deficit"]) <= 1e-9
+        if row["oracle_trace_distance"]:
+            assert float(row["oracle_trace_distance"]) <= 1e-9
+    assert float(rows[1]["log_negativity"]) < float(rows[0]["log_negativity"])
+
+
+def test_import_loads_no_scipy():
+    """``import noonamp`` leaves scipy unloaded; the modules import it at
+    first use."""
+    env = {**os.environ, "PYTHONPATH": str(Path(noonamp.__file__).parents[1])}
+    code = ("import sys, noonamp; "
+            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=60, check=True).stdout
+    assert out.strip() == "[]"
+
+
 def test_cli_configuration_errors():
     assert main(["sweep", "--family", "noon_symmetric",
                  "--g2", "1.0:1.2:0.1"]) == 2  # no --n
@@ -214,7 +245,7 @@ def test_cli_qfunc(tmp_path):
 
 
 VERIFY_CHECKS = ("unit_gain_negativity", "vacuum_thermal", "oracle_symmetric",
-                 "oracle_asymmetric", "method_agreement", "scaling_law_symmetric",
+                 "oracle_asymmetric", "map_vs_closed_form", "method_agreement", "scaling_law_symmetric",
                  "scaling_law_asymmetric", "zero_locus", "gaussian_thresholds",
                  "trace_deficit_budget", "monotone_and_ordering")
 

@@ -7,7 +7,7 @@ import pytest
 from noonamp import (IntegratorConfig, LindbladParams, ModeCutoffs, NoonSpec, SqueezingSpec,
                      TwoModeState, build_noon, evolve, photon_add_both, tmsv_fock)
 from noonamp import _kernels
-from noonamp.lindblad import _from_sectors, _to_sectors
+from noonamp.fock import from_sectors, to_sectors
 
 from helpers import dense_tensor
 
@@ -39,13 +39,13 @@ def sector_generator(rho, mode, kn1, kn2):
     da, db = rho.shape[:2]
     cutoffs = ModeCutoffs(da, db)
     state = TwoModeState(cutoffs, rho.reshape(da * db, da * db), validate=False)
-    k_a, k_b, x = _to_sectors(state)
+    k_a, k_b, x = to_sectors(state)
     out = np.zeros_like(x)
     if mode == "a":
         _kernels.gen_mode_a(x, out, _kernels.ladder("a", k_a, da, kn1, kn2))
     else:
         _kernels.gen_mode_b(x, out, _kernels.ladder("b", k_b, db, kn1, kn2))
-    return dense_tensor(_from_sectors(cutoffs, k_a, k_b, out, validate=False))
+    return dense_tensor(from_sectors(cutoffs, k_a, k_b, out, validate=False))
 
 
 @pytest.mark.parametrize("mode", ["a", "b"])
@@ -77,7 +77,7 @@ def test_kernels_accumulate():
     rng = np.random.default_rng(31)
     state = TwoModeState(ModeCutoffs(4, 4),
                          random_hermitian_tensor(4, 4, rng).reshape(16, 16), validate=False)
-    k_a, k_b, x = _to_sectors(state)
+    k_a, k_b, x = to_sectors(state)
     lad_a = _kernels.ladder("a", k_a, 4, 1.0, 0.0)
     lad_b = _kernels.ladder("b", k_b, 4, 1.0, 0.0)
     out = np.zeros_like(x)

@@ -6,8 +6,7 @@ import pytest
 
 from noonamp import (AmplifierParams, CutoffPolicy, IntegratorConfig, LindbladParams,
                      MODE_SYMMETRIC, ModeCutoffs, NoonSpec, amplify_noon_symmetric,
-                     build_noon, check_scaling_law, evolve, evolve_checkpoints,
-                     gain_from_time, load_state_npz, save_state_csv, save_state_npz,
+                     build_noon, check_scaling_law, evolve, gain_from_time, load_state_npz, save_state_csv, save_state_npz,
                      select_cutoffs, square_mesh, trace_distance)
 from noonamp import config
 from noonamp.fock import product_state
@@ -92,11 +91,17 @@ def test_mean_photon_law():
 
 
 def test_trace_hermiticity_positivity_checkpoints():
+    """Integrating to G^2 = 1.2 and on from there to 1.5 keeps every state a
+    density matrix."""
     spec = NoonSpec(2)
     params = AmplifierParams(1.5)
     cut = select_cutoffs(spec, params, CutoffPolicy())
-    states = evolve_checkpoints(build_noon(spec, cut), LindbladParams(1.0),
-                                [1.2, 1.5], step_size=1e-3)
+    states, current, g_prev = [], build_noon(spec, cut), 1.0
+    for g2 in (1.2, 1.5):
+        current = evolve(current, LindbladParams(1.0),
+                         IntegratorConfig(target_g_squared=g2 / g_prev, step_size=1e-3))
+        states.append(current)
+        g_prev = g2
     for st in states:
         assert abs(st.trace - 1.0) <= 1e-9
         assert np.abs(st.matrix - st.matrix.conj().T).max() <= 1e-14
@@ -146,14 +151,6 @@ def test_eta_above_zero_supported():
     mean = float((np.arange(50) * out.populations()[:, 0]).sum())
     expected = (g2 - 1.0) * (1.0 + params.eta)
     assert abs(mean - expected) / expected <= 1e-6
-
-
-def test_checkpoints_validation():
-    state = build_noon(NoonSpec(1), ModeCutoffs(8, 8))
-    with pytest.raises(ValueError):
-        evolve_checkpoints(state, LindbladParams(1.0), [1.2, 1.1])
-    with pytest.raises(ValueError):
-        evolve_checkpoints(state, LindbladParams(1.0), [0.9])
 
 
 def test_state_dump_roundtrip(tmp_path):

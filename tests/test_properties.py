@@ -1,6 +1,7 @@
 """Property tests over the (N, G^2, mode) space of the closed forms (stored
-entries, trace, negativity, Husimi Q, charge-blocked spectra) and over
-random sparse density matrices, real and complex."""
+entries, trace, negativity, Husimi Q, charge-blocked spectra), over the
+(N, G^2, eta, mode) space of the exact channel, and over random sparse
+density matrices, real and complex."""
 
 from unittest import mock
 
@@ -9,7 +10,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from noonamp import (AmplifierParams, CutoffPolicy, IntegratorConfig, LindbladParams,
                      MODE_ASYMMETRIC_A, MODE_SYMMETRIC, ModeCutoffs, NoonSpec,
-                     SqueezingSpec, TwoModeState, amplify_noon, build_noon,
+                     SqueezingSpec, TwoModeState, amplify_noon, amplify_state, build_noon,
                      default_grid_for_state, evolve, partial_transpose_b, q_evaluate,
                      select_cutoffs, tmsv_fock, trace_distance)
 from noonamp.fock import hermitian_eigvalsh
@@ -86,6 +87,25 @@ def test_husimi_q_nonnegative(n, g2, mode):
     state = amplified(n, g2, mode)
     values = q_evaluate(state, default_grid_for_state(state, points=7)).values
     assert values.min() >= 0.0
+
+
+@settings(deadline=None, max_examples=40)
+@given(photons, gains, st.one_of(st.just(0.0), st.floats(0.0, 1.0)), modes)
+def test_exact_channel_output(n, g2, eta, mode):
+    """The exact channel applied to the NOON input gives a valid truncated
+    density matrix whose trace does not exceed the input's (beyond
+    rounding), and at eta = 0 it is the closed form."""
+    spec = NoonSpec(n)
+    params = AmplifierParams(g2, eta=eta, mode_config=mode)
+    cutoffs = select_cutoffs(spec, params, CutoffPolicy())
+    noon = build_noon(spec, cutoffs)
+    out = amplify_state(noon, params)
+    TwoModeState(out.cutoffs, out.csr)  # the constructor's checks
+    assert out.trace <= noon.trace + 1e-14
+    if eta == 0.0:
+        closed = amplify_noon(spec, params, cutoffs)
+        diff = closed.csr - out.csr
+        assert (float(abs(diff).max()) if diff.nnz else 0.0) <= 1e-15
 
 
 def assert_spectrum_equals_full_solve(state, charge_conserved):
