@@ -213,6 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
     qfunc = sub.add_parser("qfunc", help="dump the Husimi Q of an amplified NOON state")
     qfunc.add_argument("--n", type=int, default=2)
     qfunc.add_argument("--g2", type=float, default=1.5)
+    qfunc.add_argument("--eta", type=float, default=0.0)
     qfunc.add_argument("--family", choices=("noon_symmetric", "noon_asymmetric"),
                        default="noon_symmetric")
     qfunc.add_argument("--points", type=int, default=21)
@@ -255,7 +256,8 @@ def _sweep(args) -> int:
 
 def _qfunc(args) -> int:
     spec = NoonSpec(args.n)
-    params = channel.AmplifierParams(g_squared=args.g2, mode_config=_FAMILY_MODES[args.family])
+    params = channel.AmplifierParams(g_squared=args.g2, eta=args.eta,
+                                     mode_config=_FAMILY_MODES[args.family])
     policy = channel.CutoffPolicy(tail_tol=args.tail_tol)
     state = channel.amplify_noon(spec, params, channel.select_cutoffs(spec, params, policy))
     grid = husimi.default_grid_for_state(state, extent=args.extent, points=args.points)

@@ -68,13 +68,16 @@ class TwoModeState:
     everything that reads only the nonzeros uses ``csr``.
 
     Construction checks the stored entries: Hermiticity, a non-negative
-    diagonal and a trace of at most 1.  ``trace_deficit`` records
+    diagonal and a trace of at most 1.  The Hermiticity error found there is
+    kept, so ``hermiticity_error`` (and the negativity's check) never scans
+    the entries again; a state built with ``validate=False`` computes it at
+    the first call instead.  ``trace_deficit`` records
     1 - Tr(rho): states built by truncating an infinite sum are never
     renormalized, the missing tail is carried explicitly so downstream
     tolerances can budget for it.
     """
 
-    __slots__ = ("cutoffs", "csr", "trace_deficit")
+    __slots__ = ("cutoffs", "csr", "trace_deficit", "_hermiticity_error")
 
     def __init__(self, cutoffs: ModeCutoffs, matrix, validate: bool = True,
                  atol: float | None = None):
@@ -98,6 +101,7 @@ class TwoModeState:
         csr = csr.astype(np.complex128 if np.iscomplexobj(csr.data) else np.float64,
                          copy=False)
         trace = _trace(csr)
+        herm_err = None
         if validate:
             herm_err = _hermiticity_error(csr)
             if herm_err > atol:
@@ -114,6 +118,7 @@ class TwoModeState:
         object.__setattr__(self, "cutoffs", cutoffs)
         object.__setattr__(self, "csr", csr)
         object.__setattr__(self, "trace_deficit", max(0.0, 1.0 - trace))
+        object.__setattr__(self, "_hermiticity_error", herm_err)
 
     @classmethod
     def from_entries(cls, cutoffs: ModeCutoffs, rows, cols, values,
@@ -151,7 +156,9 @@ class TwoModeState:
 
     def hermiticity_error(self) -> float:
         """max |M - M^dag| over the stored entries."""
-        return _hermiticity_error(self.csr)
+        if self._hermiticity_error is None:
+            object.__setattr__(self, "_hermiticity_error", _hermiticity_error(self.csr))
+        return self._hermiticity_error
 
 
 def _trace(csr) -> float:

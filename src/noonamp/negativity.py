@@ -2,9 +2,11 @@
 
 Two routes to the same number.  The block route remaps the state's stored
 entries to partial-transpose coordinates, finds the connected components
-of that coupling graph with ``scipy.sparse.csgraph`` and diagonalizes each
-one, whatever its size.  For amplified NOON states the components are
-short chains (both modes amplified) or 2x2 blocks (one mode amplified).
+of that coupling graph with ``scipy.sparse.csgraph`` and diagonalizes every
+one, whatever its size, in batches: the components of one size are
+stacked and solved by a single ``np.linalg.eigvalsh`` call.  For amplified
+NOON states the components are short chains (both modes amplified) or 2x2
+blocks (one mode amplified), thousands of components in a few sizes.
 
 The dense route is the oracle the block route must match.  It hands the
 partial transpose to ``fock.hermitian_eigvalsh``, which solves it one
@@ -63,6 +65,16 @@ def _neg_sum(eigs: np.ndarray) -> float:
     return float(-neg.sum()) if neg.size else 0.0
 
 
+def _neg_sums(eigs: np.ndarray) -> np.ndarray:
+    """``_neg_sum`` of each row of ascending spectra, bit for bit."""
+    # one negative is exact as it stands; the rows with more (the negatives
+    # lead each row) are summed as _neg_sum sums them
+    sums = np.where(eigs[:, 0] < -config.EIG_NEG_CLAMP, -eigs[:, 0], 0.0)
+    for r in np.flatnonzero(eigs[:, 1:2] < -config.EIG_NEG_CLAMP):
+        sums[r] = _neg_sum(eigs[r])
+    return sums
+
+
 def _check_hermitian(state: TwoModeState):
     err = state.hermiticity_error()
     if err > config.ATOL_STRUCTURAL:
@@ -87,9 +99,14 @@ def log_negativity_block(state: TwoModeState) -> NegativityResult:
     """Partial-transpose spectrum via its coupling-graph components.
 
     The partial transpose is never materialized: the stored entries of the
-    state are remapped to PT coordinates, the connected components of the
-    off-diagonal couplings are found with scipy's csgraph, and each
-    component is diagonalized on its own, in order of its smallest PT index.
+    state are remapped to PT coordinates and the connected components of the
+    off-diagonal couplings are found with scipy's csgraph.  The components
+    of each size are scattered into one (count, size, size) stack and
+    solved by one ``np.linalg.eigvalsh`` call, which runs the same LAPACK
+    routine on each matrix as a solve of that matrix alone; a 1x1 component
+    is its diagonal entry.  Each component's negative sum is then added up
+    in order of its smallest PT index, so the result is bit for bit that of
+    one eigensolve per component.  A stack holds at most d x size entries.
     A component larger than ``config.FULL_SOLVE_MAX_DIMENSION`` is refused
     with ValueError before any block is allocated.
     """
@@ -107,7 +124,9 @@ def log_negativity_block(state: TwoModeState) -> NegativityResult:
                              shape=(d, d))
     _, labels = connected_components(graph, directed=False)
 
-    occupied = np.unique(np.concatenate([pt_i, pt_j]))  # PT rows with a stored entry
+    occupied = np.zeros(d, dtype=bool)
+    occupied[pt_i] = occupied[pt_j] = True
+    occupied = np.flatnonzero(occupied)  # PT rows with a stored entry, ascending
     # number the components in order of their smallest member
     _, first, comp = np.unique(labels[occupied], return_index=True, return_inverse=True)
     comp = np.argsort(np.argsort(first))[comp]
@@ -124,26 +143,34 @@ def log_negativity_block(state: TwoModeState) -> NegativityResult:
     local[members] = np.arange(members.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
     node_comp = np.empty(d, dtype=np.int64)
     node_comp[occupied] = comp
-    order = np.argsort(node_comp[pt_i], kind="stable")
-    bounds = np.searchsorted(node_comp[pt_i][order], np.arange(sizes.size + 1))
-    loc_i, loc_j, vals = local[pt_i][order], local[pt_j][order], coo.data[order]
+
+    # the components of one size form one batch, stacked in component order:
+    # a component's slot is its rank among the components of its size
+    by_size = np.argsort(sizes, kind="stable")
+    batch_sizes, starts, counts = np.unique(sizes[by_size], return_index=True,
+                                            return_counts=True)
+    slot = np.empty(sizes.size, dtype=np.int64)
+    slot[by_size] = np.arange(sizes.size) - np.repeat(starts, counts)
+    entry_comp = node_comp[pt_i]
+    entry_sizes = sizes[entry_comp]
+    order = np.argsort(entry_sizes, kind="stable")
+    bounds = np.append(np.searchsorted(entry_sizes[order], batch_sizes), order.size)
 
     min_eig = 0.0 if occupied.size < d else np.inf  # empty rows contribute eigenvalue 0
-    neg_sum = 0.0
-    for k, size in enumerate(sizes):
-        lo, hi = bounds[k], bounds[k + 1]
+    comp_neg = np.zeros(sizes.size)  # each component's neg_sum, in component order
+    for k, (size, start, count) in enumerate(zip(batch_sizes.tolist(), starts, counts)):
+        e = order[bounds[k]:bounds[k + 1]]
+        stack = np.zeros((count, size, size), dtype=coo.data.dtype)
+        stack[slot[entry_comp[e]], local[pt_i[e]], local[pt_j[e]]] = coo.data[e]
         if size == 1:
-            val = float(vals[lo].real)  # PT leaves the diagonal in place
-            min_eig = min(min_eig, val)
-            if val < -config.EIG_NEG_CLAMP:
-                neg_sum += -val
-            continue
-        sub = np.zeros((size, size), dtype=vals.dtype)
-        sub[loc_i[lo:hi], loc_j[lo:hi]] = vals[lo:hi]
-        eigs = np.linalg.eigvalsh(sub)
-        min_eig = min(min_eig, float(eigs[0]))
-        neg_sum += _neg_sum(eigs)
+            eigs = stack[:, :, 0].real  # PT leaves the diagonal in place
+        else:
+            eigs = np.linalg.eigvalsh(stack)
+        min_eig = min(min_eig, float(eigs[:, 0].min()))
+        comp_neg[by_size[start:start + count]] = _neg_sums(eigs)
 
+    # added in component order, as one solve per component adds them
+    neg_sum = float(np.cumsum(comp_neg)[-1]) if comp_neg.size else 0.0
     if not np.isfinite(min_eig):
         min_eig = 0.0
     return _result(float(min_eig), neg_sum, "block", int(sizes.size))

@@ -17,7 +17,7 @@ from noonamp import (AmplifierParams, CutoffPolicy, MODE_ASYMMETRIC_A, MODE_SYMM
                      ModeCutoffs, NoonSpec, SqueezingSpec, amplify_noon, amplify_state,
                      checks, photon_add_both, photon_added_tmsv_negativity_sweep,
                      select_cutoffs, threshold_symmetric, tmsv_fock)
-from noonamp.cli import SweepConfig, run_sweep
+from noonamp.cli import SweepConfig, rows_to_csv, run_sweep
 from noonamp.negativity import log_negativity_block
 
 GOLDEN_PATH = Path(__file__).resolve().parent.parent / "data" / "golden_sweep.csv"
@@ -111,6 +111,12 @@ def test_criterion_8c_golden_regression(default_sweep_rows):
             worst = max(worst, abs(float(want[col]) - got[col]))
     report("8c golden regression", worst <= 1e-9,
            f"max drift from committed sweep {worst:.3e}")
+
+
+def test_golden_sweep_bytes(default_sweep_rows):
+    """The sweep reproduces the committed file byte for byte, as
+    scripts/make_golden.py writes it."""
+    assert rows_to_csv(default_sweep_rows) == GOLDEN_PATH.read_text()
 
 
 def test_criterion_9_photon_added_comparison():

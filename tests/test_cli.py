@@ -10,11 +10,11 @@ import numpy as np
 import pytest
 
 import noonamp
-from noonamp import channel, negativity
+from noonamp import channel, husimi, negativity
 from noonamp.channel import CutoffPolicy
 from noonamp.cli import (SweepConfig, build_parser, g2_values, main, rows_to_csv,
                          run_sweep, run_verify)
-from noonamp.fock import ModeCutoffs, TwoModeState
+from noonamp.fock import ModeCutoffs, NoonSpec, TwoModeState
 
 
 def small_cfg(**kw):
@@ -172,6 +172,7 @@ def test_cli_configuration_errors():
     ["sweep", "--family", "noon_symmetric", "--n", "2", "--jobs", "2"],
     ["qfunc", "--points", "0"],
     ["qfunc", "--g2", "0.5"],
+    ["qfunc", "--eta", "-1"],
     # unwritable --out: a missing directory, or a directory itself
     ["sweep", "--family", "noon_symmetric", "--n", "2", "--g2", "1.0:1.1:0.1",
      "--out", "{tmp}/missing/x.csv"],
@@ -185,7 +186,7 @@ def test_cli_misuse_exits_2(argv, tmp_path, capsys):
     extra = ["--out", str(out)] if argv[0] == "qfunc" and "--out" not in argv else []
     assert main(argv + extra) == 2
     err = capsys.readouterr().err
-    assert err.startswith("configuration error: ")
+    assert err.startswith("configuration error: ") and err.count("\n") == 1
     assert "Traceback" not in err
     assert not out.exists()
 
@@ -242,6 +243,28 @@ def test_cli_qfunc(tmp_path):
     lines = out.read_text().strip().split("\n")
     assert lines[0] == "re_alpha,im_alpha,re_beta,im_beta,q_value"
     assert len(lines) == 1 + 16 * 16
+
+
+def test_cli_qfunc_eta(tmp_path):
+    """--eta sends the state through the exact channel; the default is the
+    ideal amplifier, byte for byte."""
+    argv = ["qfunc", "--n", "2", "--g2", "1.5", "--points", "4"]
+    outs = {eta: tmp_path / f"q_{eta}.csv" for eta in ("default", "0", "0.5")}
+    assert main(argv + ["--out", str(outs["default"])]) == 0
+    for eta in ("0", "0.5"):
+        assert main(argv + ["--eta", eta, "--out", str(outs[eta])]) == 0
+    q = np.loadtxt(outs["0.5"], delimiter=",", skiprows=1)
+    assert q.shape == (16 ** 2, 5)
+    assert np.all(np.isfinite(q[:, 4])) and np.all(q[:, 4] >= 0.0)
+    assert outs["default"].read_text() == outs["0"].read_text() != outs["0.5"].read_text()
+
+    spec, params = NoonSpec(2), channel.AmplifierParams(1.5)
+    state = channel.amplify_noon(spec, params,
+                                 channel.select_cutoffs(spec, params, CutoffPolicy()))
+    ideal = tmp_path / "ideal.csv"
+    husimi.write_qgrid_csv(
+        husimi.q_evaluate(state, husimi.default_grid_for_state(state, points=4)), ideal)
+    assert outs["default"].read_text() == ideal.read_text()
 
 
 VERIFY_CHECKS = ("unit_gain_negativity", "vacuum_thermal", "oracle_symmetric",

@@ -5,9 +5,10 @@ import pytest
 from scipy import sparse
 
 from noonamp import (ModeCutoffs, NoonSpec, TwoModeState, build_noon,
-                     config, log_negativity_dense, partial_transpose_b, product_state,
+                     config, fock, log_negativity_dense, partial_transpose_b, product_state,
                      trace_and_purity, trace_distance)
 from noonamp.fock import hermitian_eigvalsh
+from noonamp.negativity import log_negativity_block
 
 TOL = 1e-12
 
@@ -151,6 +152,37 @@ def test_state_immutable():
         state.trace_deficit = 0.5
     with pytest.raises(ValueError):
         state.matrix[0, 0] = 1.0
+
+
+def test_hermiticity_scanned_once_per_state(monkeypatch):
+    """A validated state keeps the error found at construction; an
+    unvalidated one scans its entries at the first read only."""
+    scans = []
+    scan = fock._hermiticity_error
+
+    def counted(csr):
+        scans.append(csr.nnz)
+        return scan(csr)
+
+    monkeypatch.setattr(fock, "_hermiticity_error", counted)
+    rng = np.random.default_rng(2)
+    rho = random_density(6, rng)
+    state = TwoModeState(ModeCutoffs(2, 3), rho)
+    assert len(scans) == 1
+    for _ in range(2):
+        log_negativity_block(state)
+        log_negativity_dense(state)
+    assert state.hermiticity_error() == scan(state.csr) and len(scans) == 1
+
+    skew = rho.copy()
+    skew[0, 1] += 1e-6
+    lazy = TwoModeState(ModeCutoffs(2, 3), skew, validate=False)
+    assert len(scans) == 1
+    assert lazy.hermiticity_error() == pytest.approx(1e-6, rel=1e-6)
+    assert lazy.hermiticity_error() == pytest.approx(1e-6, rel=1e-6) and len(scans) == 2
+    with pytest.raises(ValueError, match="Hermitian"):
+        log_negativity_block(lazy)
+    assert len(scans) == 2
 
 
 def test_trace_distance():

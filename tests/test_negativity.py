@@ -10,7 +10,8 @@ from noonamp import (AmplifierParams, CutoffPolicy, MODE_ASYMMETRIC_A, MODE_SYMM
                      amplify_noon_asymmetric, amplify_noon_symmetric, build_noon,
                      select_cutoffs)
 from noonamp import config
-from noonamp.fock import partial_transpose_b, product_state
+from noonamp.cli import SweepConfig, g2_values
+from noonamp.fock import partial_transpose_b, product_state, pt_coordinates
 from noonamp.negativity import log_negativity_block, log_negativity_dense
 
 from helpers import dense_tensor
@@ -151,9 +152,13 @@ def test_block_fallback_on_dense_state():
     state = TwoModeState(ModeCutoffs(24, 25), rho)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        res = log_negativity_block(state)
+        res = _assert_matches_reference(state)
     assert res.method == "block"
     assert res.block_count == 1
+    # complex, with more negative eigenvalues than numpy sums one by one
+    assert state.csr.dtype == np.complex128
+    assert np.count_nonzero(np.linalg.eigvalsh(partial_transpose_b(state).matrix)
+                            < -config.EIG_NEG_CLAMP) > 8
     dense = log_negativity_dense(state)
     assert abs(res.log_negativity - dense.log_negativity) <= 1e-12
 
@@ -221,3 +226,136 @@ def test_zero_matrix_state():
     assert res.log_negativity == 0.0
     assert res.block_count == 0
     assert res.min_eigenvalue == 0.0
+
+
+def _per_component_reference(state):
+    """(neg_sum, min_eigenvalue, block_count) of the partial transpose, one
+    eigensolve per coupling component in order of its smallest PT index."""
+    from scipy import sparse
+    from scipy.sparse.csgraph import connected_components
+
+    d = state.dimension
+    coo = state.csr.tocoo()
+    pt_i, pt_j = pt_coordinates(coo.row, coo.col, state.cutoffs.cutoff_b)
+    graph = sparse.coo_array((np.ones(pt_i.size, dtype=np.int8), (pt_i, pt_j)),
+                             shape=(d, d))
+    _, labels = connected_components(graph, directed=False)
+    occupied = np.unique(np.concatenate([pt_i, pt_j]))
+    _, first, comp = np.unique(labels[occupied], return_index=True, return_inverse=True)
+    comp = np.argsort(np.argsort(first))[comp]
+    sizes = np.bincount(comp)
+    members = occupied[np.argsort(comp, kind="stable")]
+    local = np.empty(d, dtype=np.int64)
+    local[members] = np.arange(members.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    node_comp = np.empty(d, dtype=np.int64)
+    node_comp[occupied] = comp
+    order = np.argsort(node_comp[pt_i], kind="stable")
+    bounds = np.searchsorted(node_comp[pt_i][order], np.arange(sizes.size + 1))
+    loc_i, loc_j, vals = local[pt_i][order], local[pt_j][order], coo.data[order]
+
+    min_eig = 0.0 if occupied.size < d else np.inf
+    neg_sum = 0.0
+    for k, size in enumerate(sizes):
+        lo, hi = bounds[k], bounds[k + 1]
+        if size == 1:
+            val = float(vals[lo].real)
+            min_eig = min(min_eig, val)
+            if val < -config.EIG_NEG_CLAMP:
+                neg_sum += -val
+            continue
+        sub = np.zeros((size, size), dtype=vals.dtype)
+        sub[loc_i[lo:hi], loc_j[lo:hi]] = vals[lo:hi]
+        eigs = np.linalg.eigvalsh(sub)
+        min_eig = min(min_eig, float(eigs[0]))
+        neg = eigs[eigs < -config.EIG_NEG_CLAMP]
+        neg_sum += float(-neg.sum()) if neg.size else 0.0
+    if not np.isfinite(min_eig):
+        min_eig = 0.0
+    return neg_sum, float(min_eig), int(sizes.size)
+
+
+def _assert_matches_reference(state):
+    res = log_negativity_block(state)
+    assert (res.neg_sum, res.min_eigenvalue, res.block_count) == \
+        _per_component_reference(state)
+    return res
+
+
+@pytest.mark.parametrize("mode", [MODE_SYMMETRIC, MODE_ASYMMETRIC_A])
+def test_block_matches_per_component_reference_on_golden_grid(mode):
+    """Bit-for-bit agreement with one eigensolve per component at every
+    (N, G^2) point of the golden sweep."""
+    grid = g2_values(SweepConfig(family="noon_symmetric", n_values=(2,)))
+    assert len(grid) == 41
+    for n_ph in (2, 4, 6):
+        spec = NoonSpec(n_ph)
+        for g2 in grid:
+            params = AmplifierParams(g2, mode_config=mode)
+            _assert_matches_reference(
+                amplify_noon(spec, params, select_cutoffs(spec, params, CutoffPolicy())))
+
+
+def _pt_state(cutoffs, blocks, diagonal, dtype=float):
+    """The state whose partial transpose holds ``diagonal`` on its diagonal
+    and, for each (members, values) in ``blocks``, the Hermitian couplings
+    values[k] between members[k] and members[k + 1 :]."""
+    d = cutoffs.dimension
+    pt = np.diag(np.asarray(diagonal, dtype=dtype))
+    for members, values in blocks:
+        values = iter(values)
+        for k, i in enumerate(members):
+            for j in members[k + 1:]:
+                pt[i, j] = next(values)
+                pt[j, i] = np.conj(pt[i, j])
+    assert pt.shape == (d, d)
+    return partial_transpose_b(TwoModeState(cutoffs, pt, validate=False))
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_block_matches_reference_with_interleaved_sizes(dtype):
+    """Components of equal size that are not adjacent in component order,
+    with one, two and no negative eigenvalues among them."""
+    c = ModeCutoffs(4, 4)
+    rng = np.random.default_rng(5)
+    diagonal = rng.uniform(0.0, 0.05, size=c.dimension)
+    phase = np.exp(0.3j) if dtype is complex else 1.0
+    # component order (smallest member first): sizes 2, 3, 2, 1, 3, 2, 1, 1, 1
+    blocks = [([0, 1], [0.04 * phase]),
+              ([2, 5, 9], [0.1, 0.1 * phase, 0.1]),      # two negative eigenvalues
+              ([3, 4], [0.001]),                          # none
+              ([7, 8, 10], [-0.05 * phase, 0.0, 0.02]),   # a chain
+              ([11, 14], [0.06])]
+    state = _pt_state(c, blocks, diagonal, dtype)
+    assert state.csr.dtype == np.dtype(dtype)
+    res = _assert_matches_reference(state)
+    assert res.block_count == 9 and res.neg_sum > 0.0
+    assert abs(res.log_negativity - log_negativity_dense(state).log_negativity) <= 1e-12
+
+
+def test_block_matches_reference_with_negative_diagonal_components():
+    """1x1 components with negative diagonal entries (an unvalidated state)
+    between coupled components; basis state 5 has no stored entry."""
+    c = ModeCutoffs(3, 3)
+    diagonal = [0.2, -3e-3, 0.1, -5e-13, 0.05, 0.0, -2e-12, 0.1, 0.1]
+    state = _pt_state(c, [([0, 2], [0.3]), ([4, 7, 8], [0.2, 0.0, 0.2])], diagonal)
+    res = _assert_matches_reference(state)
+    assert res.block_count == 5
+
+
+def test_block_solves_each_component_size_once(monkeypatch):
+    """One stacked eigensolve per distinct component size above 1."""
+    spec = NoonSpec(2)
+    params = AmplifierParams(2.0)
+    state = amplify_noon(spec, params, select_cutoffs(spec, params, CutoffPolicy()))
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def spy(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    res = log_negativity_block(state)
+    sizes = [shape[-1] for shape in calls]
+    assert len(sizes) == len(set(sizes)) and min(sizes) > 1
+    assert sum(shape[0] for shape in calls) < res.block_count
