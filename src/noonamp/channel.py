@@ -45,17 +45,19 @@ _MODE_CONFIGS = (MODE_SYMMETRIC, MODE_ASYMMETRIC_A)
 
 @dataclass(frozen=True)
 class AmplifierParams:
-    """Intensity gain g_squared = G^2 and bath parameter eta = N2/(N1-N2)."""
+    """The amplifier, as every layer takes it (closed forms, exact map, RK4
+    oracle, covariance channel): intensity gain g_squared = G^2, bath
+    parameter eta = N2/(N1-N2) and the modes the gain acts on."""
 
     g_squared: float
     eta: float = 0.0
     mode_config: str = MODE_SYMMETRIC
 
     def __post_init__(self):
-        if self.g_squared < 1.0:
-            raise ValueError("g_squared must be >= 1")
-        if self.eta < 0.0:
-            raise ValueError("eta must be >= 0")
+        if not (math.isfinite(self.g_squared) and self.g_squared >= 1.0):
+            raise ValueError("g_squared must be finite and >= 1")
+        if not (math.isfinite(self.eta) and self.eta >= 0.0):
+            raise ValueError("eta must be finite and >= 0")
         if self.mode_config not in _MODE_CONFIGS:
             raise ValueError(f"mode_config must be one of {_MODE_CONFIGS}")
 
@@ -69,7 +71,7 @@ class AmplifierParams:
 
     @property
     def amplified_modes(self) -> tuple[str, ...]:
-        """The modes the gain acts on, named as in ``lindblad.LindbladParams``."""
+        """The modes the gain acts on: ("a", "b") or ("a",)."""
         return ("a", "b") if self.mode_config == MODE_SYMMETRIC else ("a",)
 
 

@@ -47,12 +47,9 @@ def _amplified(n_photons: int, g_squared: float, mode: str, policy: channel.Cuto
 def oracle_distance(state: fock.TwoModeState, spec: fock.NoonSpec,
                     params: channel.AmplifierParams) -> float:
     """Trace distance from ``state`` to the NOON input integrated by the
-    master equation up to ``params.g_squared``, at the state's cutoffs, with
-    kappa N1 = 1 + eta and kappa N2 = eta."""
-    lparams = lindblad.LindbladParams(kappa_n1=1.0 + params.eta, kappa_n2=params.eta,
-                                      amplified_modes=params.amplified_modes)
-    evolved = lindblad.evolve(fock.build_noon(spec, state.cutoffs), lparams,
-                              lindblad.IntegratorConfig(target_g_squared=params.g_squared))
+    master equation (``lindblad.evolve``, same ``params``) at the state's
+    cutoffs."""
+    evolved = lindblad.evolve(fock.build_noon(spec, state.cutoffs), params)
     return fock.trace_distance(state, evolved)
 
 
@@ -65,13 +62,26 @@ def unit_gain_negativity(photon_numbers, policy, method="block") -> CheckResult:
 
 
 def vacuum_thermal(cutoff: int) -> CheckResult:
-    """Vacuum at gain 2 becomes the thermal law p_n = 2^-(n+1); side
-    condition: its mean is 1 within 1e-10."""
+    """Vacuum at gain 2 becomes the thermal law p_n = 2^-(n+1), both in
+    ``channel.amplified_vacuum``'s formula and through the channel: the
+    two-mode vacuum sent through ``channel.amplify_state`` has the thermal
+    product populations, with mode b left in vacuum when only mode a is
+    amplified.  Side condition: the formula's mean is 1 within 1e-10."""
     dist = channel.amplified_vacuum(2.0, cutoff)
     mean_err = abs(dist.mean - 1.0)
-    pop_err = float(np.abs(dist.probs - 0.5 ** (np.arange(cutoff) + 1)).max())
+    thermal = 0.5 ** (np.arange(cutoff) + 1)
+    formula_err = float(np.abs(dist.probs - thermal).max())
+    vacuum = fock.TwoModeState.from_entries(fock.ModeCutoffs(cutoff, cutoff), [0], [0], [1.0])
+    channel_err = 0.0
+    for mode, law_b in ((channel.MODE_SYMMETRIC, thermal),
+                        (channel.MODE_ASYMMETRIC_A, np.eye(cutoff)[0])):
+        params = channel.AmplifierParams(2.0, mode_config=mode)
+        pops = channel.amplify_state(vacuum, params).populations()
+        channel_err = max(channel_err, float(np.abs(pops - np.outer(thermal, law_b)).max()))
+    pop_err = max(formula_err, channel_err)
     return CheckResult(mean_err <= 1e-10 and pop_err <= 1e-12, pop_err, 1e-12,
-                       f"population err {pop_err:.3e}, mean err {mean_err:.3e}")
+                       f"population err {formula_err:.3e} (formula), {channel_err:.3e} "
+                       f"(channel), mean err {mean_err:.3e}")
 
 
 def closed_form_vs_oracle(modes, n_photons: int, g_squared: float, policy) -> CheckResult:
@@ -166,11 +176,11 @@ def gaussian_thresholds(symmetric_points, asymmetric_etas, open_ended_gains) -> 
                       - gaussian.threshold_symmetric(gaussian.SqueezingSpec(r), eta))
                   for r, eta in symmetric_points)
     spec = gaussian.SqueezingSpec(0.5)
-    asym_err = max(abs(gaussian.threshold_bisection(spec, eta, modes=("a",))
+    asym_err = max(abs(gaussian.threshold_bisection(spec, eta, channel.MODE_ASYMMETRIC_A)
                        - gaussian.threshold_asymmetric(eta)) for eta in asymmetric_etas)
     base = gaussian.tmsv_covariance(spec)
-    open_ended = min(gaussian.gaussian_log_negativity(
-        gaussian.amplify_covariance(base, g2, eta=0.0, modes=("a",)))
+    open_ended = min(gaussian.gaussian_log_negativity(gaussian.amplify_covariance(
+        base, channel.AmplifierParams(g2, mode_config=channel.MODE_ASYMMETRIC_A)))
         for g2 in open_ended_gains)
     worst = max(sym_err, asym_err)
     return CheckResult(worst <= 1e-6 and open_ended > 0.0, worst, 1e-6,

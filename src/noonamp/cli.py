@@ -53,6 +53,8 @@ class SweepConfig:
             raise ValueError(f"family must be one of {FAMILIES}")
         if self.family.startswith("noon") and not self.n_values:
             raise ValueError("NOON families need at least one N")
+        if not all(map(math.isfinite, (self.g2_start, self.g2_stop, self.g2_step))):
+            raise ValueError("g2 start, stop and step must be finite")
         if self.g2_start < 1.0:
             raise ValueError("g2 start must be >= 1")
         if self.g2_stop <= self.g2_start:
@@ -102,7 +104,8 @@ def run_sweep(cfg: SweepConfig) -> list[dict]:
         base = gaussian.tmsv_covariance(gaussian.SqueezingSpec(cfg.r))
         rows = [_row(cfg, g2, method="covariance",
                      log_negativity=gaussian.gaussian_log_negativity(
-                         gaussian.amplify_covariance(base, g2, eta=cfg.eta)))
+                         gaussian.amplify_covariance(
+                             base, channel.AmplifierParams(g2, eta=cfg.eta))))
                 for g2 in grid]
     else:  # photon_added_tmsv
         spec = gaussian.SqueezingSpec(cfg.r)

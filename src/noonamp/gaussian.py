@@ -5,7 +5,8 @@ p_b) with the vacuum normalized to the identity, so an amplified vacuum
 has diagonal 2 g2 - 1 and mean photon number g2 - 1 per mode.  Gaussian
 entanglement is quantified the same way as the Fock side: E_N =
 max(0, -log2 nu_minus) with nu_minus the smaller symplectic eigenvalue of
-the partially transposed covariance.
+the partially transposed covariance.  ``amplify_covariance`` takes the
+same ``channel.AmplifierParams`` as the Fock-side channel and its oracle.
 
 The squeezed vacuum loses all entanglement at a finite gain,
 
@@ -27,7 +28,7 @@ import math
 import numpy as np
 
 from . import config
-from .channel import AmplifierParams, amplify_state, photon_add_both
+from .channel import MODE_SYMMETRIC, AmplifierParams, amplify_state, photon_add_both
 from .fock import ModeCutoffs, TwoModeState
 from .negativity import log_negativity_dense
 
@@ -46,8 +47,8 @@ class SqueezingSpec:
     r: float
 
     def __post_init__(self):
-        if self.r < 0:
-            raise ValueError("r must be >= 0")
+        if not (math.isfinite(self.r) and self.r >= 0):
+            raise ValueError("r must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -78,21 +79,15 @@ def tmsv_covariance(spec: SqueezingSpec) -> CovarianceState:
     return CovarianceState(cov=cov)
 
 
-def amplify_covariance(state: CovarianceState, g_squared: float, eta: float = 0.0,
-                       modes: tuple[str, ...] = ("a", "b")) -> CovarianceState:
-    """Phase-insensitive gain on the chosen modes.
+def amplify_covariance(state: CovarianceState, params: AmplifierParams) -> CovarianceState:
+    """The amplifier ``params`` on a covariance matrix.
 
     Each amplified 2x2 block picks up g2 * sigma + (g2 - 1)(2 eta + 1) I;
     cross blocks scale by G per amplified side.
     """
-    if g_squared < 1.0:
-        raise ValueError("g_squared must be >= 1")
-    if eta < 0.0:
-        raise ValueError("eta must be >= 0")
-    if not set(modes) <= {"a", "b"}:
-        raise ValueError("modes must be a subset of {'a', 'b'}")
+    g_squared, modes = params.g_squared, params.amplified_modes
     g = math.sqrt(g_squared)
-    noise = (g_squared - 1.0) * (2.0 * eta + 1.0)
+    noise = (g_squared - 1.0) * (2.0 * params.eta + 1.0)
     scale = np.ones(4)
     added = np.zeros(4)
     if "a" in modes:
@@ -124,25 +119,29 @@ def gaussian_log_negativity(state: CovarianceState) -> float:
     return -math.log2(nu)
 
 
+def _require_eta(eta: float):
+    if not (math.isfinite(eta) and eta >= 0.0):
+        raise ValueError("eta must be finite and >= 0")
+
+
 def threshold_symmetric(spec: SqueezingSpec, eta: float) -> float:
     """Gain killing the squeezed vacuum's entanglement when both modes amplify."""
-    if eta < 0.0:
-        raise ValueError("eta must be >= 0")
+    _require_eta(eta)
     return (2.0 + 2.0 * eta) / (1.0 + 2.0 * eta + math.exp(-2.0 * spec.r))
 
 
 def threshold_asymmetric(eta: float) -> float:
     """One-sided threshold 1 + 1/eta; unbounded at eta = 0."""
-    if eta < 0.0:
-        raise ValueError("eta must be >= 0")
+    _require_eta(eta)
     if eta == 0.0:
         return math.inf
     return 1.0 + 1.0 / eta
 
 
 def threshold_bisection(spec: SqueezingSpec, eta: float,
-                        modes: tuple[str, ...] = ("a", "b")) -> float:
-    """Zero crossing of nu_minus(g2) - 1 along the gain axis, bracketed from
+                        mode_config: str = MODE_SYMMETRIC) -> float:
+    """Zero crossing of nu_minus(g2) - 1 along the gain axis of the amplifier
+    with bath parameter ``eta`` on ``mode_config``'s modes, bracketed from
     G^2 = 2 upward by doubling and bisected to a width of 1e-10.
 
     Independent of the closed-form thresholds: pure covariance sweep.
@@ -150,7 +149,8 @@ def threshold_bisection(spec: SqueezingSpec, eta: float,
     base = tmsv_covariance(spec)
 
     def f(g2: float) -> float:
-        return _nu_minus(amplify_covariance(base, g2, eta=eta, modes=modes)) - 1.0
+        params = AmplifierParams(g2, eta=eta, mode_config=mode_config)
+        return _nu_minus(amplify_covariance(base, params)) - 1.0
 
     lo = 1.0
     if f(lo) >= 0.0:

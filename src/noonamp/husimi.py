@@ -39,6 +39,8 @@ class QGrid:
 def square_mesh(extent: float, points: int) -> tuple[np.ndarray, float]:
     """Complex samples on a uniform (points x points) mesh over
     [-extent, extent]^2; returns (samples, spacing)."""
+    if not math.isfinite(extent):
+        raise ValueError("extent must be finite")
     if points < 1:
         raise ValueError("points must be >= 1")
     axis = np.linspace(-extent, extent, points)
@@ -226,7 +228,7 @@ def check_zero_locus(spec, g_squared: float, zero_candidates) -> bool:
     need_b = int(4.0 * float(np.max(np.abs(betas) ** 2, initial=0.0)) * perturb**2) + 1
     if cutoffs.cutoff_a < need_a or cutoffs.cutoff_b < need_b:
         cutoffs = ModeCutoffs(max(cutoffs.cutoff_a, need_a), max(cutoffs.cutoff_b, need_b))
-    state = channel.amplify_noon_symmetric(spec, params, cutoffs)
+    state = channel.amplify_noon(spec, params, cutoffs)
 
     reference = q_evaluate(state, default_grid_for_state(state, points=11))
     q_max = float(reference.values.max())

@@ -17,135 +17,88 @@ of the equation, not an approximation: every stored entry comes out
 bit-for-bit as a full-tensor integration would give it.  A NOON input
 fills only 3 of the (2 cutoff_a - 1)(2 cutoff_b - 1) sectors.
 
-A classical fourth-order Runge-Kutta scheme with a fixed step keeps runs
-bit-for-bit reproducible; amplification pushes weight toward the cutoff,
-so the populations of the top two Fock levels of each amplified mode are
-checked every ten steps and the run aborts if they grow past the leak
-budget.
+A classical fourth-order Runge-Kutta scheme with a fixed step
+(``STEP_SIZE``) keeps runs bit-for-bit reproducible; amplification pushes
+weight toward the cutoff, so the populations of the top two Fock levels of
+each amplified mode are checked every ten steps and the run aborts if they
+grow past the leak budget.
 
 This module is the independent oracle for the physical model: the
 package's states come from the closed forms and from the exact Kraus map
 (``channel.amplify_state``), and ``evolve`` checks both by integrating the
-equation they solve, for any eta = N2/(N1-N2) >= 0 (kappa N1 = 1 + eta,
-kappa N2 = eta gives the channel of ``channel.AmplifierParams``).  No
-package pipeline integrates; ``evolve`` serves the ``noonamp.checks``
-oracle checks and ``sweep --oracle-check``.
+equation they solve.  It takes the same ``channel.AmplifierParams`` as the
+map and reads the rates from ``eta`` alone, kappa N1 = 1 + eta and
+kappa N2 = eta (so eta = N2/(N1-N2)), never from the map's
+``stage_gain``.  No package pipeline integrates; ``evolve`` serves the
+``noonamp.checks`` oracle checks and ``sweep --oracle-check``.
 """
 
-from dataclasses import dataclass
 import math
 
 import numpy as np
 
 from . import _kernels
+from .channel import AmplifierParams
 from .fock import ModeCutoffs, TwoModeState, from_sectors, to_sectors
+
+# fixed RK4 time step, in units of 1/kappa
+STEP_SIZE = 5e-4
 
 _LEAK_TOL = 1e-8
 _LEAK_CHECK_EVERY = 10
 
 
-@dataclass(frozen=True)
-class LindbladParams:
-    """Rates kappa_n1 = kappa*N1 (gain side) and kappa_n2 = kappa*N2 (loss side)."""
-
-    kappa_n1: float
-    kappa_n2: float = 0.0
-    amplified_modes: tuple[str, ...] = ("a", "b")
-
-    def __post_init__(self):
-        if self.kappa_n1 < 0 or self.kappa_n2 < 0:
-            raise ValueError("rates must be >= 0")
-        if not self.kappa_n1 > self.kappa_n2:
-            raise ValueError("amplification needs kappa_n1 > kappa_n2")
-        if not set(self.amplified_modes) <= {"a", "b"}:
-            raise ValueError("amplified_modes must be a subset of {'a', 'b'}")
-
-    @property
-    def rate(self) -> float:
-        return self.kappa_n1 - self.kappa_n2
-
-    @property
-    def eta(self) -> float:
-        return self.kappa_n2 / (self.kappa_n1 - self.kappa_n2)
-
-
-@dataclass(frozen=True)
-class IntegratorConfig:
-    """Fixed-step classical RK4 up to the time implied by target_g_squared."""
-
-    target_g_squared: float
-    step_size: float = 5e-4
-    max_steps: int = 2_000_000
-
-    def __post_init__(self):
-        if self.step_size <= 0:
-            raise ValueError("step_size must be > 0")
-        if self.max_steps < 1:
-            raise ValueError("max_steps must be >= 1")
-
-
-def gain_from_time(params: LindbladParams, t: float) -> float:
-    """Intensity gain G^2 = exp(2 (kappa_n1 - kappa_n2) t)."""
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    return math.exp(2.0 * params.rate * t)
-
-
-def _time_for_gain(params: LindbladParams, g_squared: float) -> float:
-    return math.log(g_squared) / (2.0 * params.rate)
-
-
-def _liouvillian(x, out, params: LindbladParams, ladder_a, ladder_b):
+def _liouvillian(x, out, modes, ladder_a, ladder_b):
     out[:] = 0.0
-    if "a" in params.amplified_modes:
+    if "a" in modes:
         _kernels.gen_mode_a(x, out, ladder_a)
-    if "b" in params.amplified_modes:
+    if "b" in modes:
         _kernels.gen_mode_b(x, out, ladder_b)
     return out
 
 
-def _check_leak(pops, params: LindbladParams, t: float):
+def _check_leak(pops, modes, t: float, rate: float):
     """Abort if an amplified mode's top two Fock levels hold more than _LEAK_TOL;
     ``pops`` is the (da, db) population array, or None if it is all zero."""
     if pops is None:
         return
     msgs = []
-    if "a" in params.amplified_modes and pops.shape[0] >= 2:
+    if "a" in modes and pops.shape[0] >= 2:
         leak = float(pops[-2:, :].sum())
         if leak > _LEAK_TOL:
             msgs.append(f"mode a top-two population {leak:.3e}")
-    if "b" in params.amplified_modes and pops.shape[1] >= 2:
+    if "b" in modes and pops.shape[1] >= 2:
         leak = float(pops[:, -2:].sum())
         if leak > _LEAK_TOL:
             msgs.append(f"mode b top-two population {leak:.3e}")
     if msgs:
         raise RuntimeError(
-            f"cutoff leakage at t={t:.6g} (G^2={gain_from_time(params, t):.6g}): "
+            f"cutoff leakage at t={t:.6g} (G^2={math.exp(2.0 * rate * t):.6g}): "
             + "; ".join(msgs) + f" exceeds {_LEAK_TOL:g}; raise the cutoffs"
         )
 
 
-def evolve(state: TwoModeState, params: LindbladParams,
-           config_: IntegratorConfig) -> TwoModeState:
-    """Integrate the master equation until the gain reaches target_g_squared."""
-    if config_.target_g_squared < 1.0:
-        raise ValueError("target_g_squared must be >= 1")
-    t_final = _time_for_gain(params, config_.target_g_squared)
+def evolve(state: TwoModeState, params: AmplifierParams) -> TwoModeState:
+    """Integrate the master equation on ``params.amplified_modes`` with
+    kappa N1 = 1 + eta and kappa N2 = eta, in steps of STEP_SIZE, until the
+    intensity gain exp(2 (kappa N1 - kappa N2) t) reaches params.g_squared."""
+    kappa_n1, kappa_n2 = 1.0 + params.eta, params.eta
+    rate = kappa_n1 - kappa_n2
+    t_final = math.log(params.g_squared) / (2.0 * rate)
     if t_final == 0.0:
         return state
 
-    h = config_.step_size
+    h = STEP_SIZE
     n_full = int(t_final / h)
     rem = t_final - n_full * h
     total_steps = n_full + (1 if rem > 1e-15 * max(t_final, 1.0) else 0)
-    if total_steps > config_.max_steps:
-        raise ValueError(f"{total_steps} steps exceed max_steps={config_.max_steps}")
 
+    modes = params.amplified_modes
     c = state.cutoffs
     k_a, k_b, rho = to_sectors(state)
     k1, k2, k3, k4, tmp = (np.empty_like(rho) for _ in range(5))
-    ladder_a = _kernels.ladder("a", k_a, c.cutoff_a, params.kappa_n1, params.kappa_n2)
-    ladder_b = _kernels.ladder("b", k_b, c.cutoff_b, params.kappa_n1, params.kappa_n2)
+    ladder_a = _kernels.ladder("a", k_a, c.cutoff_a, kappa_n1, kappa_n2)
+    ladder_b = _kernels.ladder("b", k_b, c.cutoff_b, kappa_n1, kappa_n2)
     # the (0, 0) sector holds the populations, rho[n, m, n, m] = x[s, n, m];
     # pops is a view, so it follows the in-place updates of rho
     middle = np.flatnonzero((k_a == 0) & (k_b == 0))
@@ -154,16 +107,16 @@ def evolve(state: TwoModeState, params: LindbladParams,
     t = 0.0
     for step in range(total_steps):
         dt = h if step < n_full else rem
-        _liouvillian(rho, k1, params, ladder_a, ladder_b)
+        _liouvillian(rho, k1, modes, ladder_a, ladder_b)
         np.multiply(k1, 0.5 * dt, out=tmp)
         tmp += rho
-        _liouvillian(tmp, k2, params, ladder_a, ladder_b)
+        _liouvillian(tmp, k2, modes, ladder_a, ladder_b)
         np.multiply(k2, 0.5 * dt, out=tmp)
         tmp += rho
-        _liouvillian(tmp, k3, params, ladder_a, ladder_b)
+        _liouvillian(tmp, k3, modes, ladder_a, ladder_b)
         np.multiply(k3, dt, out=tmp)
         tmp += rho
-        _liouvillian(tmp, k4, params, ladder_a, ladder_b)
+        _liouvillian(tmp, k4, modes, ladder_a, ladder_b)
         k1 += k4
         k2 += k3
         k1 += 2.0 * k2
@@ -176,7 +129,7 @@ def evolve(state: TwoModeState, params: LindbladParams,
         rho *= 0.5
         t += dt
         if (step + 1) % _LEAK_CHECK_EVERY == 0 or step == total_steps - 1:
-            _check_leak(pops, params, t)
+            _check_leak(pops, modes, t, rate)
 
     return from_sectors(c, k_a, k_b, rho, validate=True, atol=1e-10)
 

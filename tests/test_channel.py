@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from noonamp import (AmplifierParams, CutoffPolicy, IntegratorConfig, LindbladParams,
-                     MODE_ASYMMETRIC_A, MODE_SYMMETRIC, ModeCutoffs, NoonSpec,
+from noonamp import (AmplifierParams, CutoffPolicy, MODE_ASYMMETRIC_A, MODE_SYMMETRIC,
+                     ModeCutoffs, NoonSpec,
                      amplified_vacuum, amplify_noon, amplify_noon_asymmetric,
                      amplify_noon_symmetric, amplify_state, build_noon, checks, evolve,
                      photon_add_both, select_cutoffs, tmsv_fock)
@@ -48,6 +48,11 @@ def test_params_validation():
         AmplifierParams(g_squared=2.0, eta=-0.1)
     with pytest.raises(ValueError):
         AmplifierParams(g_squared=2.0, mode_config="sideways")
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="g_squared must be finite"):
+            AmplifierParams(g_squared=bad)
+        with pytest.raises(ValueError, match="eta must be finite"):
+            AmplifierParams(g_squared=2.0, eta=bad)
 
 
 def test_cutoff_policy_validation():
@@ -331,8 +336,7 @@ def _random_complex_state(da, db, seed):
 
 @pytest.mark.parametrize("make_state", [
     lambda: tmsv_fock(SqueezingSpec(0.5), ModeCutoffs(16, 16)),
-    lambda: evolve(tmsv_fock(SqueezingSpec(0.3), ModeCutoffs(16, 16)),
-                   LindbladParams(1.0), IntegratorConfig(target_g_squared=1.05)),
+    lambda: evolve(tmsv_fock(SqueezingSpec(0.3), ModeCutoffs(16, 16)), AmplifierParams(1.05)),
     lambda: TwoModeState(ModeCutoffs(20, 20), _thermal_two_mode(1.5, 20)),
     lambda: amplify_noon_asymmetric(NoonSpec(2), AmplifierParams(
         1.5, mode_config=MODE_ASYMMETRIC_A), ModeCutoffs(24, 3)),

@@ -41,6 +41,11 @@ def test_config_validation():
         small_cfg(g2_stop=0.9)
     with pytest.raises(ValueError):
         small_cfg(g2_step=-0.1)
+    for field in ("g2_start", "g2_stop", "g2_step"):
+        with pytest.raises(ValueError, match="finite"):
+            small_cfg(**{field: math.nan})
+    with pytest.raises(ValueError, match="finite"):
+        small_cfg(g2_stop=math.inf)
     with pytest.raises(ValueError):
         small_cfg(method="quick")
     with pytest.raises(ValueError):
@@ -173,6 +178,13 @@ def test_cli_configuration_errors():
     ["qfunc", "--points", "0"],
     ["qfunc", "--g2", "0.5"],
     ["qfunc", "--eta", "-1"],
+    # non-finite numbers, refused where they come in
+    ["sweep", "--family", "tmsv_gaussian", "--g2", "1:inf:0.1", "--out", "{tmp}/out.csv"],
+    ["sweep", "--family", "noon_symmetric", "--n", "2", "--eta", "inf",
+     "--out", "{tmp}/out.csv"],
+    ["thresholds", "--r", "nan"],
+    ["thresholds", "--r", "0.5", "--eta", "nan"],
+    ["qfunc", "--n", "2", "--extent", "nan"],
     # unwritable --out: a missing directory, or a directory itself
     ["sweep", "--family", "noon_symmetric", "--n", "2", "--g2", "1.0:1.1:0.1",
      "--out", "{tmp}/missing/x.csv"],

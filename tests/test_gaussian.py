@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from noonamp import (AmplifierParams, CovarianceState, ModeCutoffs, SqueezingSpec,
-                     amplify_covariance, amplify_state, checks, gaussian_log_negativity,
-                     photon_added_tmsv_negativity_sweep, threshold_asymmetric, threshold_bisection, threshold_symmetric,
+                     amplify_covariance, amplify_state, checks,
+                     gaussian_log_negativity, photon_added_tmsv_negativity_sweep,
+                     threshold_asymmetric, threshold_bisection, threshold_symmetric,
                      tmsv_covariance, tmsv_fock)
 from noonamp.gaussian import _nu_minus
 from noonamp.negativity import log_negativity_dense
@@ -32,6 +33,9 @@ def test_tmsv_covariance_values():
 def test_squeezing_spec_validation():
     with pytest.raises(ValueError):
         SqueezingSpec(-0.1)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            SqueezingSpec(bad)
 
 
 def test_covariance_state_validation():
@@ -47,25 +51,25 @@ def test_covariance_state_validation():
 
 def test_amplify_covariance_vacuum_thermal():
     vac = CovarianceState(np.eye(4))
-    out = amplify_covariance(vac, 2.0, eta=0.0)
+    out = amplify_covariance(vac, AmplifierParams(2.0, eta=0.0))
     assert np.abs(out.cov - 3.0 * np.eye(4)).max() <= 1e-12
     # mean photons (diag - 1)/2 = g2 - 1
     assert abs((out.cov[0, 0] - 1.0) / 2.0 - 1.0) <= 1e-12
     # with eta the added noise grows to (g2-1)(2 eta + 1)
-    noisy = amplify_covariance(vac, 2.0, eta=0.5)
+    noisy = amplify_covariance(vac, AmplifierParams(2.0, eta=0.5))
     assert np.abs(noisy.cov - 4.0 * np.eye(4)).max() <= 1e-12
 
 
 def test_amplify_covariance_identity_and_guards():
     state = tmsv_covariance(SqueezingSpec(0.3))
-    out = amplify_covariance(state, 1.0)
+    out = amplify_covariance(state, AmplifierParams(1.0))
     assert np.abs(out.cov - state.cov).max() <= 1e-14
     with pytest.raises(ValueError):
-        amplify_covariance(state, 0.8)
+        amplify_covariance(state, AmplifierParams(0.8))
     with pytest.raises(ValueError):
-        amplify_covariance(state, 2.0, eta=-0.1)
+        amplify_covariance(state, AmplifierParams(2.0, eta=-0.1))
     with pytest.raises(ValueError):
-        amplify_covariance(state, 2.0, modes=("q",))
+        amplify_covariance(state, AmplifierParams(2.0, mode_config="q"))
 
 
 def test_gaussian_log_negativity_values():
@@ -76,7 +80,7 @@ def test_gaussian_log_negativity_values():
     # exactly at the closed-form threshold the negativity closes
     spec = SqueezingSpec(0.5)
     g2 = threshold_symmetric(spec, 0.0)
-    at = amplify_covariance(tmsv_covariance(spec), g2)
+    at = amplify_covariance(tmsv_covariance(spec), AmplifierParams(g2))
     assert gaussian_log_negativity(at) <= 1e-6
 
 
@@ -92,6 +96,13 @@ def test_threshold_formulas():
         threshold_asymmetric(-0.2)
     with pytest.raises(ValueError):
         threshold_symmetric(SqueezingSpec(0.5), -1.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            threshold_asymmetric(bad)
+        with pytest.raises(ValueError, match="finite"):
+            threshold_symmetric(SqueezingSpec(0.5), bad)
+        with pytest.raises(ValueError, match="finite"):
+            threshold_bisection(SqueezingSpec(0.5), bad)
 
 
 def test_bisection_matches_closed_forms():
@@ -105,7 +116,8 @@ def test_gaussian_negativity_monotone_then_zero():
     spec = SqueezingSpec(0.5)
     thr = threshold_symmetric(spec, 0.0)
     grid = np.linspace(1.0, thr + 0.4, 25)
-    values = [gaussian_log_negativity(amplify_covariance(tmsv_covariance(spec), g2))
+    values = [gaussian_log_negativity(amplify_covariance(tmsv_covariance(spec),
+                                                         AmplifierParams(g2)))
               for g2 in grid]
     crossed = False
     for g2, prev, cur in zip(grid[1:], values, values[1:]):
@@ -157,11 +169,10 @@ def test_noon_outlives_matched_squeezed_vacuum():
     spec = SqueezingSpec(r)
     assert abs(gaussian_log_negativity(tmsv_covariance(spec)) - 1.0) <= 1e-12
     g_kill = threshold_symmetric(spec, 0.0)
-    at_kill = amplify_covariance(tmsv_covariance(spec), g_kill)
+    at_kill = amplify_covariance(tmsv_covariance(spec), AmplifierParams(g_kill))
     assert gaussian_log_negativity(at_kill) <= 1e-9
 
-    from noonamp import (AmplifierParams, CutoffPolicy, NoonSpec,
-                         amplify_noon_symmetric, select_cutoffs)
+    from noonamp import CutoffPolicy, NoonSpec, amplify_noon_symmetric, select_cutoffs
     params = AmplifierParams(g_kill)
     cut = select_cutoffs(NoonSpec(2), params, CutoffPolicy())
     noon_en = log_negativity_dense(
@@ -180,7 +191,7 @@ def test_cross_formalism_agreement():
         state = amplify_state(squeezed, AmplifierParams(g2, eta=eta))
         fock_en = log_negativity_dense(state).log_negativity
         cov_en = gaussian_log_negativity(
-            amplify_covariance(tmsv_covariance(spec), g2, eta=eta))
+            amplify_covariance(tmsv_covariance(spec), AmplifierParams(g2, eta=eta)))
         assert abs(fock_en - cov_en) <= 1e-10
 
 

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from noonamp import (AmplifierParams, CutoffPolicy, IntegratorConfig, LindbladParams,
-                     MODE_ASYMMETRIC_A, MODE_SYMMETRIC, ModeCutoffs, NoonSpec, QGrid,
+from noonamp import (AmplifierParams, CutoffPolicy, MODE_ASYMMETRIC_A, MODE_SYMMETRIC,
+                     ModeCutoffs, NoonSpec, QGrid,
                      amplify_noon, amplify_noon_symmetric, build_noon, check_scaling_law,
                      check_zero_locus, checks, default_grid_for_state, evolve,
                      noon_zero_candidates, photon_add_both, q_evaluate, q_pairs,
@@ -125,7 +125,7 @@ def _random_complex_state(da, db, seed):
     lambda: _auto_noon(4, 2.0, MODE_ASYMMETRIC_A),
     lambda: _random_complex_state(7, 5, seed=11),
     lambda: evolve(photon_add_both(tmsv_fock(SqueezingSpec(0.3), ModeCutoffs(16, 16))),
-                   LindbladParams(1.0), IntegratorConfig(target_g_squared=1.05)),
+                   AmplifierParams(1.05)),
     lambda: vacuum_state(5, 3),
 ], ids=["symmetric_noon", "asymmetric_noon", "random_complex",
         "evolved_photon_added", "vacuum"])
@@ -233,6 +233,11 @@ def test_default_grid_for_state_shrinks():
     assert np.max(np.abs(grid.alpha_samples) ** 2) <= 8 / 4.0 + 1e-12
     assert np.max(np.abs(grid.beta_samples) ** 2) <= 32 / 4.0 + 1e-12
     q_evaluate(state, grid)  # guard holds by construction
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="extent must be finite"):
+            square_mesh(bad, 5)
+    with pytest.raises(ValueError, match="extent must be finite"):
+        default_grid_for_state(state, extent=math.nan, points=5)
 
 
 def test_qgrid_csv_dump(tmp_path):

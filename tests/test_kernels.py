@@ -4,9 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from noonamp import (IntegratorConfig, LindbladParams, ModeCutoffs, NoonSpec, SqueezingSpec,
+from noonamp import (AmplifierParams, MODE_ASYMMETRIC_A, ModeCutoffs, NoonSpec, SqueezingSpec,
                      TwoModeState, build_noon, evolve, photon_add_both, tmsv_fock)
-from noonamp import _kernels
+from noonamp import _kernels, lindblad
 from noonamp.fock import from_sectors, to_sectors
 
 from helpers import dense_tensor
@@ -118,9 +118,10 @@ def full_gen_mode_b(rho, out, kn1, kn2, sq):
     return out
 
 
-def full_tensor_evolve(state, params, cfg):
-    t_final = math.log(cfg.target_g_squared) / (2.0 * params.rate)
-    h = cfg.step_size
+def full_tensor_evolve(state, params):
+    kn1, kn2 = 1.0 + params.eta, params.eta
+    t_final = math.log(params.g_squared) / (2.0 * (kn1 - kn2))
+    h = lindblad.STEP_SIZE
     n_full = int(t_final / h)
     rem = t_final - n_full * h
     total_steps = n_full + (1 if rem > 1e-15 * max(t_final, 1.0) else 0)
@@ -133,9 +134,9 @@ def full_tensor_evolve(state, params, cfg):
     def generator(x, out):
         out[:] = 0.0
         if "a" in params.amplified_modes:
-            full_gen_mode_a(x, out, params.kappa_n1, params.kappa_n2, sq_a)
+            full_gen_mode_a(x, out, kn1, kn2, sq_a)
         if "b" in params.amplified_modes:
-            full_gen_mode_b(x, out, params.kappa_n1, params.kappa_n2, sq_b)
+            full_gen_mode_b(x, out, kn1, kn2, sq_b)
 
     for step in range(total_steps):
         dt = h if step < n_full else rem
@@ -168,31 +169,29 @@ def phased_noon(n, phase, cutoffs):
                                      [0.5, coh, coh.conjugate(), 0.5])
 
 
-BOTH = ("a", "b")
 EVOLVE_CASES = {
     "noon2_symmetric": (lambda: build_noon(NoonSpec(2), ModeCutoffs(10, 10)),
-                        LindbladParams(1.0, amplified_modes=BOTH), 1.03),
+                        AmplifierParams(1.03)),
     "noon4_asymmetric": (lambda: build_noon(NoonSpec(4), ModeCutoffs(22, 6)),
-                         LindbladParams(1.0, amplified_modes=("a",)), 1.15),
+                         AmplifierParams(1.15, mode_config=MODE_ASYMMETRIC_A)),
     "photon_added_tmsv": (lambda: photon_add_both(tmsv_fock(SqueezingSpec(0.3),
                                                             ModeCutoffs(16, 16))),
-                          LindbladParams(1.0, amplified_modes=BOTH), 1.1),
+                          AmplifierParams(1.1)),
     "noon1_eta": (lambda: build_noon(NoonSpec(1), ModeCutoffs(12, 12)),
-                  LindbladParams(1.5, 0.5, amplified_modes=BOTH), 1.05),
+                  AmplifierParams(1.05, eta=0.5)),
     "noon2_complex_phase": (lambda: phased_noon(2, 0.7, ModeCutoffs(10, 10)),
-                            LindbladParams(1.0, amplified_modes=BOTH), 1.03),
+                            AmplifierParams(1.03)),
     "no_entries": (lambda: TwoModeState(ModeCutoffs(5, 4), np.zeros((20, 20))),
-                   LindbladParams(1.0, amplified_modes=BOTH), 1.2),
+                   AmplifierParams(1.2)),
 }
 
 
 @pytest.mark.parametrize("case", list(EVOLVE_CASES))
 def test_sector_evolution_matches_full_tensor(case):
-    make, params, g2 = EVOLVE_CASES[case]
+    make, params = EVOLVE_CASES[case]
     state = make()
-    cfg = IntegratorConfig(target_g_squared=g2)
-    got = evolve(state, params, cfg).csr
-    want = full_tensor_evolve(state, params, cfg).csr
+    got = evolve(state, params).csr
+    want = full_tensor_evolve(state, params).csr
     assert got.dtype == want.dtype == state.csr.dtype
     assert np.array_equal(got.indptr, want.indptr)
     assert np.array_equal(got.indices, want.indices)

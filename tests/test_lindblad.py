@@ -1,14 +1,13 @@
-import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from noonamp import (AmplifierParams, CutoffPolicy, IntegratorConfig, LindbladParams,
-                     MODE_SYMMETRIC, ModeCutoffs, NoonSpec, amplify_noon_symmetric,
-                     build_noon, check_scaling_law, evolve, gain_from_time, load_state_npz, save_state_csv, save_state_npz,
+from noonamp import (AmplifierParams, CutoffPolicy, MODE_ASYMMETRIC_A, MODE_SYMMETRIC,
+                     ModeCutoffs, NoonSpec, amplify_noon_symmetric, build_noon,
+                     check_scaling_law, evolve, load_state_npz, save_state_csv, save_state_npz,
                      select_cutoffs, square_mesh, trace_distance)
-from noonamp import config
+from noonamp import _kernels, config, lindblad
 from noonamp.fock import product_state
 from noonamp.husimi import QGrid
 
@@ -24,55 +23,40 @@ def vacuum_matrix(dim):
     return m
 
 
-def test_gain_from_time_examples():
-    p = LindbladParams(kappa_n1=1.0)
-    assert gain_from_time(p, 0.0) == 1.0
-    assert abs(gain_from_time(p, math.log(2.0) / 2.0) - 2.0) <= 1e-12
-    p2 = LindbladParams(kappa_n1=1.5, kappa_n2=0.5)
-    assert abs(gain_from_time(p2, 0.5) - math.e) <= 1e-12
-    with pytest.raises(ValueError):
-        gain_from_time(p, -0.1)
+def test_params_validation_and_eta(monkeypatch):
+    """evolve reads its rates from eta alone, kappa N1 = 1 + eta and
+    kappa N2 = eta, and never the exact map's stage gain."""
+    rates = []
+    ladder = _kernels.ladder
 
+    def recording_ladder(mode, k, dim, kn1, kn2):
+        rates.append((mode, kn1, kn2))
+        return ladder(mode, k, dim, kn1, kn2)
 
-def test_params_validation_and_eta():
-    with pytest.raises(ValueError):
-        LindbladParams(kappa_n1=1.0, kappa_n2=1.0)
-    with pytest.raises(ValueError):
-        LindbladParams(kappa_n1=-1.0)
-    with pytest.raises(ValueError):
-        LindbladParams(kappa_n1=1.0, amplified_modes=("c",))
-    p = LindbladParams(kappa_n1=1.5, kappa_n2=0.5)
-    assert abs(p.eta - 0.5) <= 1e-15
-    assert LindbladParams(kappa_n1=1.0).eta == 0.0
+    def no_stage_gain(self):
+        raise AssertionError("evolve read stage_gain")
+
+    monkeypatch.setattr(_kernels, "ladder", recording_ladder)
+    monkeypatch.setattr(AmplifierParams, "stage_gain", property(no_stage_gain))
+    evolve(build_noon(NoonSpec(1), ModeCutoffs(12, 12)), AmplifierParams(1.01, eta=0.5))
+    assert rates == [("a", 1.5, 0.5), ("b", 1.5, 0.5)]
 
 
 def test_unit_gain_is_identity():
     state = build_noon(NoonSpec(2), ModeCutoffs(5, 5))
-    out = evolve(state, LindbladParams(1.0), IntegratorConfig(target_g_squared=1.0))
+    out = evolve(state, AmplifierParams(1.0))
     assert out is state
 
 
 def test_target_below_one_rejected():
     state = build_noon(NoonSpec(1), ModeCutoffs(4, 4))
     with pytest.raises(ValueError):
-        evolve(state, LindbladParams(1.0), IntegratorConfig(target_g_squared=0.5))
-
-
-def test_integrator_config_validation():
-    with pytest.raises(ValueError):
-        IntegratorConfig(target_g_squared=2.0, step_size=0.0)
-    with pytest.raises(ValueError):
-        IntegratorConfig(target_g_squared=2.0, max_steps=0)
-    cfg = IntegratorConfig(target_g_squared=2.0, max_steps=3)
-    state = product_state(vacuum_matrix(30), np.array([[1.0 + 0j]]))
-    with pytest.raises(ValueError, match="max_steps"):
-        evolve(state, LindbladParams(1.0, amplified_modes=("a",)), cfg)
+        evolve(state, AmplifierParams(0.5))
 
 
 def test_vacuum_becomes_geometric_thermal():
     state = product_state(vacuum_matrix(60), np.array([[1.0 + 0j]]))
-    out = evolve(state, LindbladParams(1.0, amplified_modes=("a",)),
-                 IntegratorConfig(target_g_squared=2.0))
+    out = evolve(state, AmplifierParams(2.0, mode_config=MODE_ASYMMETRIC_A))
     pops = out.populations()[:, 0]
     levels = np.arange(60)
     assert abs(float((levels * pops).sum()) - 1.0) <= 1e-7
@@ -83,23 +67,22 @@ def test_mean_photon_law():
     # <n>(t) = G^2 (<n>_0 + 1) - 1 under pure gain
     state = product_state(thermal_matrix(0.5, 48), np.array([[1.0 + 0j]]))
     g2 = 1.8
-    out = evolve(state, LindbladParams(1.0, amplified_modes=("a",)),
-                 IntegratorConfig(target_g_squared=g2))
+    out = evolve(state, AmplifierParams(g2, mode_config=MODE_ASYMMETRIC_A))
     mean = float((np.arange(48) * out.populations()[:, 0]).sum())
     expected = g2 * 1.5 - 1.0
     assert abs(mean - expected) / expected <= 1e-6
 
 
-def test_trace_hermiticity_positivity_checkpoints():
+def test_trace_hermiticity_positivity_checkpoints(monkeypatch):
     """Integrating to G^2 = 1.2 and on from there to 1.5 keeps every state a
     density matrix."""
+    monkeypatch.setattr(lindblad, "STEP_SIZE", 1e-3)
     spec = NoonSpec(2)
     params = AmplifierParams(1.5)
     cut = select_cutoffs(spec, params, CutoffPolicy())
     states, current, g_prev = [], build_noon(spec, cut), 1.0
     for g2 in (1.2, 1.5):
-        current = evolve(current, LindbladParams(1.0),
-                         IntegratorConfig(target_g_squared=g2 / g_prev, step_size=1e-3))
+        current = evolve(current, AmplifierParams(g2 / g_prev))
         states.append(current)
         g_prev = g2
     for st in states:
@@ -108,16 +91,16 @@ def test_trace_hermiticity_positivity_checkpoints():
         assert np.linalg.eigvalsh(st.matrix)[0] >= -1e-8
 
 
-def test_step_halving_fourth_order():
+def test_step_halving_fourth_order(monkeypatch):
     spec = NoonSpec(2)
     params = AmplifierParams(1.5)
     cut = select_cutoffs(spec, params, CutoffPolicy())
     closed = amplify_noon_symmetric(spec, params, cut)
     noon = build_noon(spec, cut)
-    lp = LindbladParams(1.0)
     err = {}
     for h in (4e-3, 2e-3):
-        out = evolve(noon, lp, IntegratorConfig(target_g_squared=1.5, step_size=h))
+        monkeypatch.setattr(lindblad, "STEP_SIZE", h)
+        out = evolve(noon, params)
         err[h] = trace_distance(out, closed)
     ratio = err[4e-3] / err[2e-3]
     assert ratio >= 10.0, f"step halving gave ratio {ratio:.2f}"
@@ -128,8 +111,7 @@ def test_q_drift_scaling_consistency():
     spec = NoonSpec(1)
     cut = ModeCutoffs(24, 24)
     g2 = 1.4
-    out = evolve(build_noon(spec, cut), LindbladParams(1.0),
-                 IntegratorConfig(target_g_squared=g2))
+    out = evolve(build_noon(spec, cut), AmplifierParams(g2))
     mesh, _ = square_mesh(1.2, 7)
     err = check_scaling_law(build_noon(spec, cut), out, g2, MODE_SYMMETRIC,
                             QGrid(mesh, mesh.copy()))
@@ -139,15 +121,15 @@ def test_q_drift_scaling_consistency():
 def test_leak_monitor_aborts():
     state = build_noon(NoonSpec(2), ModeCutoffs(4, 4))
     with pytest.raises(RuntimeError, match="leakage"):
-        evolve(state, LindbladParams(1.0), IntegratorConfig(target_g_squared=2.0))
+        evolve(state, AmplifierParams(2.0))
 
 
 def test_eta_above_zero_supported():
     # loss-side rate acts: vacuum heats toward (G^2-1)(1+eta), not G^2-1
     state = product_state(vacuum_matrix(50), np.array([[1.0 + 0j]]))
-    params = LindbladParams(kappa_n1=1.5, kappa_n2=0.5, amplified_modes=("a",))
     g2 = 1.6
-    out = evolve(state, params, IntegratorConfig(target_g_squared=g2))
+    params = AmplifierParams(g2, eta=0.5, mode_config=MODE_ASYMMETRIC_A)
+    out = evolve(state, params)
     mean = float((np.arange(50) * out.populations()[:, 0]).sum())
     expected = (g2 - 1.0) * (1.0 + params.eta)
     assert abs(mean - expected) / expected <= 1e-6
@@ -156,8 +138,7 @@ def test_eta_above_zero_supported():
 def test_state_dump_roundtrip(tmp_path):
     spec = NoonSpec(1)
     cut = ModeCutoffs(18, 18)
-    out = evolve(build_noon(spec, cut), LindbladParams(1.0),
-                 IntegratorConfig(target_g_squared=1.3))
+    out = evolve(build_noon(spec, cut), AmplifierParams(1.3))
     npz = tmp_path / "state.npz"
     save_state_npz(out, npz)
     back = load_state_npz(npz)

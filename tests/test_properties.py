@@ -8,8 +8,8 @@ from unittest import mock
 import numpy as np
 from hypothesis import assume, given, settings, strategies as st
 
-from noonamp import (AmplifierParams, CutoffPolicy, IntegratorConfig, LindbladParams,
-                     MODE_ASYMMETRIC_A, MODE_SYMMETRIC, ModeCutoffs, NoonSpec,
+from noonamp import (AmplifierParams, CutoffPolicy, MODE_ASYMMETRIC_A, MODE_SYMMETRIC,
+                     ModeCutoffs, NoonSpec,
                      SqueezingSpec, TwoModeState, amplify_noon, amplify_state, build_noon,
                      default_grid_for_state, evolve, partial_transpose_b, q_evaluate,
                      select_cutoffs, tmsv_fock, trace_distance)
@@ -140,10 +140,7 @@ def test_trace_distance_equals_full_solve(n, g2, mode):
     spec = NoonSpec(n)
     params = AmplifierParams(g2, mode_config=mode)
     closed = amplify_noon(spec, params, select_cutoffs(spec, params, CutoffPolicy()))
-    evolved = evolve(build_noon(spec, closed.cutoffs),
-                     LindbladParams(kappa_n1=1.0, kappa_n2=0.0,
-                                    amplified_modes=params.amplified_modes),
-                     IntegratorConfig(target_g_squared=g2))
+    evolved = evolve(build_noon(spec, closed.cutoffs), params)
     want = 0.5 * float(np.abs(np.linalg.eigvalsh(closed.matrix - evolved.matrix)).sum())
     assert abs(trace_distance(closed, evolved) - want) <= 1e-14
 
