@@ -302,7 +302,8 @@ def _mode_matrices(dim: int, ks: np.ndarray, params: AmplifierParams) -> np.ndar
     if params.eta == 0.0:
         return mats
     log_tau = math.log(g2) - log_g
-    log_loss = math.log((g2 - 1.0) * params.eta) - log_g
+    # summed as logs: the product (g2 - 1) eta underflows to 0 for subnormal eta
+    log_loss = math.log(g2 - 1.0) + math.log(params.eta) - log_g
     log_att = log_paths + (out + 0.5 * k) * log_tau + steps * log_loss
     return mats @ np.exp(np.where(inside & (out <= inp), log_att, -np.inf))
 

@@ -6,7 +6,7 @@ density matrices, real and complex."""
 from unittest import mock
 
 import numpy as np
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from noonamp import (AmplifierParams, CutoffPolicy, MODE_ASYMMETRIC_A, MODE_SYMMETRIC,
                      ModeCutoffs, NoonSpec,
@@ -91,6 +91,7 @@ def test_husimi_q_nonnegative(n, g2, mode):
 
 @settings(deadline=None, max_examples=40)
 @given(photons, gains, st.one_of(st.just(0.0), st.floats(0.0, 1.0)), modes)
+@example(n=1, g2=1.5, eta=5e-324, mode=MODE_SYMMETRIC)  # subnormal eta
 def test_exact_channel_output(n, g2, eta, mode):
     """The exact channel applied to the NOON input gives a valid truncated
     density matrix whose trace does not exceed the input's (beyond
