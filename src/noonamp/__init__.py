@@ -13,15 +13,14 @@ from .channel import (AmplifierParams, CutoffPolicy, MODE_ASYMMETRIC_A, MODE_SYM
                       amplify_noon_symmetric, amplify_state, photon_add_both,
                       select_cutoffs)
 from .fock import (ModeCutoffs, NoonSpec, TwoModeState, build_noon, partial_transpose_b,
-                   product_state, trace_and_purity, trace_distance)
+                   trace_distance)
 from .gaussian import (CovarianceState, SqueezingSpec, amplify_covariance,
                        gaussian_log_negativity, photon_added_tmsv_negativity_sweep,
                        threshold_asymmetric, threshold_bisection, threshold_symmetric,
                        tmsv_covariance, tmsv_fock)
 from .husimi import (QGrid, check_scaling_law, check_zero_locus, default_grid_for_state,
-                     noon_zero_candidates, q_evaluate, q_pairs, riemann_mass, square_mesh,
-                     write_qgrid_csv)
-from .lindblad import evolve, load_state_npz, save_state_csv, save_state_npz
+                     noon_zero_candidates, q_evaluate, q_pairs, square_mesh, write_qgrid_csv)
+from .lindblad import evolve
 from .negativity import NegativityResult, log_negativity_block, log_negativity_dense
 
 __all__ = [
@@ -30,13 +29,12 @@ __all__ = [
     "SqueezingSpec", "TwoModeState", "amplified_vacuum", "amplify_covariance",
     "amplify_noon", "amplify_noon_asymmetric", "amplify_noon_symmetric",
     "amplify_state", "build_noon", "check_scaling_law", "check_zero_locus",
-    "default_grid_for_state", "evolve", "gaussian_log_negativity", "load_state_npz",
-    "log_negativity_block", "log_negativity_dense", "noon_zero_candidates",
-    "partial_transpose_b", "photon_add_both", "photon_added_tmsv_negativity_sweep",
-    "product_state", "q_evaluate", "q_pairs", "riemann_mass", "save_state_csv",
-    "save_state_npz", "select_cutoffs", "square_mesh", "threshold_asymmetric",
-    "threshold_bisection", "threshold_symmetric", "tmsv_covariance", "tmsv_fock",
-    "trace_and_purity", "trace_distance", "write_qgrid_csv",
+    "default_grid_for_state", "evolve", "gaussian_log_negativity", "log_negativity_block",
+    "log_negativity_dense", "noon_zero_candidates", "partial_transpose_b",
+    "photon_add_both", "photon_added_tmsv_negativity_sweep", "q_evaluate", "q_pairs",
+    "select_cutoffs", "square_mesh", "threshold_asymmetric", "threshold_bisection",
+    "threshold_symmetric", "tmsv_covariance", "tmsv_fock", "trace_distance",
+    "write_qgrid_csv",
 ]
 
 __version__ = "0.1.0"

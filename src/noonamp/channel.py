@@ -13,9 +13,9 @@ thermal state; with only mode a amplified, the b labels stay pinned to
 with geometric weights c ~ q^(n+m), q = (g2-1)/g2.  Coefficients are
 assembled in log space: factorial ratios like (n+N)!/n! overflow doubles
 long before the cutoffs needed at N=6 and g2=3.  The families go straight
-into the state's sparse storage as (row, col, value) triplets; no d x d
-array is ever allocated.  These closed forms hold for the fully inverted
-amplifier (eta = 0) only.
+into the state's phase sectors: the diagonal families into sector (0, 0),
+the coupling into sectors +-(N, -N); no d x d array is ever allocated.
+These closed forms hold for the fully inverted amplifier (eta = 0) only.
 
 ``amplify_state`` applies the channel at any bath parameter eta >= 0 to
 any state, through its Kraus operators (Ivan, Sabapathy & Simon, PRA 84,
@@ -23,9 +23,9 @@ any state, through its Kraus operators (Ivan, Sabapathy & Simon, PRA 84,
 followed by a quantum-limited amplifier of gain g' = 1 + (G^2 - 1)(1 + eta)
 (Caruso, Giovannetti & Holevo, NJP 8, 310 (2006)); at eta = 0 the
 attenuator is the identity.  Both Kraus families keep every phase sector
-(n - p, m - q), so on the sector stack of ``fock.to_sectors`` the channel is
-one matrix per amplified mode and distinct |n - p|, applied by batched
-matrix products.  Weight carried past a cutoff is dropped and lands in
+(n - p, m - q), so on the state's sector stack the channel is one matrix
+per amplified mode and distinct |n - p|, applied by batched matrix
+products.  Weight carried past a cutoff is dropped and lands in
 ``trace_deficit`` exactly; there is no step size and nothing to monitor.
 ``amplify_noon`` takes the closed form at eta = 0 and the map otherwise.
 """
@@ -36,7 +36,7 @@ import math
 import numpy as np
 
 from . import config
-from .fock import ModeCutoffs, NoonSpec, TwoModeState, build_noon, from_sectors, to_sectors
+from .fock import ModeCutoffs, NoonSpec, TwoModeState, build_noon, noon_sectors
 
 MODE_SYMMETRIC = "symmetric"
 MODE_ASYMMETRIC_A = "asymmetric_a_only"
@@ -181,33 +181,24 @@ def amplify_noon_symmetric(spec: NoonSpec, params: AmplifierParams,
     m_shift = np.arange(db - n_ph)
     n_all = np.arange(da)
     m_all = np.arange(db)
+    diagonal = np.zeros((da, db))
+    coupling = np.zeros((da, db))
 
     # diagonal family |n+N, m>
-    up_a = cutoffs.flat_index((n_shift + n_ph)[:, None], m_all[None, :])
-    w_up_a = np.exp(log_pref + (n_shift[:, None] + m_all[None, :]) * log_q
-                    + (lf[n_shift + n_ph] - lf[n_shift])[:, None])
+    diagonal[n_ph:, :] += np.exp(log_pref + (n_shift[:, None] + m_all[None, :]) * log_q
+                                 + (lf[n_shift + n_ph] - lf[n_shift])[:, None])
 
     # diagonal family |n, m+N>; where it meets the first family the two add
-    up_b = cutoffs.flat_index(n_all[:, None], (m_shift + n_ph)[None, :])
-    w_up_b = np.exp(log_pref + (n_all[:, None] + m_shift[None, :]) * log_q
-                    + (lf[m_shift + n_ph] - lf[m_shift])[None, :])
+    diagonal[:, n_ph:] += np.exp(log_pref + (n_all[:, None] + m_shift[None, :]) * log_q
+                                 + (lf[m_shift + n_ph] - lf[m_shift])[None, :])
 
     # off-diagonal pair coupling |n+N, m> <-> |n, m+N>
-    left = cutoffs.flat_index((n_shift + n_ph)[:, None], m_shift[None, :])
-    right = cutoffs.flat_index(n_shift[:, None], (m_shift + n_ph)[None, :])
-    w_off = np.exp(log_pref + (n_shift[:, None] + m_shift[None, :]) * log_q
-                   + 0.5 * ((lf[n_shift + n_ph] - lf[n_shift])[:, None]
-                            + (lf[m_shift + n_ph] - lf[m_shift])[None, :]))
+    coupling[:da - n_ph, :db - n_ph] = np.exp(
+        log_pref + (n_shift[:, None] + m_shift[None, :]) * log_q
+        + 0.5 * ((lf[n_shift + n_ph] - lf[n_shift])[:, None]
+                 + (lf[m_shift + n_ph] - lf[m_shift])[None, :]))
 
-    return _from_families(cutoffs, (up_a, up_a, w_up_a), (up_b, up_b, w_up_b),
-                          (left, right, w_off), (right, left, w_off))
-
-
-def _from_families(cutoffs: ModeCutoffs, *families) -> TwoModeState:
-    """State from (rows, cols, values) term families, summed where they meet."""
-    rows, cols, vals = (np.concatenate([np.ravel(f[k]) for f in families])
-                        for k in range(3))
-    return TwoModeState.from_entries(cutoffs, rows, cols, vals)
+    return noon_sectors(cutoffs, n_ph, diagonal, coupling)
 
 
 def amplify_noon_asymmetric(spec: NoonSpec, params: AmplifierParams,
@@ -233,22 +224,21 @@ def amplify_noon_asymmetric(spec: NoonSpec, params: AmplifierParams,
 
     n_shift = np.arange(da - n_ph)
     n_all = np.arange(da)
+    diagonal = np.zeros((da, cutoffs.cutoff_b))
+    coupling = np.zeros((da, cutoffs.cutoff_b))
 
     # diagonal family |n+N, 0>
-    up_a = cutoffs.flat_index(n_shift + n_ph, 0)
-    w_up_a = np.exp(log_pref + n_shift * log_q + (lf_n[n_shift + n_ph] - lf_n[n_shift]))
+    diagonal[n_ph:, 0] = np.exp(log_pref + n_shift * log_q
+                                + (lf_n[n_shift + n_ph] - lf_n[n_shift]))
 
     # diagonal family |n, N>, weight g2^N N!
-    at_n = cutoffs.flat_index(n_all, n_ph)
-    w_at_n = np.exp(log_pref + n_all * log_q + n_ph * log_g2 + lgN)
+    diagonal[:, n_ph] = np.exp(log_pref + n_all * log_q + n_ph * log_g2 + lgN)
 
     # off-diagonal pair |n+N, 0> <-> |n, N>, weight G^N sqrt((n+N)!/n! N!)
-    right = cutoffs.flat_index(n_shift, n_ph)
-    w_off = np.exp(log_pref + n_shift * log_q + 0.5 * n_ph * log_g2
-                   + 0.5 * (lf_n[n_shift + n_ph] - lf_n[n_shift] + lgN))
+    coupling[:da - n_ph, 0] = np.exp(log_pref + n_shift * log_q + 0.5 * n_ph * log_g2
+                                     + 0.5 * (lf_n[n_shift + n_ph] - lf_n[n_shift] + lgN))
 
-    return _from_families(cutoffs, (up_a, up_a, w_up_a), (at_n, at_n, w_at_n),
-                          (up_a, right, w_off), (right, up_a, w_off))
+    return noon_sectors(cutoffs, n_ph, diagonal, coupling)
 
 
 def amplify_noon(spec: NoonSpec, params: AmplifierParams,
@@ -320,14 +310,14 @@ def amplify_state(state: TwoModeState, params: AmplifierParams) -> TwoModeState:
     if params.g_squared == 1.0:
         return state
     c = state.cutoffs
-    k_a, k_b, x = to_sectors(state)
+    k_a, k_b, x = state.k_a, state.k_b, state.x
     for mode, ks, dim in (("a", k_a, c.cutoff_a), ("b", k_b, c.cutoff_b)):
         if mode not in params.amplified_modes:
             continue
         distinct, at = np.unique(np.abs(ks), return_inverse=True)
         mats = _mode_matrices(dim, distinct, params)[at]
         x = mats @ x if mode == "a" else x @ mats.transpose(0, 2, 1)
-    return from_sectors(c, k_a, k_b, x)
+    return TwoModeState(c, k_a, k_b, x)
 
 
 def photon_add_both(state: TwoModeState) -> TwoModeState:
@@ -348,18 +338,27 @@ def photon_add_both(state: TwoModeState) -> TwoModeState:
     n_b = np.arange(c.cutoff_b, dtype=np.float64)
     exact_trace = float(((n_a + 1.0)[:, None] * (n_b + 1.0)[None, :] * pops).sum())
 
-    da, db = c.cutoff_a, c.cutoff_b
-    coo = state.csr.tocoo()
-    n, m = np.divmod(coo.row, db)
-    p, q = np.divmod(coo.col, db)
-    keep = (n + 1 < da) & (m + 1 < db) & (p + 1 < da) & (q + 1 < db)
-    n, m, p, q = n[keep] + 1, m[keep] + 1, p[keep] + 1, q[keep] + 1
-    sa = np.sqrt(n_a)
-    sb = np.sqrt(n_b)
-    values = sa[n] * sb[m] * sa[p] * sb[q] * coo.data[keep]
-    rows, cols = c.flat_index(n, m), c.flat_index(p, q)
-
-    kept_trace = float(values[rows == cols].real.sum())
+    # an entry moves one position along its sector's diagonal in each mode;
+    # positions moved past the sector's end are dropped
+    root_n, root_p = _raised_roots(state.k_a, c.cutoff_a)
+    root_m, root_q = _raised_roots(state.k_b, c.cutoff_b)
+    added = np.zeros_like(state.x)
+    added[:, 1:, 1:] = (root_n[:, :, None] * root_m[:, None, :] * root_p[:, :, None]
+                        * root_q[:, None, :] * state.x[:, :-1, :-1])
+    kept_trace = float(added[(state.k_a == 0) & (state.k_b == 0)].real.sum())
     if kept_trace <= config.ATOL_STRUCTURAL * max(exact_trace, 1.0):
         raise ValueError("photon addition leaves no weight inside the cutoffs")
-    return TwoModeState.from_entries(c, rows, cols, values / exact_trace)
+    return TwoModeState(c, state.k_a, state.k_b, added / exact_trace)
+
+
+def _raised_roots(ks: np.ndarray, dim: int):
+    """sqrt(n + 1) and sqrt(p + 1) for the entries at positions j = 0 ..
+    dim - 2 of the sectors whose phase offsets in one mode are ``ks``
+    (n = j + max(k, 0), p = j + max(-k, 0)); zero where n + 1 or p + 1
+    leaves the cutoff."""
+    j = np.arange(1, dim)
+    n = j + np.maximum(ks, 0)[:, None]
+    p = j + np.maximum(-ks, 0)[:, None]
+    inside = np.maximum(n, p) < dim
+    return (np.where(inside, np.sqrt(n.astype(np.float64)), 0.0),
+            np.where(inside, np.sqrt(p.astype(np.float64)), 0.0))

@@ -99,7 +99,8 @@ def closed_form_vs_oracle(modes, n_photons: int, g_squared: float, policy) -> Ch
 def map_vs_closed_form(points, policy) -> CheckResult:
     """At eta = 0 the exact channel applied to the NOON input reproduces the
     closed forms at every (N, G^2) point, both modes: at most 1e-15 per
-    stored entry; side condition: trace_deficit equal within 1e-14."""
+    stored entry (infinite if they hold different phase sectors); side
+    condition: trace_deficit equal within 1e-14."""
     worst = deficit_gap = 0.0
     for n, g2 in points:
         spec = fock.NoonSpec(n)
@@ -108,8 +109,10 @@ def map_vs_closed_form(points, policy) -> CheckResult:
             cutoffs = channel.select_cutoffs(spec, params, policy)
             closed = channel.amplify_noon(spec, params, cutoffs)
             mapped = channel.amplify_state(fock.build_noon(spec, cutoffs), params)
-            diff = closed.csr - mapped.csr
-            worst = max(worst, float(abs(diff).max()) if diff.nnz else 0.0)
+            same = (np.array_equal(closed.k_a, mapped.k_a)
+                    and np.array_equal(closed.k_b, mapped.k_b))
+            worst = max(worst, float(np.abs(closed.x - mapped.x).max(initial=0.0))
+                        if same else math.inf)
             deficit_gap = max(deficit_gap, abs(closed.trace_deficit - mapped.trace_deficit))
     return CheckResult(worst <= 1e-15 and deficit_gap <= 1e-14, worst, 1e-15,
                        f"max entry gap {worst:.3e}, max trace_deficit gap {deficit_gap:.3e}")

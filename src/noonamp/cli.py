@@ -68,7 +68,10 @@ class SweepConfig:
 
 
 def g2_values(cfg: SweepConfig) -> list[float]:
-    n = int(round((cfg.g2_stop - cfg.g2_start) / cfg.g2_step))
+    count = (cfg.g2_stop - cfg.g2_start) / cfg.g2_step
+    if not math.isfinite(count):
+        raise ValueError("the g2 grid has no finite number of points")
+    n = int(round(count))
     vals = [cfg.g2_start + k * cfg.g2_step for k in range(n + 2)]
     return [v for v in vals if v <= cfg.g2_stop + 1e-9 * cfg.g2_step]
 

@@ -2,14 +2,23 @@
 
 Basis convention: the flattened index of the pair |n_a, n_b> is
 ``n_a * cutoff_b + n_b`` (row-major in the mode-a label).  A density
-matrix is stored as its nonzero entries over that basis, in a
-``scipy.sparse.csr_array``: the closed-form states fill a vanishing share
-of the d^2 entries, so everything that needs only the nonzeros (trace,
-populations, purity, partial transpose, the block negativity) runs in
-O(nnz).  The entries are real (float64) for every state the package
-builds and complex128 only for genuinely complex input.  The dense
-eigensolves behind the dense negativity and the trace distance
-(``hermitian_eigvalsh``) read the stored entries too and solve one
+matrix rho[n, m, p, q] = <n, m| rho |p, q> is stored by phase sector: the
+entries with n - p = k_a and m - q = k_b form sector (k_a, k_b), held as a
+(cutoff_a, cutoff_b) slice x[s] at positions j_a = min(n, p) and
+j_b = min(m, q).  Only j_a < cutoff_a - |k_a| and j_b < cutoff_b - |k_b|
+exist; the padding beyond is zero.  A state keeps only its nonzero sectors
+and their mirrors (-k_a, -k_b), in increasing (k_a, k_b) order, so the
+sector paired with s by Hermitian conjugation is S - 1 - s.
+
+The phase-insensitive amplifier maps every sector to itself, so the
+package's states stay in few sectors: a NOON input and everything made
+from it hold exactly (0, 0) and +-(N, -N).  Everything reads the stack
+directly: trace and populations are sector (0, 0), the partial transpose
+relabels k_b -> -k_b, the channel and the integrator act sector by sector.
+The entries are real (float64) for every state the package builds and
+complex128 only for genuinely complex input.  The dense eigensolves behind
+the dense negativity and the trace distance (``hermitian_eigvalsh``) take
+the stored entries as (row, col, value) triplets and solve one
 conserved-charge block at a time.  A dense (d, d) copy is made only for a
 matrix that conserves no charge and by ``TwoModeState.matrix``, which no
 package code reads.  States are immutable after construction; every
@@ -59,13 +68,14 @@ class NoonSpec:
 
 
 class TwoModeState:
-    """Density matrix of a truncated two-mode state, stored sparse.
+    """Density matrix of a truncated two-mode state, stored by phase sector.
 
-    The stored entries are a ``scipy.sparse.csr_array`` over the flattened
-    basis with explicit zeros removed (``csr``).  They are float64 unless the
-    input has a nonzero imaginary part, in which case they are complex128.
-    ``matrix`` builds a read-only dense copy for consumers that need one;
-    everything that reads only the nonzeros uses ``csr``.
+    ``x[s]`` holds sector (``k_a[s]``, ``k_b[s]``) as the module docstring
+    lays out.  Sectors that are zero together with their mirror are
+    dropped; the entries are float64 unless an imaginary part is nonzero,
+    in which case they are complex128.  ``matrix`` builds a read-only dense
+    copy for consumers that need one and ``entries`` lists the nonzero
+    entries as triplets.
 
     Construction checks the stored entries: Hermiticity, a non-negative
     diagonal and a trace of at most 1.  The Hermiticity error found there is
@@ -77,46 +87,53 @@ class TwoModeState:
     tolerances can budget for it.
     """
 
-    __slots__ = ("cutoffs", "csr", "trace_deficit", "_hermiticity_error")
+    __slots__ = ("cutoffs", "k_a", "k_b", "x", "trace_deficit", "_hermiticity_error")
 
-    def __init__(self, cutoffs: ModeCutoffs, matrix, validate: bool = True,
+    def __init__(self, cutoffs: ModeCutoffs, k_a, k_b, x, validate: bool = True,
                  atol: float | None = None):
-        """``matrix`` is a dense (d, d) array or any scipy sparse array."""
-        # scipy.sparse is imported at first use: at module level it would add
-        # about 270 ms to importing the package (when nothing else has loaded
-        # scipy yet), which commands without a state (thresholds, the
-        # Gaussian family) pay for nothing
-        from scipy import sparse
-
         atol = config.ATOL_STRUCTURAL if atol is None else atol
-        csr = sparse.csr_array(matrix if sparse.issparse(matrix) else np.asarray(matrix),
-                               copy=True)
-        d = cutoffs.dimension
-        if csr.shape != (d, d):
-            raise ValueError(f"matrix shape {csr.shape} does not match dimension {d}")
-        csr.sum_duplicates()
-        csr.eliminate_zeros()
-        if np.iscomplexobj(csr.data) and not np.any(csr.data.imag):
-            csr = csr.real
-        csr = csr.astype(np.complex128 if np.iscomplexobj(csr.data) else np.float64,
-                         copy=False)
-        trace = _trace(csr)
+        da, db = cutoffs.cutoff_a, cutoffs.cutoff_b
+        k_a = np.asarray(k_a, dtype=np.int64)
+        k_b = np.asarray(k_b, dtype=np.int64)
+        x = np.asarray(x)
+        if k_a.ndim != 1 or k_b.shape != k_a.shape or x.shape != (k_a.size, da, db):
+            raise ValueError(f"sector stack of shape {x.shape} does not match "
+                             f"{k_a.size} sectors at cutoffs {da}x{db}")
+        codes = k_a * (2 * db - 1) + k_b   # increasing in (k_a, k_b)
+        if (np.any(np.abs(k_a) >= da) or np.any(np.abs(k_b) >= db)
+                or np.any(np.diff(codes) <= 0) or not np.array_equal(codes, -codes[::-1])):
+            raise ValueError("sectors must be distinct, in increasing (k_a, k_b) order "
+                             "and closed under mirroring")
+        j_a, j_b = np.arange(da), np.arange(db)
+        padding = ((j_a >= da - np.abs(k_a)[:, None])[:, :, None]
+                   | (j_b >= db - np.abs(k_b)[:, None])[:, None, :])
+        if np.any(x[padding]):
+            raise ValueError("sector entries past the cutoffs must be zero")
+        keep = np.any(x, axis=(1, 2))
+        keep = keep | keep[::-1]
+        if np.iscomplexobj(x) and not np.any(x.imag):
+            x = x.real
+        x = x[keep].astype(np.complex128 if np.iscomplexobj(x) else np.float64)
+        k_a, k_b = k_a[keep], k_b[keep]
+        trace = _trace(x, k_a, k_b)
         herm_err = None
         if validate:
-            herm_err = _hermiticity_error(csr)
+            herm_err = _hermiticity_error(x)
             if herm_err > atol:
                 raise ValueError(f"matrix is not Hermitian: max |M - M^dag| = {herm_err:.3e}")
-            diag = csr.diagonal()
+            diag = _populations(x, k_a, k_b)
             if float(np.abs(diag.imag).max(initial=0.0)) > atol:
                 raise ValueError("diagonal has imaginary parts beyond tolerance")
             if float(diag.real.min(initial=0.0)) < -atol:
                 raise ValueError("diagonal has negative entries beyond tolerance")
             if trace > 1.0 + 1e-9:
                 raise ValueError(f"trace {trace} exceeds 1; not a truncated density matrix")
-        for arr in (csr.data, csr.indices, csr.indptr):
+        for arr in (k_a, k_b, x):
             arr.setflags(write=False)
         object.__setattr__(self, "cutoffs", cutoffs)
-        object.__setattr__(self, "csr", csr)
+        object.__setattr__(self, "k_a", k_a)
+        object.__setattr__(self, "k_b", k_b)
+        object.__setattr__(self, "x", x)
         object.__setattr__(self, "trace_deficit", max(0.0, 1.0 - trace))
         object.__setattr__(self, "_hermiticity_error", herm_err)
 
@@ -125,11 +142,25 @@ class TwoModeState:
                      **kwargs) -> "TwoModeState":
         """State from COO triplets over the flattened basis; repeated
         (row, col) pairs are summed."""
-        from scipy import sparse
-
-        d = cutoffs.dimension
-        return cls(cutoffs, sparse.coo_array((values, (rows, cols)), shape=(d, d)),
-                   **kwargs)
+        da, db = cutoffs.cutoff_a, cutoffs.cutoff_b
+        rows = np.asarray(rows, dtype=np.int64)
+        cols = np.asarray(cols, dtype=np.int64)
+        values = np.asarray(values)
+        if rows.size and not (0 <= min(rows.min(), cols.min())
+                              and max(rows.max(), cols.max()) < cutoffs.dimension):
+            raise ValueError(f"entry outside the {cutoffs.dimension}-dimensional basis")
+        n, m = np.divmod(rows, db)
+        p, q = np.divmod(cols, db)
+        # (k_a, k_b) -> code is increasing, and code(-k_a, -k_b) = n_codes - 1 - code
+        width = 2 * db - 1
+        n_codes = (2 * da - 1) * width
+        codes = (n - p + da - 1) * width + (m - q + db - 1)
+        sectors = np.union1d(codes, n_codes - 1 - codes)
+        x = np.zeros((sectors.size, da, db), dtype=np.result_type(values, np.float64))
+        np.add.at(x, (np.searchsorted(sectors, codes), np.minimum(n, p), np.minimum(m, q)),
+                  values)
+        k_a, k_b = np.divmod(sectors, width)
+        return cls(cutoffs, k_a - (da - 1), k_b - (db - 1), x, **kwargs)
 
     def __setattr__(self, name, value):
         raise AttributeError("TwoModeState is immutable")
@@ -140,75 +171,65 @@ class TwoModeState:
 
     @property
     def trace(self) -> float:
-        return _trace(self.csr)
+        return _trace(self.x, self.k_a, self.k_b)
+
+    def entries(self):
+        """(rows, cols, values): the nonzero entries over the flattened
+        basis, in row-major order."""
+        s, j_a, j_b = np.nonzero(self.x)
+        ka, kb = self.k_a[s], self.k_b[s]
+        db = self.cutoffs.cutoff_b
+        rows = (j_a + np.maximum(ka, 0)) * db + j_b + np.maximum(kb, 0)
+        cols = (j_a + np.maximum(-ka, 0)) * db + j_b + np.maximum(-kb, 0)
+        order = np.argsort(rows * self.dimension + cols)
+        return rows[order], cols[order], self.x[s, j_a, j_b][order]
 
     @property
     def matrix(self) -> np.ndarray:
         """Read-only dense (d, d) copy of the stored entries."""
-        dense = self.csr.toarray()
+        rows, cols, values = self.entries()
+        dense = np.zeros((self.dimension, self.dimension), dtype=self.x.dtype)
+        dense[rows, cols] = values
         dense.setflags(write=False)
         return dense
 
     def populations(self) -> np.ndarray:
         """Diagonal occupation probabilities as a real (da, db) array."""
-        c = self.cutoffs
-        return self.csr.diagonal().real.reshape(c.cutoff_a, c.cutoff_b)
+        return _populations(self.x, self.k_a, self.k_b).real.copy()
 
     def hermiticity_error(self) -> float:
         """max |M - M^dag| over the stored entries."""
         if self._hermiticity_error is None:
-            object.__setattr__(self, "_hermiticity_error", _hermiticity_error(self.csr))
+            object.__setattr__(self, "_hermiticity_error", _hermiticity_error(self.x))
         return self._hermiticity_error
 
 
-def _trace(csr) -> float:
-    # summed in complex128: numpy's float64 pairwise sum groups the terms
-    # differently and moves the 12th printed digit of trace_deficit, which
-    # the golden sweep pins byte for byte
-    return float(csr.diagonal().astype(np.complex128).sum().real)
+def _populations(x, k_a, k_b) -> np.ndarray:
+    """Sector (0, 0), rho[n, m, n, m] at [n, m]; zeros if it is not stored."""
+    middle = np.flatnonzero((k_a == 0) & (k_b == 0))
+    return x[middle[0]] if middle.size else np.zeros(x.shape[1:], dtype=x.dtype)
 
 
-def _hermiticity_error(csr) -> float:
-    diff = csr - csr.conj().T
-    return float(abs(diff).max()) if diff.nnz else 0.0
+def _trace(x, k_a, k_b) -> float:
+    # all d diagonal entries in flat-index order, summed in complex128:
+    # numpy's float64 pairwise sum groups the terms differently and moves
+    # the 12th printed digit of trace_deficit, which the golden sweep pins
+    # byte for byte
+    return float(_populations(x, k_a, k_b).ravel().astype(np.complex128).sum().real)
 
 
-def to_sectors(state: TwoModeState):
-    """(k_a, k_b, x): the phase sectors holding a stored entry of ``state``,
-    together with their mirrors (-k_a, -k_b), in increasing (k_a, k_b)
-    order, and their entries stacked as x[s, j_a, j_b].
-
-    Sector (k_a, k_b) holds the entries rho[n, m, p, q] with n - p = k_a and
-    m - q = k_b, at j_a = min(n, p) and j_b = min(m, q); only
-    j_a < cutoff_a - |k_a| and j_b < cutoff_b - |k_b| exist, and the padding
-    beyond is zero.  Mirroring a sector reverses its place in the order, so
-    the sector paired with s by Hermitian conjugation is S - 1 - s.
-    """
-    da, db = state.cutoffs.cutoff_a, state.cutoffs.cutoff_b
-    coo = state.csr.tocoo()
-    n, m = np.divmod(coo.row, db)
-    p, q = np.divmod(coo.col, db)
-    # (k_a, k_b) -> code is increasing, and code(-k_a, -k_b) = n_codes - 1 - code
-    width = 2 * db - 1
-    n_codes = (2 * da - 1) * width
-    codes = (n - p + da - 1) * width + (m - q + db - 1)
-    sectors = np.union1d(codes, n_codes - 1 - codes)
-    x = np.zeros((sectors.size, da, db), dtype=state.csr.dtype)
-    x[np.searchsorted(sectors, codes), np.minimum(n, p), np.minimum(m, q)] = coo.data
-    k_a, k_b = np.divmod(sectors, width)
-    return k_a - (da - 1), k_b - (db - 1), x
+def _hermiticity_error(x) -> float:
+    # the mirror of sector s is S - 1 - s, at the same positions
+    return float(np.abs(x - x[::-1].conj()).max(initial=0.0))
 
 
-def from_sectors(cutoffs: ModeCutoffs, k_a, k_b, x, **kwargs) -> TwoModeState:
-    """Inverse of to_sectors: the state whose stored entries are the nonzero
-    entries of x (the padding past a sector's end is zero)."""
-    da, db = cutoffs.cutoff_a, cutoffs.cutoff_b
-    s, j_a, j_b = np.nonzero(x)
-    ka, kb = k_a[s], k_b[s]
-    n, p = j_a + np.maximum(ka, 0), j_a + np.maximum(-ka, 0)
-    m, q = j_b + np.maximum(kb, 0), j_b + np.maximum(-kb, 0)
-    return TwoModeState.from_entries(cutoffs, n * db + m, p * db + q, x[s, j_a, j_b],
-                                     **kwargs)
+def noon_sectors(cutoffs: ModeCutoffs, n_photons: int, diagonal,
+                 coupling) -> TwoModeState:
+    """The state holding sector (0, 0) = ``diagonal`` and sectors
+    +-(N, -N) = ``coupling``: rho[n+N, m, n, m+N] = coupling[n, m] and its
+    mirror.  Every NOON-derived state has this form."""
+    n = n_photons
+    return TwoModeState(cutoffs, [-n, 0, n], [n, 0, -n], [coupling, diagonal, coupling])
 
 
 def build_noon(spec: NoonSpec, cutoffs: ModeCutoffs) -> TwoModeState:
@@ -223,52 +244,37 @@ def build_noon(spec: NoonSpec, cutoffs: ModeCutoffs) -> TwoModeState:
             f"cutoffs {cutoffs.cutoff_a}x{cutoffs.cutoff_b} cannot hold N={n}; "
             f"need both > {n}"
         )
-    i = cutoffs.flat_index(n, 0)
-    j = cutoffs.flat_index(0, n)
-    return TwoModeState.from_entries(cutoffs, [i, i, j, j], [i, j, i, j], [0.5] * 4)
-
-
-def product_state(mat_a: np.ndarray, mat_b: np.ndarray) -> TwoModeState:
-    """Tensor product rho_a (x) rho_b in the flattened basis."""
-    mat_a, mat_b = np.asarray(mat_a), np.asarray(mat_b)
-    cutoffs = ModeCutoffs(mat_a.shape[0], mat_b.shape[0])
-    return TwoModeState(cutoffs, np.kron(mat_a, mat_b))
+    diagonal = np.zeros((cutoffs.cutoff_a, cutoffs.cutoff_b))
+    coupling = np.zeros_like(diagonal)
+    diagonal[n, 0] = diagonal[0, n] = coupling[0, 0] = 0.5
+    return noon_sectors(cutoffs, n, diagonal, coupling)
 
 
 def partial_transpose_b(state: TwoModeState) -> TwoModeState:
     """Transpose the mode-b indices: out[(n,m),(n',m')] = in[(n,m'),(n',m)].
 
     Hermiticity and the trace are preserved; entanglement shows up as
-    negative eigenvalues of the result.  The stored entries are remapped,
-    so the cost is O(nnz).
+    negative eigenvalues of the result.  The transpose swaps m and q, so
+    every sector (k_a, k_b) becomes (k_a, -k_b) with its entries in place.
     """
-    coo = state.csr.tocoo()
-    rows, cols = pt_coordinates(coo.row, coo.col, state.cutoffs.cutoff_b)
-    return TwoModeState.from_entries(state.cutoffs, rows, cols, coo.data, validate=False)
-
-
-def pt_coordinates(rows: np.ndarray, cols: np.ndarray, cutoff_b: int):
-    """Positions in the partial transpose of the entries at (rows, cols)."""
-    db = cutoff_b
-    return (rows // db) * db + cols % db, (cols // db) * db + rows % db
-
-
-def trace_and_purity(state: TwoModeState) -> tuple[float, float]:
-    """(Tr rho, Tr rho^2); the purity uses Hermiticity: Tr rho^2 = sum |rho_ij|^2."""
-    data = state.csr.data
-    return state.trace, float(np.vdot(data, data).real)
+    order = np.lexsort((-state.k_b, state.k_a))
+    return TwoModeState(state.cutoffs, state.k_a[order], -state.k_b[order],
+                        state.x[order], validate=False)
 
 
 def trace_distance(state_1: TwoModeState, state_2: TwoModeState) -> float:
     """Half the trace norm of the difference (states must share cutoffs)."""
     if state_1.cutoffs != state_2.cutoffs:
         raise ValueError("states have different cutoffs")
-    eigs = hermitian_eigvalsh(state_1.csr - state_2.csr, state_1.cutoffs)
+    (r1, c1, v1), (r2, c2, v2) = state_1.entries(), state_2.entries()
+    eigs = hermitian_eigvalsh(np.concatenate([r1, r2]), np.concatenate([c1, c2]),
+                              np.concatenate([v1, -v2]), state_1.cutoffs)
     return 0.5 * float(np.abs(eigs).sum())
 
 
-def hermitian_eigvalsh(csr, cutoffs: ModeCutoffs) -> np.ndarray:
-    """Ascending eigenvalues of the Hermitian (d, d) matrix stored in ``csr``.
+def hermitian_eigvalsh(rows, cols, values, cutoffs: ModeCutoffs) -> np.ndarray:
+    """Ascending eigenvalues of the Hermitian (d, d) matrix with the entries
+    ``values`` at (``rows``, ``cols``); repeated positions are summed.
 
     Phase-insensitive channels commute with phase rotations, so the
     matrices this package diagonalizes conserve a U(1) charge: each stored
@@ -277,24 +283,24 @@ def hermitian_eigvalsh(csr, cutoffs: ModeCutoffs) -> np.ndarray:
     n_a + n_b (an amplified NOON state itself, the partial transpose of
     the squeezed vacuum).  Such a matrix is block diagonal in the charge
     and its spectrum is the union of the blocks' spectra.  The test is exact
-    over the integers and reads each stored entry once.  Every basis state
+    over the integers and reads each entry once.  Every basis state
     of a charge, rows without a stored entry included, joins its block, and
     each block is solved densely.  A matrix that conserves neither charge is
     solved whole, up to ``config.FULL_SOLVE_MAX_DIMENSION``.
     """
     d = cutoffs.dimension
-    coo = csr.tocoo()
-    coo.sum_duplicates()  # the scatter below writes each position once
     n_a, n_b = np.divmod(np.arange(d), cutoffs.cutoff_b)
     for charge in (n_a - n_b, n_a + n_b):
-        if np.array_equal(charge[coo.row], charge[coo.col]):
+        if np.array_equal(charge[rows], charge[cols]):
             break
     else:
         if d > config.FULL_SOLVE_MAX_DIMENSION:
             raise ValueError(
                 f"matrix of dimension {d} conserves neither n_a - n_b nor n_a + n_b; "
                 f"a full eigensolve is limited to {config.FULL_SOLVE_MAX_DIMENSION}")
-        return np.linalg.eigvalsh(csr.toarray())
+        dense = np.zeros((d, d), dtype=values.dtype)
+        np.add.at(dense, (rows, cols), values)
+        return np.linalg.eigvalsh(dense)
 
     # block k holds the basis states of the k-th smallest charge in index
     # order; an entry's block is its row's, its place the rank within it
@@ -303,9 +309,9 @@ def hermitian_eigvalsh(csr, cutoffs: ModeCutoffs) -> np.ndarray:
     starts = np.cumsum(sizes) - sizes
     place = np.empty(d, dtype=np.intp)
     place[np.argsort(charge, kind="stable")] = np.arange(d) - np.repeat(starts, sizes)
-    order = np.argsort(charge[coo.row], kind="stable")
-    rows, cols, vals = place[coo.row[order]], place[coo.col[order]], coo.data[order]
-    bounds = np.searchsorted(charge[coo.row[order]], np.arange(sizes.size + 1))
+    order = np.argsort(charge[rows], kind="stable")
+    block_rows, block_cols, vals = place[rows[order]], place[cols[order]], values[order]
+    bounds = np.searchsorted(charge[rows[order]], np.arange(sizes.size + 1))
 
     eigs = []
     for k, size in enumerate(sizes.tolist()):
@@ -314,6 +320,6 @@ def hermitian_eigvalsh(csr, cutoffs: ModeCutoffs) -> np.ndarray:
             eigs.append(np.zeros(size))
             continue
         block = np.zeros((size, size), dtype=vals.dtype)
-        block[rows[lo:hi], cols[lo:hi]] = vals[lo:hi]
+        np.add.at(block, (block_rows[lo:hi], block_cols[lo:hi]), vals[lo:hi])
         eigs.append(np.linalg.eigvalsh(block))
     return np.sort(np.concatenate(eigs))

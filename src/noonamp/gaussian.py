@@ -73,7 +73,10 @@ class CovarianceState:
 
 def tmsv_covariance(spec: SqueezingSpec) -> CovarianceState:
     """Two-mode squeezed vacuum: cosh(2r) blocks with sinh(2r) x/p correlations."""
-    ch, sh = math.cosh(2.0 * spec.r), math.sinh(2.0 * spec.r)
+    try:
+        ch, sh = math.cosh(2.0 * spec.r), math.sinh(2.0 * spec.r)
+    except OverflowError:
+        raise ValueError(f"cosh(2r) is not finite at r = {spec.r:g}") from None
     z = np.diag([1.0, -1.0])
     cov = np.block([[ch * np.eye(2), sh * z], [sh * z, ch * np.eye(2)]])
     return CovarianceState(cov=cov)

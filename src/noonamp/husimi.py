@@ -3,12 +3,11 @@
 Q(alpha, beta) = <alpha, beta| rho |alpha, beta> / pi^2, evaluated for all
 pairs drawn from a list of mode-a amplitudes and a list of mode-b
 amplitudes.  Coherent coefficients are assembled in log space.  The
-quadratic form is contracted from the stored entries alone: they are
-grouped by their mode-a pair (n, p) and mode-b pair (m, q) into a small
-sparse coupling matrix C, and Q = Re(Pa C Pb^T) / pi^2 with
-Pa[i, (n, p)] = conj(va[i, n]) va[i, p] over the used mode-a pairs and Pb
-the same for mode b.  No dense copy of the state is made; the cost
-follows the number of stored entries and used pairs, not d^2.
+quadratic form is contracted one phase sector at a time:
+Q = sum over sectors s of Re(U_a[k_a] x_s U_b[k_b]^T) / pi^2, with
+U[k][i, j] = conj(v[i, j + max(k, 0)]) v[i, j + max(-k, 0)] the coherent
+products along the sector's diagonal.  No dense copy of the state is made;
+the cost follows the number of stored sectors, not d^2.
 
 The amplifier acts on Q by pure argument scaling: equal gain on both
 modes sends Q(a, b) to Q(a/G, b/G)/G^4, gain on mode a alone to
@@ -39,8 +38,8 @@ class QGrid:
 def square_mesh(extent: float, points: int) -> tuple[np.ndarray, float]:
     """Complex samples on a uniform (points x points) mesh over
     [-extent, extent]^2; returns (samples, spacing)."""
-    if not math.isfinite(extent):
-        raise ValueError("extent must be finite")
+    if not (math.isfinite(extent) and extent >= 0.0):
+        raise ValueError("extent must be finite and >= 0")
     if points < 1:
         raise ValueError("points must be >= 1")
     axis = np.linspace(-extent, extent, points)
@@ -95,39 +94,19 @@ def _guard(samples: np.ndarray, cutoff: int, label: str):
         )
 
 
-def _pair_coupling(state: TwoModeState):
-    """The stored entries regrouped by mode pair: ((n, p), coupling, (m, q)).
-
-    ``coupling[k, l]`` is the entry rho[n, m, p, q] with (n, p) the k-th used
-    mode-a pair and (m, q) the l-th used mode-b pair, so that
-    Q = Re(Pa @ coupling @ Pb.T) / pi^2 with Pa[i, k] = conj(va[i, n_k])
-    va[i, p_k] and Pb[j, l] = conj(vb[j, m_l]) vb[j, q_l].  Only pairs that
-    carry a stored entry get a row or column.
-    """
-    from scipy import sparse
-
-    da, db = state.cutoffs.cutoff_a, state.cutoffs.cutoff_b
-    coo = state.csr.tocoo()
-    n, m = np.divmod(coo.row, db)
-    p, q = np.divmod(coo.col, db)
-    a_pairs, a_at = np.unique(n * da + p, return_inverse=True)
-    b_pairs, b_at = np.unique(m * db + q, return_inverse=True)
-    coupling = sparse.csr_array((coo.data, (a_at, b_at)),
-                                shape=(len(a_pairs), len(b_pairs)))
-    return np.divmod(a_pairs, da), coupling, np.divmod(b_pairs, db)
+def _sector_factors(state: TwoModeState, va: np.ndarray, vb: np.ndarray):
+    """Per stored sector (k_a, k_b): (U_a[k_a] x_s, U_b[k_b]), so that
+    Q = sum over sectors of Re(U_a[k_a] x_s U_b[k_b]^T) / pi^2."""
+    for k_a, k_b, x_s in zip(state.k_a.tolist(), state.k_b.tolist(), state.x):
+        u_a, u_b = _diagonal_products(va, k_a), _diagonal_products(vb, k_b)
+        yield u_a @ x_s[:u_a.shape[1], :u_b.shape[1]], u_b
 
 
-def _projectors(v: np.ndarray, pairs) -> np.ndarray:
-    """conj(v[:, left]) * v[:, right] for each (left, right) pair."""
-    left, right = pairs
-    return v[:, left].conj() * v[:, right]
-
-
-def _chunks(total: int, width: int):
-    """Slices over ``total`` samples, each holding about 2M entries of
-    ``width``: bounds the intermediates of a state that fills every pair."""
-    step = max(1, 2_000_000 // max(width, 1))
-    return (slice(lo, min(lo + step, total)) for lo in range(0, total, step))
+def _diagonal_products(v: np.ndarray, k: int) -> np.ndarray:
+    """U[i, j] = conj(v[i, j + max(k, 0)]) v[i, j + max(-k, 0)] for the
+    positions j < cutoff - |k| of a sector with phase offset k."""
+    size = v.shape[1] - abs(k)
+    return v[:, max(k, 0):][:, :size].conj() * v[:, max(-k, 0):][:, :size]
 
 
 def q_evaluate(state: TwoModeState, grid: QGrid) -> QGrid:
@@ -139,12 +118,10 @@ def q_evaluate(state: TwoModeState, grid: QGrid) -> QGrid:
 
     va = coherent_matrix(grid.alpha_samples, c.cutoff_a)
     vb = coherent_matrix(grid.beta_samples, c.cutoff_b)
-    a_pairs, coupling, b_pairs = _pair_coupling(state)
-    pb_t = _projectors(vb, b_pairs).T
-    values = np.empty((len(va), len(vb)))
-    for rows in _chunks(len(va), sum(coupling.shape) + len(vb)):
-        pa = _projectors(va[rows], a_pairs)
-        values[rows] = ((pa @ coupling) @ pb_t).real / math.pi**2
+    values = np.zeros((len(va), len(vb)))
+    for left, u_b in _sector_factors(state, va, vb):
+        values += (left @ u_b.T).real
+    values /= math.pi**2
 
     low = float(values.min(initial=0.0))
     if low < -config.Q_CLAMP:
@@ -165,11 +142,10 @@ def q_pairs(state: TwoModeState, alphas: np.ndarray, betas: np.ndarray) -> np.nd
     _guard(betas, c.cutoff_b, "beta")
     va = coherent_matrix(alphas, c.cutoff_a)
     vb = coherent_matrix(betas, c.cutoff_b)
-    a_pairs, coupling, b_pairs = _pair_coupling(state)
-    out = np.empty(len(va))
-    for rows in _chunks(len(va), sum(coupling.shape)):
-        pa_c = _projectors(va[rows], a_pairs) @ coupling
-        out[rows] = (pa_c * _projectors(vb[rows], b_pairs)).sum(axis=1).real / math.pi**2
+    out = np.zeros(len(va))
+    for left, u_b in _sector_factors(state, va, vb):
+        out += (left * u_b).sum(axis=1).real
+    out /= math.pi**2
     return np.clip(out, 0.0, None)
 
 
@@ -237,13 +213,6 @@ def check_zero_locus(spec, g_squared: float, zero_candidates) -> bool:
 
     # six orders of magnitude lie between the zeros and the controls
     return bool(np.all(q_zero < 1e-12 * q_max) and np.all(q_ctrl > 1e-6 * q_max))
-
-
-def riemann_mass(grid: QGrid, spacing_a: float, spacing_b: float) -> float:
-    """Normalization diagnostic: h_a^2 h_b^2 sum Q -> 1 as the grid grows."""
-    if grid.values is None:
-        raise ValueError("grid has no evaluated values")
-    return float(grid.values.sum() * spacing_a**2 * spacing_b**2)
 
 
 def write_qgrid_csv(grid: QGrid, path) -> None:

@@ -10,11 +10,11 @@ weight from rho[n, m, p, q] to (n +- 1, p +- 1) and (m +- 1, q +- 1), so
 the phase offsets (k_a, k_b) = (n - p, m - q) are conserved exactly: each
 sector of fixed (k_a, k_b) evolves independently of the others, and a
 sector empty at t = 0 stays zero for all time.  The integrator therefore
-evolves only the sectors populated at t = 0 (and their Hermitian mirrors),
-stacked as one array and acted on matrix-free by ``_kernels``; the
-generator is never materialized as a superoperator.  This is a symmetry
-of the equation, not an approximation: every stored entry comes out
-bit-for-bit as a full-tensor integration would give it.  A NOON input
+evolves the state's own sector stack, which holds only the sectors
+populated at t = 0 (and their Hermitian mirrors), acted on matrix-free by
+``_kernels``; the generator is never materialized as a superoperator.
+This is a symmetry of the equation, not an approximation: every stored
+entry comes out bit-for-bit as a full-tensor integration would give it.  A NOON input
 fills only 3 of the (2 cutoff_a - 1)(2 cutoff_b - 1) sectors.
 
 A classical fourth-order Runge-Kutta scheme with a fixed step
@@ -39,7 +39,7 @@ import numpy as np
 
 from . import _kernels
 from .channel import AmplifierParams
-from .fock import ModeCutoffs, TwoModeState, from_sectors, to_sectors
+from .fock import TwoModeState
 
 # fixed RK4 time step, in units of 1/kappa
 STEP_SIZE = 5e-4
@@ -95,7 +95,7 @@ def evolve(state: TwoModeState, params: AmplifierParams) -> TwoModeState:
 
     modes = params.amplified_modes
     c = state.cutoffs
-    k_a, k_b, rho = to_sectors(state)
+    k_a, k_b, rho = state.k_a, state.k_b, state.x.copy()
     k1, k2, k3, k4, tmp = (np.empty_like(rho) for _ in range(5))
     ladder_a = _kernels.ladder("a", k_a, c.cutoff_a, kappa_n1, kappa_n2)
     ladder_b = _kernels.ladder("b", k_b, c.cutoff_b, kappa_n1, kappa_n2)
@@ -131,48 +131,5 @@ def evolve(state: TwoModeState, params: AmplifierParams) -> TwoModeState:
         if (step + 1) % _LEAK_CHECK_EVERY == 0 or step == total_steps - 1:
             _check_leak(pops, modes, t, rate)
 
-    return from_sectors(c, k_a, k_b, rho, validate=True, atol=1e-10)
+    return TwoModeState(c, k_a, k_b, rho, atol=1e-10)
 
-
-def save_state_npz(state: TwoModeState, path) -> None:
-    """Binary checkpoint: the stored entries as (rows, cols, values) over the
-    flattened basis, plus cutoffs and trace_deficit; O(nnz), no d x d copy."""
-    coo = state.csr.tocoo()
-    np.savez_compressed(
-        path,
-        rows=coo.row,
-        cols=coo.col,
-        values=coo.data,
-        cutoff_a=state.cutoffs.cutoff_a,
-        cutoff_b=state.cutoffs.cutoff_b,
-        trace_deficit=state.trace_deficit,
-    )
-
-
-def load_state_npz(path) -> TwoModeState:
-    """Inverse of save_state_npz.  A file without the stored-entry triplets
-    is refused, and so is one whose trace_deficit differs from the rebuilt
-    state's by more than 1e-12 (tampered or mismatched)."""
-    with np.load(path) as data:
-        if not {"rows", "cols", "values"} <= set(data.files):
-            raise ValueError(f"{path} holds no rows/cols/values entries")
-        cutoffs = ModeCutoffs(int(data["cutoff_a"]), int(data["cutoff_b"]))
-        state = TwoModeState.from_entries(cutoffs, data["rows"], data["cols"],
-                                          data["values"])
-        stored = float(data["trace_deficit"])
-    if abs(state.trace_deficit - stored) > 1e-12:
-        raise ValueError(f"stored trace_deficit {stored:.6e} disagrees with the "
-                         f"matrix's {state.trace_deficit:.6e}")
-    return state
-
-
-def save_state_csv(state: TwoModeState, path) -> None:
-    """Stored entries as text, row-major: n_a, n_b, n_a', n_b', re, im."""
-    db = state.cutoffs.cutoff_b
-    coo = state.csr.tocoo()
-    with open(path, "w") as fh:
-        fh.write("n_a,n_b,na_p,nb_p,re,im\n")
-        for r, col, v in zip(coo.row.tolist(), coo.col.tolist(), coo.data.tolist()):
-            v = complex(v)
-            fh.write(f"{r // db},{r % db},{col // db},{col % db},"
-                     f"{v.real:.12g},{v.imag:.12g}\n")

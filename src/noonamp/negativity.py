@@ -1,12 +1,14 @@
 """Logarithmic negativity from partial-transpose spectra.
 
-Two routes to the same number.  The block route remaps the state's stored
-entries to partial-transpose coordinates, finds the connected components
-of that coupling graph with ``scipy.sparse.csgraph`` and diagonalizes every
-one, whatever its size, in batches: the components of one size are
-stacked and solved by a single ``np.linalg.eigvalsh`` call.  For amplified
-NOON states the components are short chains (both modes amplified) or 2x2
-blocks (one mode amplified), thousands of components in a few sizes.
+Two routes to the same number.  The block route reads NOON-derived
+states, which hold the phase sectors (0, 0) and +-(N, -N) only.  Their
+partial transpose keeps sector (0, 0) on its diagonal and couples each
+basis state to the one a step (N, N) away, so it is a direct sum of
+tridiagonal chains: short chains when both modes are amplified, 2x2 blocks
+when one is, thousands of chains in a few lengths.  The route reads the
+chains off the sector stack and solves the chains of one length by a
+single stacked ``np.linalg.eigvalsh`` call.  It takes any state with
+sector (0, 0) and at most one mirrored pair, and refuses every other.
 
 The dense route is the oracle the block route must match.  It hands the
 partial transpose to ``fock.hermitian_eigvalsh``, which solves it one
@@ -17,14 +19,14 @@ built from the squeezed vacuum).  The matrix is then exactly block diagonal
 in that charge, and the union of the blocks' spectra is its spectrum; a
 matrix that conserves neither charge is solved whole.  The oracle stays
 independent of the block route: it shares no code with it, and its blocks
-come from a symmetry tested on the data, not from the sparsity graph.
+come from a symmetry tested on the data, not from the sector structure.
 Each charge block is a full dense block that holds every basis state of
 its charge, so a coupling the block route missed would still show.
 
 No dense solve on either route exceeds ``config.FULL_SOLVE_MAX_DIMENSION``:
 a charge block holds at most min(cutoff_a, cutoff_b) basis states, and a
-whole-matrix solve or a coupling component above the limit is refused with
-ValueError before it is allocated.  Eigenvalues in
+whole-matrix solve or a chain above the limit is refused with ValueError
+before it is allocated.  Eigenvalues in
 [-``config.EIG_NEG_CLAMP``, 0) count as zero, and a state must be Hermitian
 within ``config.ATOL_STRUCTURAL``.
 """
@@ -34,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import config
-from .fock import TwoModeState, hermitian_eigvalsh, partial_transpose_b, pt_coordinates
+from .fock import TwoModeState, hermitian_eigvalsh, partial_transpose_b
 
 
 @dataclass(frozen=True)
@@ -88,89 +90,103 @@ def log_negativity_dense(state: TwoModeState) -> NegativityResult:
 
     Every eigenvalue of the d x d partial transpose is computed, zeros
     included; the blocks are dense and come from an exact charge test on
-    the stored entries, not from the coupling graph the block route uses.
+    the stored entries, not from the chains the block route reads.
     """
     _check_hermitian(state)
-    eigs = hermitian_eigvalsh(partial_transpose_b(state).csr, state.cutoffs)
+    eigs = hermitian_eigvalsh(*partial_transpose_b(state).entries(), state.cutoffs)
     return _result(float(eigs[0]), _neg_sum(eigs), "dense")
 
 
 def log_negativity_block(state: TwoModeState) -> NegativityResult:
-    """Partial-transpose spectrum via its coupling-graph components.
+    """Partial-transpose spectrum read as chains.
 
-    The partial transpose is never materialized: the stored entries of the
-    state are remapped to PT coordinates and the connected components of the
-    off-diagonal couplings are found with scipy's csgraph.  The components
-    of each size are scattered into one (count, size, size) stack and
-    solved by one ``np.linalg.eigvalsh`` call, which runs the same LAPACK
-    routine on each matrix as a solve of that matrix alone; a 1x1 component
-    is its diagonal entry.  Each component's negative sum is then added up
-    in order of its smallest PT index, so the result is bit for bit that of
-    one eigensolve per component.  A stack holds at most d x size entries.
-    A component larger than ``config.FULL_SOLVE_MAX_DIMENSION`` is refused
-    with ValueError before any block is allocated.
+    The state must hold sector (0, 0) and at most one mirrored pair
+    +-(k_a, k_b), as every NOON-derived state does; any other state is
+    refused with ValueError (``log_negativity_dense`` takes it).  The
+    partial transpose is never materialized: its diagonal is sector (0, 0)
+    and its only couplings join each basis state to the one a step
+    (k_a, -k_b) away, so it is a direct sum of tridiagonal chains, split
+    wherever a coupling is zero.  The chains of each length are scattered
+    into one (count, length, length) stack and solved by one
+    ``np.linalg.eigvalsh`` call, which runs the same LAPACK routine on each
+    matrix as a solve of that matrix alone; a 1x1 chain is its diagonal
+    entry.  Each chain's negative sum is then added up in order of its
+    smallest PT index, so the result is bit for bit that of one eigensolve
+    per chain.  A chain longer than ``config.FULL_SOLVE_MAX_DIMENSION`` is
+    refused with ValueError before any block is allocated.
     """
-    # imported at first use: at module level csgraph would add about 0.09 s
-    # to every import of the package
-    from scipy import sparse
-    from scipy.sparse.csgraph import connected_components
-
     _check_hermitian(state)
+    k_a, k_b, x = state.k_a, state.k_b, state.x
+    if x.shape[0] > 3:
+        raise ValueError(
+            f"the block route reads sector (0, 0) and one mirrored pair, and this state "
+            f"holds {x.shape[0]} phase sectors; use the dense route (log_negativity_dense)")
 
+    da, db = state.cutoffs.cutoff_a, state.cutoffs.cutoff_b
     d = state.dimension
-    coo = state.csr.tocoo()
-    pt_i, pt_j = pt_coordinates(coo.row, coo.col, state.cutoffs.cutoff_b)
-    graph = sparse.coo_array((np.ones(pt_i.size, dtype=np.int8), (pt_i, pt_j)),
-                             shape=(d, d))
-    _, labels = connected_components(graph, directed=False)
+    diag = state.populations().ravel()
+    # low[u] = PT[u + step, u] and up[u] = PT[u, u + step] for chain step
+    # (ka, -kb) in the labels, step = ka cutoff_b - kb > 0 in the PT index
+    low, up = np.zeros(d, dtype=x.dtype), np.zeros(d, dtype=x.dtype)
+    step = 1
+    pair = np.flatnonzero((k_a != 0) | (k_b != 0))
+    if pair.size:
+        s, mirror = pair
+        ka, kb = int(k_a[s]), int(k_b[s])
+        step = ka * db - kb
+        if step < 0:
+            s, mirror, ka, kb, step = mirror, s, -ka, -kb, -step
+        ja, jb = np.arange(da - abs(ka)), np.arange(db - abs(kb))
+        u = ((ja + max(-ka, 0))[:, None] * db + (jb + max(kb, 0))[None, :]).ravel()
+        low[u] = x[s, :ja.size, :jb.size].ravel()
+        up[u] = x[mirror, :ja.size, :jb.size].ravel()
+    linked = np.flatnonzero((low != 0) | (up != 0))   # u coupled to u + step
 
-    occupied = np.zeros(d, dtype=bool)
-    occupied[pt_i] = occupied[pt_j] = True
-    occupied = np.flatnonzero(occupied)  # PT rows with a stored entry, ascending
-    # number the components in order of their smallest member
-    _, first, comp = np.unique(labels[occupied], return_index=True, return_inverse=True)
-    comp = np.argsort(np.argsort(first))[comp]
-    sizes = np.bincount(comp)
+    occupied = diag != 0
+    occupied[linked] = occupied[linked + step] = True
+    # every chain member points one step back, then to its chain's first
+    # member by pointer doubling
+    head = np.arange(d)
+    head[linked + step] = linked
+    while not np.array_equal(head[head], head):
+        head = head[head]
+    nodes = np.flatnonzero(occupied)   # PT rows with a stored entry, ascending
+    # chains are numbered in order of their first (smallest) member
+    _, chain, sizes = np.unique(head[nodes], return_inverse=True, return_counts=True)
     if sizes.max(initial=0) > config.FULL_SOLVE_MAX_DIMENSION:
         raise ValueError(
             f"partial-transpose component of size {sizes.max()} exceeds the "
             f"eigensolve limit {config.FULL_SOLVE_MAX_DIMENSION}")
+    rank = (nodes - head[nodes]) // step
 
-    # every stored entry lands in the block of its PT row, at the positions
-    # of its PT row and column among the block's members (ascending)
-    members = occupied[np.argsort(comp, kind="stable")]
-    local = np.empty(d, dtype=np.int64)
-    local[members] = np.arange(members.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    node_comp = np.empty(d, dtype=np.int64)
-    node_comp[occupied] = comp
-
-    # the components of one size form one batch, stacked in component order:
-    # a component's slot is its rank among the components of its size
+    # the chains of one length form one batch, stacked in chain order: a
+    # chain's slot is its rank among the chains of its length
     by_size = np.argsort(sizes, kind="stable")
     batch_sizes, starts, counts = np.unique(sizes[by_size], return_index=True,
                                             return_counts=True)
     slot = np.empty(sizes.size, dtype=np.int64)
     slot[by_size] = np.arange(sizes.size) - np.repeat(starts, counts)
-    entry_comp = node_comp[pt_i]
-    entry_sizes = sizes[entry_comp]
-    order = np.argsort(entry_sizes, kind="stable")
-    bounds = np.append(np.searchsorted(entry_sizes[order], batch_sizes), order.size)
+    node_sizes = sizes[chain]
 
-    min_eig = 0.0 if occupied.size < d else np.inf  # empty rows contribute eigenvalue 0
-    comp_neg = np.zeros(sizes.size)  # each component's neg_sum, in component order
-    for k, (size, start, count) in enumerate(zip(batch_sizes.tolist(), starts, counts)):
-        e = order[bounds[k]:bounds[k + 1]]
-        stack = np.zeros((count, size, size), dtype=coo.data.dtype)
-        stack[slot[entry_comp[e]], local[pt_i[e]], local[pt_j[e]]] = coo.data[e]
+    min_eig = 0.0 if nodes.size < d else np.inf  # empty rows contribute eigenvalue 0
+    chain_neg = np.zeros(sizes.size)  # each chain's neg_sum, in chain order
+    for size, start, count in zip(batch_sizes.tolist(), starts, counts):
+        sel = node_sizes == size
+        at, b, r = nodes[sel], slot[chain[sel]], rank[sel]
+        stack = np.zeros((count, size, size), dtype=x.dtype)
+        stack[b, r, r] = diag[at]
         if size == 1:
             eigs = stack[:, :, 0].real  # PT leaves the diagonal in place
         else:
+            on = r < size - 1   # every member but the last couples to the next
+            stack[b[on], r[on] + 1, r[on]] = low[at[on]]
+            stack[b[on], r[on], r[on] + 1] = up[at[on]]
             eigs = np.linalg.eigvalsh(stack)
         min_eig = min(min_eig, float(eigs[:, 0].min()))
-        comp_neg[by_size[start:start + count]] = _neg_sums(eigs)
+        chain_neg[by_size[start:start + count]] = _neg_sums(eigs)
 
-    # added in component order, as one solve per component adds them
-    neg_sum = float(np.cumsum(comp_neg)[-1]) if comp_neg.size else 0.0
+    # added in chain order, as one solve per chain adds them
+    neg_sum = float(np.cumsum(chain_neg)[-1]) if chain_neg.size else 0.0
     if not np.isfinite(min_eig):
         min_eig = 0.0
     return _result(float(min_eig), neg_sum, "block", int(sizes.size))

@@ -9,10 +9,9 @@ from noonamp import (AmplifierParams, CutoffPolicy, MODE_ASYMMETRIC_A, MODE_SYMM
                      amplified_vacuum, amplify_noon, amplify_noon_asymmetric,
                      amplify_noon_symmetric, amplify_state, build_noon, checks, evolve,
                      photon_add_both, select_cutoffs, tmsv_fock)
-from noonamp.fock import TwoModeState, product_state
 from noonamp.gaussian import SqueezingSpec
 
-from helpers import dense_tensor
+from helpers import dense_tensor, from_matrix, product_state, same_state
 
 
 def creation(dim):
@@ -120,7 +119,7 @@ def test_amplify_noon_sends_eta_to_the_map():
     assert cut == select_cutoffs(spec, AmplifierParams(1.75), CutoffPolicy())
     state = amplify_noon(spec, params, cut)
     want = amplify_state(build_noon(spec, cut), params)
-    assert (state.csr != want.csr).nnz == 0
+    assert same_state(state, want)
     assert state.trace_deficit <= 100.0 * CutoffPolicy().tail_tol  # the verify budget
 
 
@@ -281,11 +280,11 @@ def test_photon_add_thermal_against_ladder():
     one = sparse.csr_array(creation(dim))
     adag = sparse.kron(one, sparse.eye_array(dim), format="csr")
     bdag = sparse.kron(sparse.eye_array(dim), one, format="csr")
-    raw = adag @ bdag @ state.csr @ adag.conj().T @ bdag.conj().T
+    raw = adag @ bdag @ _csr(state) @ adag.conj().T @ bdag.conj().T
     pops = state.populations()
     levels = np.arange(dim)
     exact_trace = (((levels + 1.0)[:, None]) * ((levels + 1.0)[None, :]) * pops).sum()
-    assert abs(added.csr - raw / exact_trace).max() <= 1e-12
+    assert abs(_csr(added) - raw / exact_trace).max() <= 1e-12
 
     # mean per mode by direct summation over the ladder-built distribution
     mean_a = float((levels[:, None] * added.populations()).sum())
@@ -294,6 +293,12 @@ def test_photon_add_thermal_against_ladder():
     assert abs(mean_a - mean_direct) <= 1e-10
     mean_b = float((levels[None, :] * added.populations()).sum())
     assert abs(mean_a - mean_b) <= 1e-10  # symmetric input, symmetric output
+
+
+def _csr(state):
+    d = state.dimension
+    rows, cols, values = state.entries()
+    return sparse.csr_array((values, (rows, cols)), shape=(d, d))
 
 
 def test_photon_add_tmsv_schmidt_form():
@@ -324,20 +329,20 @@ def _photon_add_dense(state):
               * sa[None, None, 1:, None] * sb[None, None, None, 1:])
     out[1:, 1:, 1:, 1:] = factor * rho[:-1, :-1, :-1, :-1]
     out /= exact_trace
-    return TwoModeState(c, out.reshape(c.dimension, c.dimension))
+    return from_matrix(c, out.reshape(c.dimension, c.dimension))
 
 
 def _random_complex_state(da, db, seed):
     rng = np.random.default_rng(seed)
     a = rng.normal(size=(da * db, da * db)) + 1j * rng.normal(size=(da * db, da * db))
     rho = a @ a.conj().T
-    return TwoModeState(ModeCutoffs(da, db), rho / np.trace(rho).real)
+    return from_matrix(ModeCutoffs(da, db), rho / np.trace(rho).real)
 
 
 @pytest.mark.parametrize("make_state", [
     lambda: tmsv_fock(SqueezingSpec(0.5), ModeCutoffs(16, 16)),
     lambda: evolve(tmsv_fock(SqueezingSpec(0.3), ModeCutoffs(16, 16)), AmplifierParams(1.05)),
-    lambda: TwoModeState(ModeCutoffs(20, 20), _thermal_two_mode(1.5, 20)),
+    lambda: from_matrix(ModeCutoffs(20, 20), _thermal_two_mode(1.5, 20)),
     lambda: amplify_noon_asymmetric(NoonSpec(2), AmplifierParams(
         1.5, mode_config=MODE_ASYMMETRIC_A), ModeCutoffs(24, 3)),
     lambda: _random_complex_state(7, 5, seed=3),
@@ -347,8 +352,7 @@ def test_photon_add_matches_dense_tensor(make_state):
     """The coordinate shift reproduces the dense-tensor construction bit for bit."""
     state = make_state()
     got, want = photon_add_both(state), _photon_add_dense(state)
-    for attr in ("data", "indices", "indptr"):
-        assert np.array_equal(getattr(got.csr, attr), getattr(want.csr, attr))
+    assert same_state(got, want)
     assert got.trace_deficit == want.trace_deficit
 
 

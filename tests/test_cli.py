@@ -158,6 +158,26 @@ def test_import_loads_no_scipy():
     assert out.strip() == "[]"
 
 
+def test_commands_load_no_scipy_sparse(tmp_path):
+    """The block and dense sweeps (eta = 0 and eta > 0, both NOON
+    families), ``qfunc`` and ``verify`` run without scipy.sparse."""
+    env = {**os.environ, "PYTHONPATH": str(Path(noonamp.__file__).parents[1])}
+    noon = ["--n", "2", "--g2", "1:1.5:0.5"]
+    argvs = [["sweep", "--family", family, *noon, "--eta", eta]
+             for family in ("noon_symmetric", "noon_asymmetric") for eta in ("0", "0.5")]
+    argvs += [["sweep", "--family", "noon_symmetric", *noon, "--method", "dense"],
+              ["qfunc", "--n", "2", "--points", "5", "--out", str(tmp_path / "q.csv")],
+              ["verify"]]
+    code = ("import contextlib, io, sys\n"
+            "from noonamp.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    codes = [main(argv) for argv in {argvs!r}]\n"
+            "print(codes, [m for m in sys.modules if m.startswith('scipy.sparse')])\n")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=300, check=True).stdout
+    assert out.strip() == f"{[0] * len(argvs)} []"
+
+
 def test_cli_configuration_errors():
     assert main(["sweep", "--family", "noon_symmetric",
                  "--g2", "1.0:1.2:0.1"]) == 2  # no --n
@@ -185,6 +205,10 @@ def test_cli_configuration_errors():
     ["thresholds", "--r", "nan"],
     ["thresholds", "--r", "0.5", "--eta", "nan"],
     ["qfunc", "--n", "2", "--extent", "nan"],
+    # overflow: cosh(2r), the number of grid points; a negative extent
+    ["sweep", "--family", "tmsv_gaussian", "--r", "1000", "--g2", "1:1.1:0.1"],
+    ["sweep", "--family", "tmsv_gaussian", "--g2", "1:1e300:1e-300"],
+    ["qfunc", "--extent", "-1", "--points", "3", "--out", "{tmp}/out.csv"],
     # unwritable --out: a missing directory, or a directory itself
     ["sweep", "--family", "noon_symmetric", "--n", "2", "--g2", "1.0:1.1:0.1",
      "--out", "{tmp}/missing/x.csv"],
@@ -320,10 +344,10 @@ def test_verify_detects_offdiagonal_sign_fault(builder, oracle_check, monkeypatc
 
     def corrupted(spec, params, cutoffs):
         state = original(spec, params, cutoffs)
-        m = state.matrix.copy()
-        off = ~np.eye(m.shape[0], dtype=bool)
-        m[off] = -m[off]
-        return TwoModeState(cutoffs, m)
+        x = state.x.copy()
+        off = (state.k_a != 0) | (state.k_b != 0)   # every sector but the diagonal
+        x[off] = -x[off]
+        return TwoModeState(cutoffs, state.k_a, state.k_b, x)
 
     monkeypatch.setattr(channel, builder, corrupted)
     assert run_verify() == 1

@@ -2,13 +2,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy import sparse
 
 from noonamp import (ModeCutoffs, NoonSpec, TwoModeState, build_noon,
-                     config, fock, log_negativity_dense, partial_transpose_b, product_state,
-                     trace_and_purity, trace_distance)
+                     config, fock, log_negativity_dense, partial_transpose_b, trace_distance)
 from noonamp.fock import hermitian_eigvalsh
 from noonamp.negativity import log_negativity_block
+
+from helpers import from_matrix, product_state, trace_and_purity
 
 TOL = 1e-12
 
@@ -101,7 +101,7 @@ def test_pt_involution_hermiticity_trace():
     rng = np.random.default_rng(5)
     for _ in range(6):
         cut = ModeCutoffs(int(rng.integers(2, 6)), int(rng.integers(2, 6)))
-        state = TwoModeState(cut, random_density(cut.dimension, rng))
+        state = from_matrix(cut, random_density(cut.dimension, rng))
         pt = partial_transpose_b(state)
         assert np.abs(pt.matrix - pt.matrix.conj().T).max() <= TOL
         assert abs(pt.trace - state.trace) <= TOL
@@ -125,7 +125,7 @@ def test_trace_and_purity_thermal_embedding():
 
 def test_trace_and_purity_noon_and_zero():
     assert trace_and_purity(build_noon(NoonSpec(1), ModeCutoffs(3, 3))) == (1.0, 1.0)
-    zero = TwoModeState(ModeCutoffs(3, 3), np.zeros((9, 9), dtype=complex))
+    zero = from_matrix(ModeCutoffs(3, 3), np.zeros((9, 9), dtype=complex))
     assert trace_and_purity(zero) == (0.0, 0.0)
     assert zero.trace_deficit == 1.0
 
@@ -135,15 +135,40 @@ def test_state_validation():
     bad = np.zeros((4, 4), dtype=complex)
     bad[0, 1] = 1.0  # not Hermitian
     with pytest.raises(ValueError, match="Hermitian"):
-        TwoModeState(cut, bad)
+        from_matrix(cut, bad)
     neg = np.diag([-1e-3, 0.5, 0.25, 0.25]).astype(complex)
     with pytest.raises(ValueError, match="negative"):
-        TwoModeState(cut, neg)
+        from_matrix(cut, neg)
     overweight = np.diag([2.0, 0, 0, 0]).astype(complex)
     with pytest.raises(ValueError, match="trace"):
-        TwoModeState(cut, overweight)
-    with pytest.raises(ValueError, match="shape"):
-        TwoModeState(cut, np.zeros((3, 3), dtype=complex))
+        from_matrix(cut, overweight)
+
+
+def test_sector_stack_validation():
+    """The constructor takes a well-formed stack only; from_entries takes
+    positions inside the basis only."""
+    cut = ModeCutoffs(2, 3)
+    with pytest.raises(ValueError, match="does not match"):
+        TwoModeState(cut, [0], [0], np.zeros((1, 3, 2)))
+    with pytest.raises(ValueError, match="mirroring"):
+        TwoModeState(cut, [1], [0], np.zeros((1, 2, 3)))
+    with pytest.raises(ValueError, match="mirroring"):
+        TwoModeState(cut, [0, 0], [0, 0], np.zeros((2, 2, 3)))
+    with pytest.raises(ValueError, match="mirroring"):
+        TwoModeState(cut, [-2, 0, 2], [0, 0, 0], np.zeros((3, 2, 3)))
+    padded = np.zeros((3, 2, 3))
+    padded[0, 1, 0] = 0.1  # sector (-1, 0) has positions j_a < 1 only
+    with pytest.raises(ValueError, match="past the cutoffs"):
+        TwoModeState(cut, [-1, 0, 1], [0, 0, 0], padded, validate=False)
+    with pytest.raises(ValueError, match="outside"):
+        TwoModeState.from_entries(cut, [6], [0], [1.0])
+    # a sector that is zero together with its mirror is not kept, and a
+    # zero imaginary part is dropped
+    x = np.zeros((3, 2, 3), dtype=complex)
+    x[1, 0, 0] = 1.0
+    state = TwoModeState(cut, [-1, 0, 1], [0, 0, 0], x)
+    assert state.k_a.tolist() == [0] and state.k_b.tolist() == [0]
+    assert state.x.dtype == np.float64 and state.trace_deficit == 0.0
 
 
 def test_state_immutable():
@@ -160,23 +185,26 @@ def test_hermiticity_scanned_once_per_state(monkeypatch):
     scans = []
     scan = fock._hermiticity_error
 
-    def counted(csr):
-        scans.append(csr.nnz)
-        return scan(csr)
+    def counted(x):
+        scans.append(x.size)
+        return scan(x)
 
     monkeypatch.setattr(fock, "_hermiticity_error", counted)
     rng = np.random.default_rng(2)
     rho = random_density(6, rng)
-    state = TwoModeState(ModeCutoffs(2, 3), rho)
+    state = from_matrix(ModeCutoffs(2, 3), rho)
     assert len(scans) == 1
     for _ in range(2):
-        log_negativity_block(state)
+        # a random state fills every sector, which the block route refuses
+        # after its Hermiticity check
+        with pytest.raises(ValueError, match="dense route"):
+            log_negativity_block(state)
         log_negativity_dense(state)
-    assert state.hermiticity_error() == scan(state.csr) and len(scans) == 1
+    assert state.hermiticity_error() == scan(state.x) and len(scans) == 1
 
     skew = rho.copy()
     skew[0, 1] += 1e-6
-    lazy = TwoModeState(ModeCutoffs(2, 3), skew, validate=False)
+    lazy = from_matrix(ModeCutoffs(2, 3), skew, validate=False)
     assert len(scans) == 1
     assert lazy.hermiticity_error() == pytest.approx(1e-6, rel=1e-6)
     assert lazy.hermiticity_error() == pytest.approx(1e-6, rel=1e-6) and len(scans) == 2
@@ -197,13 +225,16 @@ def test_trace_distance():
 
 
 def test_hermitian_eigvalsh_sums_repeated_entries():
-    """scipy allows a position to be stored twice; its value is the sum."""
+    """A position listed twice counts with the sum of its values."""
     c = ModeCutoffs(2, 2)
     # (0,0) twice; |0,1><1,0| and its mirror keep n_a + n_b
-    m = sparse.csr_array((np.array([0.25, 0.25, 0.1, 0.1]), np.array([0, 0, 2, 1]),
-                          np.array([0, 2, 3, 4, 4])), shape=(4, 4))
-    assert not m.has_canonical_format
-    assert np.abs(hermitian_eigvalsh(m, c) - np.linalg.eigvalsh(m.toarray())).max() <= TOL
+    rows, cols = np.array([0, 0, 1, 2]), np.array([0, 0, 2, 1])
+    values = np.array([0.25, 0.25, 0.1, 0.1])
+    m = np.zeros((4, 4))
+    np.add.at(m, (rows, cols), values)
+    assert m[0, 0] == 0.5
+    assert np.abs(hermitian_eigvalsh(rows, cols, values, c)
+                  - np.linalg.eigvalsh(m)).max() <= TOL
 
 
 def test_full_solve_refused_above_dimension_limit():

@@ -8,12 +8,11 @@ from noonamp import (AmplifierParams, CutoffPolicy, MODE_ASYMMETRIC_A, MODE_SYMM
                      amplify_noon, amplify_noon_symmetric, build_noon, check_scaling_law,
                      check_zero_locus, checks, default_grid_for_state, evolve,
                      noon_zero_candidates, photon_add_both, q_evaluate, q_pairs,
-                     riemann_mass, select_cutoffs, square_mesh, tmsv_fock, write_qgrid_csv)
-from noonamp.fock import TwoModeState, product_state
+                     select_cutoffs, square_mesh, tmsv_fock, write_qgrid_csv)
 from noonamp.gaussian import SqueezingSpec
 from noonamp.husimi import coherent_matrix
 
-from helpers import dense_tensor
+from helpers import dense_tensor, from_matrix, product_state, riemann_mass
 
 
 def vacuum_state(da=4, db=4):
@@ -117,7 +116,7 @@ def _random_complex_state(da, db, seed):
     rng = np.random.default_rng(seed)
     a = rng.normal(size=(da * db, da * db)) + 1j * rng.normal(size=(da * db, da * db))
     rho = a @ a.conj().T
-    return TwoModeState(ModeCutoffs(da, db), rho / np.trace(rho).real)
+    return from_matrix(ModeCutoffs(da, db), rho / np.trace(rho).real)
 
 
 @pytest.mark.parametrize("make_state", [
@@ -156,7 +155,7 @@ def test_q_negative_state_raises():
     i00, i11 = cut.flat_index(0, 0), cut.flat_index(1, 1)
     m[i00, i00] = m[i11, i11] = 0.5
     m[i00, i11] = m[i11, i00] = -0.6
-    state = TwoModeState(cut, m, validate=False)
+    state = from_matrix(cut, m, validate=False)
     grid = QGrid(np.array([0.8 + 0j]), np.array([0.8 + 0j]))
     with pytest.raises(ValueError, match="clamp"):
         q_evaluate(state, grid)

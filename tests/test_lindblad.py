@@ -1,15 +1,13 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
 from noonamp import (AmplifierParams, CutoffPolicy, MODE_ASYMMETRIC_A, MODE_SYMMETRIC,
                      ModeCutoffs, NoonSpec, amplify_noon_symmetric, build_noon,
-                     check_scaling_law, evolve, load_state_npz, save_state_csv, save_state_npz,
-                     select_cutoffs, square_mesh, trace_distance)
-from noonamp import _kernels, config, lindblad
-from noonamp.fock import product_state
+                     check_scaling_law, evolve, select_cutoffs, square_mesh, trace_distance)
+from noonamp import _kernels, lindblad
 from noonamp.husimi import QGrid
+
+from helpers import product_state
 
 
 def thermal_matrix(nbar, dim):
@@ -133,67 +131,3 @@ def test_eta_above_zero_supported():
     mean = float((np.arange(50) * out.populations()[:, 0]).sum())
     expected = (g2 - 1.0) * (1.0 + params.eta)
     assert abs(mean - expected) / expected <= 1e-6
-
-
-def test_state_dump_roundtrip(tmp_path):
-    spec = NoonSpec(1)
-    cut = ModeCutoffs(18, 18)
-    out = evolve(build_noon(spec, cut), AmplifierParams(1.3))
-    npz = tmp_path / "state.npz"
-    save_state_npz(out, npz)
-    back = load_state_npz(npz)
-    assert back.cutoffs == out.cutoffs
-    assert np.array_equal(back.matrix, out.matrix)
-
-    csv = tmp_path / "state.csv"
-    save_state_csv(out, csv)
-    lines = csv.read_text().strip().split("\n")
-    assert lines[0] == "n_a,n_b,na_p,nb_p,re,im"
-    assert len(lines) - 1 == int(np.count_nonzero(out.matrix))
-
-
-def test_load_rejects_tampered_trace_deficit(tmp_path):
-    spec = NoonSpec(2)
-    params = AmplifierParams(1.5)
-    state = amplify_noon_symmetric(spec, params, ModeCutoffs(10, 10))
-    assert state.trace_deficit > 1e-6  # truncated: the deficit carries information
-    good = tmp_path / "good.npz"
-    save_state_npz(state, good)
-    assert load_state_npz(good).trace_deficit == state.trace_deficit
-
-    with np.load(good) as data:
-        fields = dict(data)
-    fields["trace_deficit"] = state.trace_deficit + 1e-9
-    bad = tmp_path / "bad.npz"
-    np.savez_compressed(bad, **fields)
-    with pytest.raises(ValueError, match="trace_deficit"):
-        load_state_npz(bad)
-
-
-def test_npz_stores_entries_not_dense_matrix(tmp_path):
-    """Saving and loading stay O(nnz): a state above the full-solve limit
-    round-trips exactly with a tracemalloc peak under 1% of one d x d copy,
-    and a file without the (rows, cols, values) triplets is refused."""
-    cutoffs = ModeCutoffs(101, 101)
-    d = cutoffs.dimension
-    assert d > config.FULL_SOLVE_MAX_DIMENSION
-    state = amplify_noon_symmetric(NoonSpec(2), AmplifierParams(1.5), cutoffs)
-    path = tmp_path / "big.npz"
-    tracemalloc.start()
-    try:
-        save_state_npz(state, path)
-        back = load_state_npz(path)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < d * d * 8 // 100
-    assert back.cutoffs == cutoffs and back.csr.dtype == state.csr.dtype
-    assert (back.csr != state.csr).nnz == 0
-    assert back.trace_deficit == state.trace_deficit
-
-    with np.load(path) as data:
-        fields = {k: data[k] for k in ("cutoff_a", "cutoff_b", "trace_deficit")}
-    legacy = tmp_path / "legacy.npz"
-    np.savez_compressed(legacy, matrix=np.zeros((1, 1)), **fields)
-    with pytest.raises(ValueError, match="rows/cols/values"):
-        load_state_npz(legacy)

@@ -1,6 +1,5 @@
 import math
 import tracemalloc
-import warnings
 
 import numpy as np
 import pytest
@@ -11,10 +10,10 @@ from noonamp import (AmplifierParams, CutoffPolicy, MODE_ASYMMETRIC_A, MODE_SYMM
                      select_cutoffs)
 from noonamp import config
 from noonamp.cli import SweepConfig, g2_values
-from noonamp.fock import partial_transpose_b, product_state, pt_coordinates
+from noonamp.fock import partial_transpose_b
 from noonamp.negativity import log_negativity_block, log_negativity_dense
 
-from helpers import dense_tensor
+from helpers import dense_tensor, from_matrix, product_state
 
 # dense eigensolve at auto cutoffs (tail 1e-10), stable to 4e-16 under
 # cutoff doubling; see test_golden_symmetric_value
@@ -142,25 +141,22 @@ def test_block_components_symmetric_are_rays():
 
 
 def test_block_fallback_on_dense_state():
-    """A state without the closed-form sparsity has one 600-dimensional
-    partial-transpose component; the block route solves it as it is."""
+    """A state without the closed-form sparsity fills every phase sector;
+    the block route refuses it and names the dense route, which solves it."""
     rng = np.random.default_rng(17)
     dim = 24 * 25
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     rho = g @ g.conj().T
     rho /= rho.trace().real
-    state = TwoModeState(ModeCutoffs(24, 25), rho)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        res = _assert_matches_reference(state)
-    assert res.method == "block"
-    assert res.block_count == 1
+    state = from_matrix(ModeCutoffs(24, 25), rho)
+    with pytest.raises(ValueError, match="dense route"):
+        log_negativity_block(state)
     # complex, with more negative eigenvalues than numpy sums one by one
-    assert state.csr.dtype == np.complex128
-    assert np.count_nonzero(np.linalg.eigvalsh(partial_transpose_b(state).matrix)
-                            < -config.EIG_NEG_CLAMP) > 8
+    assert state.x.dtype == np.complex128
+    eigs = np.linalg.eigvalsh(partial_transpose_b(state).matrix)
+    assert np.count_nonzero(eigs < -config.EIG_NEG_CLAMP) > 8
     dense = log_negativity_dense(state)
-    assert abs(res.log_negativity - dense.log_negativity) <= 1e-12
+    assert abs(dense.neg_sum + eigs[eigs < -config.EIG_NEG_CLAMP].sum()) <= 1e-12
 
 
 def test_negative_eigenvalue_clamp():
@@ -189,20 +185,18 @@ def test_negative_eigenvalue_clamp():
 def test_component_above_limit_refused_before_allocation():
     """A partial-transpose component larger than config.FULL_SOLVE_MAX_DIMENSION
     is refused before the block route allocates it."""
-    cutoffs = ModeCutoffs(101, 101)
+    cutoffs = ModeCutoffs(10001, 1)
     d = cutoffs.dimension
     assert d > config.FULL_SOLVE_MAX_DIMENSION
-    # the partial transpose of a chain coupling basis state k to k + 1:
-    # one component holding all d basis states
-    k = np.arange(d - 1)
-    chain = TwoModeState.from_entries(
-        cutoffs, np.concatenate([np.arange(d), k, k + 1]),
-        np.concatenate([np.arange(d), k + 1, k]),
-        np.concatenate([np.full(d, 1.0 / d), np.full(2 * (d - 1), 0.1 / d)]))
-    state = partial_transpose_b(chain)
+    # sectors +-(1, 0) couple |n> to |n + 1> in mode a: one chain holding
+    # all d basis states (position d - 1 lies past the sector's end)
+    coupling = np.full((d, 1), 0.1 / d)
+    coupling[-1] = 0.0
+    state = TwoModeState(cutoffs, [-1, 0, 1], [0, 0, 0],
+                         [coupling, np.full((d, 1), 1.0 / d), coupling])
     tracemalloc.start()
     try:
-        with pytest.raises(ValueError, match="component of size 10201"):
+        with pytest.raises(ValueError, match="component of size 10001"):
             log_negativity_block(state)
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -213,7 +207,7 @@ def test_component_above_limit_refused_before_allocation():
 def test_non_hermitian_rejected():
     bad = np.zeros((9, 9), dtype=complex)
     bad[0, 1] = 0.5
-    state = TwoModeState(ModeCutoffs(3, 3), bad, validate=False)
+    state = from_matrix(ModeCutoffs(3, 3), bad, validate=False)
     with pytest.raises(ValueError, match="Hermitian"):
         log_negativity_dense(state)
     with pytest.raises(ValueError, match="Hermitian"):
@@ -221,7 +215,7 @@ def test_non_hermitian_rejected():
 
 
 def test_zero_matrix_state():
-    zero = TwoModeState(ModeCutoffs(3, 3), np.zeros((9, 9), dtype=complex))
+    zero = from_matrix(ModeCutoffs(3, 3), np.zeros((9, 9), dtype=complex))
     res = log_negativity_block(zero)
     assert res.log_negativity == 0.0
     assert res.block_count == 0
@@ -234,9 +228,10 @@ def _per_component_reference(state):
     from scipy import sparse
     from scipy.sparse.csgraph import connected_components
 
-    d = state.dimension
-    coo = state.csr.tocoo()
-    pt_i, pt_j = pt_coordinates(coo.row, coo.col, state.cutoffs.cutoff_b)
+    d, db = state.dimension, state.cutoffs.cutoff_b
+    rows, cols, data = state.entries()
+    # positions in the partial transpose of the entries at (rows, cols)
+    pt_i, pt_j = (rows // db) * db + cols % db, (cols // db) * db + rows % db
     graph = sparse.coo_array((np.ones(pt_i.size, dtype=np.int8), (pt_i, pt_j)),
                              shape=(d, d))
     _, labels = connected_components(graph, directed=False)
@@ -251,7 +246,7 @@ def _per_component_reference(state):
     node_comp[occupied] = comp
     order = np.argsort(node_comp[pt_i], kind="stable")
     bounds = np.searchsorted(node_comp[pt_i][order], np.arange(sizes.size + 1))
-    loc_i, loc_j, vals = local[pt_i][order], local[pt_j][order], coo.data[order]
+    loc_i, loc_j, vals = local[pt_i][order], local[pt_j][order], data[order]
 
     min_eig = 0.0 if occupied.size < d else np.inf
     neg_sum = 0.0
@@ -295,40 +290,42 @@ def test_block_matches_per_component_reference_on_golden_grid(mode):
                 amplify_noon(spec, params, select_cutoffs(spec, params, CutoffPolicy())))
 
 
-def _pt_state(cutoffs, blocks, diagonal, dtype=float):
+def _chain_state(cutoffs, diagonal, couplings, dtype=float, validate=False):
     """The state whose partial transpose holds ``diagonal`` on its diagonal
-    and, for each (members, values) in ``blocks``, the Hermitian couplings
-    values[k] between members[k] and members[k + 1 :]."""
-    d = cutoffs.dimension
+    and, for each u: value in ``couplings``, the Hermitian coupling value
+    at PT[u + 1, u] between neighbours in mode b.  Its phase sectors are
+    (0, 0) and the one mirrored pair +-(0, 1)."""
     pt = np.diag(np.asarray(diagonal, dtype=dtype))
-    for members, values in blocks:
-        values = iter(values)
-        for k, i in enumerate(members):
-            for j in members[k + 1:]:
-                pt[i, j] = next(values)
-                pt[j, i] = np.conj(pt[i, j])
-    assert pt.shape == (d, d)
-    return partial_transpose_b(TwoModeState(cutoffs, pt, validate=False))
+    for u, value in couplings.items():
+        assert (u + 1) % cutoffs.cutoff_b != 0  # u + 1 is a neighbour of u
+        pt[u + 1, u] = value
+        pt[u, u + 1] = np.conj(value)
+    state = partial_transpose_b(from_matrix(cutoffs, pt, validate=False))
+    assert state.k_a.tolist()[-1] == 0 and state.k_b.tolist()[-1] == 1
+    if validate:
+        state = TwoModeState(cutoffs, state.k_a, state.k_b, state.x)
+    return state
 
 
 @pytest.mark.parametrize("dtype", [float, complex])
 def test_block_matches_reference_with_interleaved_sizes(dtype):
-    """Components of equal size that are not adjacent in component order,
-    with one, two and no negative eigenvalues among them."""
-    c = ModeCutoffs(4, 4)
+    """Chains of equal length that are not adjacent in chain order, with
+    one, two and no negative eigenvalues among them, and a zero coupling
+    that splits a chain."""
+    c = ModeCutoffs(4, 5)   # chains run along the rows of 5
     rng = np.random.default_rng(5)
     diagonal = rng.uniform(0.0, 0.05, size=c.dimension)
     phase = np.exp(0.3j) if dtype is complex else 1.0
-    # component order (smallest member first): sizes 2, 3, 2, 1, 3, 2, 1, 1, 1
-    blocks = [([0, 1], [0.04 * phase]),
-              ([2, 5, 9], [0.1, 0.1 * phase, 0.1]),      # two negative eigenvalues
-              ([3, 4], [0.001]),                          # none
-              ([7, 8, 10], [-0.05 * phase, 0.0, 0.02]),   # a chain
-              ([11, 14], [0.06])]
-    state = _pt_state(c, blocks, diagonal, dtype)
-    assert state.csr.dtype == np.dtype(dtype)
+    # chain order (first member): lengths 2, 3, 2, 1, 1, 1, 4, 1, 2, 2, 1
+    couplings = {0: 0.04 * phase,                        # [0, 1]
+                 2: 0.1, 3: 0.1 * phase,                 # [2, 3, 4]: one negative
+                 5: 0.001,                               # [5, 6]: none
+                 10: 0.1, 11: 0.1 * phase, 12: 0.1,      # [10 .. 13]: two negatives
+                 15: -0.05 * phase, 16: 0.0, 17: 0.02}   # [15, 16] and [17, 18]
+    state = _chain_state(c, diagonal, couplings, dtype, validate=True)
+    assert state.x.dtype == np.dtype(dtype)
     res = _assert_matches_reference(state)
-    assert res.block_count == 9 and res.neg_sum > 0.0
+    assert res.block_count == 11 and res.neg_sum > 0.0
     assert abs(res.log_negativity - log_negativity_dense(state).log_negativity) <= 1e-12
 
 
@@ -336,8 +333,8 @@ def test_block_matches_reference_with_negative_diagonal_components():
     """1x1 components with negative diagonal entries (an unvalidated state)
     between coupled components; basis state 5 has no stored entry."""
     c = ModeCutoffs(3, 3)
-    diagonal = [0.2, -3e-3, 0.1, -5e-13, 0.05, 0.0, -2e-12, 0.1, 0.1]
-    state = _pt_state(c, [([0, 2], [0.3]), ([4, 7, 8], [0.2, 0.0, 0.2])], diagonal)
+    diagonal = [0.2, 0.1, -3e-3, -5e-13, -2e-12, 0.0, 0.05, 0.1, 0.1]
+    state = _chain_state(c, diagonal, {0: 0.3, 6: 0.2, 7: 0.2})
     res = _assert_matches_reference(state)
     assert res.block_count == 5
 

@@ -6,6 +6,7 @@ density matrices, real and complex."""
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from noonamp import (AmplifierParams, CutoffPolicy, MODE_ASYMMETRIC_A, MODE_SYMMETRIC,
@@ -15,6 +16,8 @@ from noonamp import (AmplifierParams, CutoffPolicy, MODE_ASYMMETRIC_A, MODE_SYMM
                      select_cutoffs, tmsv_fock, trace_distance)
 from noonamp.fock import hermitian_eigvalsh
 from noonamp.negativity import log_negativity_block, log_negativity_dense
+
+from helpers import from_matrix
 
 DENSE_DIM_MAX = 1500  # keeps each dense eigensolve well under a second
 
@@ -41,11 +44,11 @@ def assert_block_matches_dense(state):
 @settings(deadline=None, max_examples=40)
 @given(photons, gains, modes)
 def test_stored_entries_real_and_symmetric(n, g2, mode):
+    """Real, exactly symmetric, and held in the NOON's three phase sectors."""
     state = amplified(n, g2, mode)
-    csr = state.csr
-    assert csr.dtype == np.float64
-    assert (csr != csr.T).nnz == 0
-    assert np.all(csr.data != 0.0)
+    assert state.x.dtype == np.float64
+    assert np.array_equal(state.x, state.x[::-1])   # each sector equals its mirror
+    assert state.k_a.tolist() == [-n, 0, n] and state.k_b.tolist() == [n, 0, -n]
     assert partial_transpose_b(state).hermiticity_error() == 0.0
 
 
@@ -101,12 +104,13 @@ def test_exact_channel_output(n, g2, eta, mode):
     cutoffs = select_cutoffs(spec, params, CutoffPolicy())
     noon = build_noon(spec, cutoffs)
     out = amplify_state(noon, params)
-    TwoModeState(out.cutoffs, out.csr)  # the constructor's checks
+    TwoModeState(out.cutoffs, out.k_a, out.k_b, out.x)  # the constructor's checks
+    assert out.k_a.tolist() == [-n, 0, n] and out.k_b.tolist() == [n, 0, -n]
     assert out.trace <= noon.trace + 1e-14
     if eta == 0.0:
         closed = amplify_noon(spec, params, cutoffs)
-        diff = closed.csr - out.csr
-        assert (float(abs(diff).max()) if diff.nnz else 0.0) <= 1e-15
+        assert np.array_equal(closed.k_a, out.k_a) and np.array_equal(closed.k_b, out.k_b)
+        assert float(np.abs(closed.x - out.x).max()) <= 1e-15
 
 
 def assert_spectrum_equals_full_solve(state, charge_conserved):
@@ -116,7 +120,7 @@ def assert_spectrum_equals_full_solve(state, charge_conserved):
     cutoff's rows, never whole."""
     want = np.linalg.eigvalsh(state.matrix)
     with mock.patch("numpy.linalg.eigvalsh", wraps=np.linalg.eigvalsh) as solve:
-        got = hermitian_eigvalsh(state.csr, state.cutoffs)
+        got = hermitian_eigvalsh(*state.entries(), state.cutoffs)
     assert got.shape == want.shape
     assert np.abs(got - want).max() <= 1e-14
     if charge_conserved:
@@ -163,14 +167,22 @@ def sparse_density(draw):
             psi[support] += 1j * rng.normal(size=support.size)
         rho += rng.random() * np.outer(psi, psi.conj())
     rho /= np.trace(rho).real
-    return TwoModeState(cutoffs, rho), bool(np.any(rho.imag))
+    return from_matrix(cutoffs, rho), bool(np.any(rho.imag))
 
 
 @settings(deadline=None, max_examples=60)
 @given(sparse_density())
 def test_random_states_block_equals_dense(drawn):
+    """The block route matches the dense one on every state it reads (sector
+    (0, 0) and at most one mirrored pair) and names the dense route for
+    every other."""
     state, has_imag = drawn
-    assert state.csr.dtype == (np.complex128 if has_imag else np.float64)
-    assert assert_block_matches_dense(state).method == "block"
+    assert state.x.dtype == (np.complex128 if has_imag else np.float64)
+    if state.x.shape[0] <= 3:
+        assert assert_block_matches_dense(state).method == "block"
+    else:
+        with pytest.raises(ValueError, match="dense route"):
+            log_negativity_block(state)
+        log_negativity_dense(state)
     for matrix in (state, partial_transpose_b(state)):
         assert_spectrum_equals_full_solve(matrix, False)
