@@ -9,9 +9,8 @@ photon-added-Gaussian states.
 """
 
 from .channel import (AmplifierParams, CutoffPolicy, MODE_ASYMMETRIC_A, MODE_SYMMETRIC,
-                      amplified_vacuum, amplify_noon, amplify_noon_asymmetric,
-                      amplify_noon_symmetric, amplify_state, photon_add_both,
-                      select_cutoffs)
+                      amplify_noon, amplify_noon_asymmetric, amplify_noon_symmetric,
+                      amplify_state, photon_add_both, select_cutoffs)
 from .fock import (ModeCutoffs, NoonSpec, TwoModeState, build_noon, partial_transpose_b,
                    trace_distance)
 from .gaussian import (CovarianceState, SqueezingSpec, amplify_covariance,
@@ -26,7 +25,7 @@ from .negativity import NegativityResult, log_negativity_block, log_negativity_d
 __all__ = [
     "AmplifierParams", "CovarianceState", "CutoffPolicy", "MODE_ASYMMETRIC_A",
     "MODE_SYMMETRIC", "ModeCutoffs", "NegativityResult", "NoonSpec", "QGrid",
-    "SqueezingSpec", "TwoModeState", "amplified_vacuum", "amplify_covariance",
+    "SqueezingSpec", "TwoModeState", "amplify_covariance",
     "amplify_noon", "amplify_noon_asymmetric", "amplify_noon_symmetric",
     "amplify_state", "build_noon", "check_scaling_law", "check_zero_locus",
     "default_grid_for_state", "evolve", "gaussian_log_negativity", "log_negativity_block",

@@ -36,7 +36,8 @@ import math
 import numpy as np
 
 from . import config
-from .fock import ModeCutoffs, NoonSpec, TwoModeState, build_noon, noon_sectors
+from .fock import (ModeCutoffs, NoonSpec, TwoModeState, build_noon, log_factorials,
+                   noon_sectors)
 
 MODE_SYMMETRIC = "symmetric"
 MODE_ASYMMETRIC_A = "asymmetric_a_only"
@@ -88,39 +89,15 @@ class CutoffPolicy:
             raise ValueError("tail_tol must be in (0, 1)")
 
 
-@dataclass(frozen=True)
-class ThermalDistribution:
-    """Diagonal photon-number law of an amplified vacuum."""
-
-    probs: np.ndarray
-    tail_mass: float
-
-    @property
-    def mean(self) -> float:
-        return float(np.arange(len(self.probs)) @ self.probs)
-
-
-def amplified_vacuum(g_squared: float, cutoff: int) -> ThermalDistribution:
-    """Photon statistics of vacuum after gain g_squared: p_n = (1/g2)(1 - 1/g2)^n."""
-    if g_squared < 1.0:
-        raise ValueError("g_squared must be >= 1")
-    if cutoff < 1:
-        raise ValueError("cutoff must be >= 1")
-    if g_squared == 1.0:
-        probs = np.zeros(cutoff)
-        probs[0] = 1.0
-        return ThermalDistribution(probs=probs, tail_mass=0.0)
-    q = 1.0 - 1.0 / g_squared
-    probs = (1.0 / g_squared) * q ** np.arange(cutoff)
-    return ThermalDistribution(probs=probs, tail_mass=float(q**cutoff))
-
-
 def _amplified_mode_cutoff(n_photons: int, g_squared: float, tail_tol: float) -> int:
     """Smallest retained dimension keeping the neglected geometric weight
     below tail_tol, inflated by +N for the (n+N)!/n! polynomial factor."""
     if g_squared == 1.0:
         return n_photons + 1
     q = 1.0 - 1.0 / g_squared
+    if q == 1.0:  # 1 - 1/g' rounds to 1: the geometric tail never decays
+        raise ValueError(f"amplifier-stage gain g' = {g_squared:g} needs auto cutoffs "
+                         f"past the dimension cap {config.MAX_TOTAL_DIMENSION}")
     geometric = math.ceil(math.log(tail_tol * (1.0 - q)) / math.log(q))
     return n_photons + max(1, geometric) + n_photons
 
@@ -161,8 +138,6 @@ def amplify_noon_symmetric(spec: NoonSpec, params: AmplifierParams,
     At g_squared = 1 this is exactly the input NOON state.  The recorded
     trace_deficit is the geometric weight lost to truncation.
     """
-    from scipy.special import gammaln
-
     _require_closed_form(params, MODE_SYMMETRIC)
     n_ph = spec.n_photons
     if cutoffs.cutoff_a <= n_ph or cutoffs.cutoff_b <= n_ph:
@@ -173,9 +148,9 @@ def amplify_noon_symmetric(spec: NoonSpec, params: AmplifierParams,
 
     da, db = cutoffs.cutoff_a, cutoffs.cutoff_b
     log_q = math.log(g2 - 1.0) - math.log(g2)
+    lf = log_factorials(max(da, db) + 1)
     # prefactor 1 / (2 N! g2^(N+2))
-    log_pref = -(math.log(2.0) + gammaln(n_ph + 1) + (n_ph + 2) * math.log(g2))
-    lf = gammaln(np.arange(max(da, db) + 1) + 1.0)
+    log_pref = -(math.log(2.0) + lf[n_ph] + (n_ph + 2) * math.log(g2))
 
     n_shift = np.arange(da - n_ph)   # labels n with n + N < cutoff_a
     m_shift = np.arange(db - n_ph)
@@ -204,8 +179,6 @@ def amplify_noon_symmetric(spec: NoonSpec, params: AmplifierParams,
 def amplify_noon_asymmetric(spec: NoonSpec, params: AmplifierParams,
                             cutoffs: ModeCutoffs) -> TwoModeState:
     """NOON state after gain on mode a only; mode-b labels stay in {0, N}."""
-    from scipy.special import gammaln
-
     _require_closed_form(params, MODE_ASYMMETRIC_A)
     n_ph = spec.n_photons
     if cutoffs.cutoff_a <= n_ph or cutoffs.cutoff_b < n_ph + 1:
@@ -217,8 +190,8 @@ def amplify_noon_asymmetric(spec: NoonSpec, params: AmplifierParams,
     da = cutoffs.cutoff_a
     log_q = math.log(g2 - 1.0) - math.log(g2)
     log_g2 = math.log(g2)
-    lf_n = gammaln(np.arange(da + 1) + 1.0)
-    lgN = float(gammaln(n_ph + 1))
+    lf_n = log_factorials(da + 1)
+    lgN = float(lf_n[n_ph])
     # prefactor 1 / (2 N! g2^(N+1))
     log_pref = -(math.log(2.0) + lgN + (n_ph + 1) * log_g2)
 
@@ -269,14 +242,12 @@ def _mode_matrices(dim: int, ks: np.ndarray, params: AmplifierParams) -> np.ndar
     removes them, weighted by tau^(j' + k/2) (1 - tau)^l.  Positions at or
     past dim - k do not exist, so their rows and columns are zero.
     """
-    from scipy.special import gammaln
-
     k = ks[:, None, None]
     out, inp = np.arange(dim)[:, None], np.arange(dim)[None, :]
     hi, lo = np.maximum(out, inp), np.minimum(out, inp)
     steps = hi - lo
     inside = hi < dim - k
-    lf = gammaln(np.arange(2 * dim) + 1.0)
+    lf = log_factorials(2 * dim)
 
     def log_binomial(n, l):
         # the closer pair of arguments first, so their large logs cancel early

@@ -26,6 +26,7 @@ operation here is a pure function.
 """
 
 from dataclasses import dataclass
+import math
 
 import numpy as np
 
@@ -221,6 +222,12 @@ def _trace(x, k_a, k_b) -> float:
 def _hermiticity_error(x) -> float:
     # the mirror of sector s is S - 1 - s, at the same positions
     return float(np.abs(x - x[::-1].conj()).max(initial=0.0))
+
+
+def log_factorials(n: int) -> np.ndarray:
+    """log k! for k = 0 .. n - 1, the table behind every factorial ratio
+    and coherent coefficient the package assembles in log space."""
+    return np.array([math.lgamma(k + 1.0) for k in range(n)])
 
 
 def noon_sectors(cutoffs: ModeCutoffs, n_photons: int, diagonal,

@@ -193,6 +193,9 @@ def _pipeline_cutoff(r: float, g_max: float) -> int:
     if mean <= 0.0:
         return 8
     q = mean / (mean + 1.0)
+    if not q < 1.0:  # mean + 1 rounds to mean, or overflows
+        raise ValueError(f"amplifier-stage gain g' = {g_max:g} needs auto cutoffs "
+                         f"past the dimension cap {config.MAX_TOTAL_DIMENSION}")
     geometric = math.ceil(math.log(config.DEFAULT_TAIL_TOL * (1.0 - q)) / math.log(q))
     return geometric + 4
 

@@ -9,8 +9,8 @@ U[k][i, j] = conj(v[i, j + max(k, 0)]) v[i, j + max(-k, 0)] the coherent
 products along the sector's diagonal.  No dense copy of the state is made;
 the cost follows the number of stored sectors, not d^2.
 
-The amplifier acts on Q by pure argument scaling: equal gain on both
-modes sends Q(a, b) to Q(a/G, b/G)/G^4, gain on mode a alone to
+At eta = 0 the amplifier acts on Q by pure argument scaling: equal gain
+on both modes sends Q(a, b) to Q(a/G, b/G)/G^4, gain on mode a alone to
 Q(a/G, b)/G^2.  ``check_scaling_law`` measures the worst grid violation
 of that law and ``check_zero_locus`` verifies that the zero set of Q
 (the nonclassicality witness of the NOON state) is only stretched by G,
@@ -23,7 +23,7 @@ import math
 import numpy as np
 
 from . import channel, config
-from .fock import ModeCutoffs, TwoModeState
+from .fock import ModeCutoffs, TwoModeState, log_factorials
 
 
 @dataclass(frozen=True)
@@ -66,11 +66,9 @@ def default_grid_for_state(state: TwoModeState, extent: float = 3.0,
 def coherent_matrix(samples: np.ndarray, cutoff: int) -> np.ndarray:
     """Rows are truncated coherent-state coefficient vectors
     v_n = exp(-|z|^2/2) z^n / sqrt(n!), built in log space."""
-    from scipy.special import gammaln
-
     samples = np.asarray(samples, dtype=np.complex128)
     n = np.arange(cutoff)
-    log_fact_half = 0.5 * gammaln(n + 1.0)
+    log_fact_half = 0.5 * log_factorials(cutoff)
     absz = np.abs(samples)
     out = np.zeros((len(samples), cutoff), dtype=np.complex128)
     zero = absz == 0.0
@@ -150,23 +148,23 @@ def q_pairs(state: TwoModeState, alphas: np.ndarray, betas: np.ndarray) -> np.nd
 
 
 def check_scaling_law(state_in: TwoModeState, state_out: TwoModeState,
-                      g_squared: float, mode_config: str, grid: QGrid) -> float:
+                      params: channel.AmplifierParams, grid: QGrid) -> float:
     """Worst-grid |Q_out(args) - scale * Q_in(scaled args)| for the channel.
 
-    Equal gain on both modes: Q_in(a/G, b/G)/G^4.  Gain on mode a only:
-    Q_in(a/G, b)/G^2.  The input state must be held at cutoffs large enough
-    for the same grid (build the NOON input at the amplified cutoffs).
+    Each amplified mode's argument is divided by G and Q scaled by 1/G^2:
+    Q_in(a/G, b/G)/G^4 with both modes amplified, Q_in(a/G, b)/G^2 with
+    mode a only.  The law holds at eta = 0 only; other params are refused.
+    The input state must be held at cutoffs large enough for the same grid
+    (build the NOON input at the amplified cutoffs).
     """
-    g = math.sqrt(g_squared)
+    if params.eta != 0.0:
+        raise ValueError("the Q scaling law holds only at eta = 0")
+    g = math.sqrt(params.g_squared)
+    modes = params.amplified_modes
     q_out = q_evaluate(state_out, grid).values
-    if mode_config == channel.MODE_SYMMETRIC:
-        scaled = QGrid(grid.alpha_samples / g, grid.beta_samples / g)
-        scale = 1.0 / g_squared**2
-    elif mode_config == channel.MODE_ASYMMETRIC_A:
-        scaled = QGrid(grid.alpha_samples / g, grid.beta_samples)
-        scale = 1.0 / g_squared
-    else:
-        raise ValueError(f"unknown mode_config {mode_config!r}")
+    scaled = QGrid(grid.alpha_samples / g if "a" in modes else grid.alpha_samples,
+                   grid.beta_samples / g if "b" in modes else grid.beta_samples)
+    scale = 1.0 / params.g_squared ** len(modes)
     q_in = q_evaluate(state_in, scaled).values
     return float(np.max(np.abs(q_out - scale * q_in)))
 
@@ -186,9 +184,12 @@ def noon_zero_candidates(n_photons: int, g_squared: float,
 
 
 def check_zero_locus(spec, g_squared: float, zero_candidates) -> bool:
-    """True iff Q of the amplified NOON state, at the default auto cutoffs,
-    stays below 1e-12 of its maximum over an 11 x 11 grid at every
-    candidate zero and above 1e-6 of it at perturbed control points.
+    """An eta = 0 check: at eta > 0 the added noise fills the zeros of Q.
+
+    True iff Q of the amplified NOON state (both modes, eta = 0), at the
+    default auto cutoffs, stays below 1e-12 of its maximum over an 11 x 11
+    grid at every candidate zero and above 1e-6 of it at perturbed control
+    points.
 
     ``zero_candidates`` is a pair (alphas, betas) of matched arrays, already
     stretched by the gain; controls multiply each beta by 1.05.

@@ -5,8 +5,7 @@ import pytest
 from scipy import sparse
 
 from noonamp import (AmplifierParams, CutoffPolicy, MODE_ASYMMETRIC_A, MODE_SYMMETRIC,
-                     ModeCutoffs, NoonSpec,
-                     amplified_vacuum, amplify_noon, amplify_noon_asymmetric,
+                     ModeCutoffs, NoonSpec, amplify_noon, amplify_noon_asymmetric,
                      amplify_noon_symmetric, amplify_state, build_noon, checks, evolve,
                      photon_add_both, select_cutoffs, tmsv_fock)
 from noonamp.gaussian import SqueezingSpec
@@ -19,25 +18,6 @@ def creation(dim):
     for n in range(1, dim):
         op[n, n - 1] = math.sqrt(n)
     return op
-
-
-def test_amplified_vacuum_unit_gain():
-    dist = amplified_vacuum(1.0, 10)
-    assert dist.probs[0] == 1.0
-    assert np.all(dist.probs[1:] == 0.0)
-    assert dist.tail_mass == 0.0
-
-
-def test_amplified_vacuum_gain_two():
-    assert checks.vacuum_thermal(50).passed  # p_n = 2^-(n+1), mean 1
-    assert abs(amplified_vacuum(2.0, 50).tail_mass - 0.5**50) <= 1e-15
-
-
-def test_amplified_vacuum_rejects():
-    with pytest.raises(ValueError):
-        amplified_vacuum(0.9, 10)
-    with pytest.raises(ValueError):
-        amplified_vacuum(2.0, 0)
 
 
 def test_params_validation():

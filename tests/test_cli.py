@@ -147,35 +147,34 @@ def test_cli_sweep_eta_above_zero(argv, capsys):
     assert float(rows[1]["log_negativity"]) < float(rows[0]["log_negativity"])
 
 
-def test_import_loads_no_scipy():
-    """``import noonamp`` leaves scipy unloaded; the modules import it at
-    first use."""
-    env = {**os.environ, "PYTHONPATH": str(Path(noonamp.__file__).parents[1])}
-    code = ("import sys, noonamp; "
-            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, timeout=60, check=True).stdout
-    assert out.strip() == "[]"
-
-
-def test_commands_load_no_scipy_sparse(tmp_path):
-    """The block and dense sweeps (eta = 0 and eta > 0, both NOON
-    families), ``qfunc`` and ``verify`` run without scipy.sparse."""
+def test_commands_run_without_scipy(tmp_path):
+    """numpy is the only runtime dependency: with scipy unimportable,
+    ``import noonamp`` and every command run, namely block and dense NOON
+    sweeps at eta = 0 and 0.5 (both families), ``--method both``,
+    ``--oracle-check``, the photon-added and Gaussian families, ``qfunc``,
+    ``verify`` and ``thresholds``."""
     env = {**os.environ, "PYTHONPATH": str(Path(noonamp.__file__).parents[1])}
     noon = ["--n", "2", "--g2", "1:1.5:0.5"]
-    argvs = [["sweep", "--family", family, *noon, "--eta", eta]
-             for family in ("noon_symmetric", "noon_asymmetric") for eta in ("0", "0.5")]
-    argvs += [["sweep", "--family", "noon_symmetric", *noon, "--method", "dense"],
+    argvs = [["sweep", "--family", family, *noon, "--eta", eta, "--method", method]
+             for family in ("noon_symmetric", "noon_asymmetric") for eta in ("0", "0.5")
+             for method in ("block", "dense")]
+    argvs += [["sweep", "--family", "noon_symmetric", *noon, "--method", "both"],
+              ["sweep", "--family", "noon_symmetric", "--n", "2", "--eta", "0.5",
+               "--g2", "1:1.2:0.1", "--oracle-check"],
+              ["sweep", "--family", "photon_added_tmsv", "--r", "0.3", "--g2", "1:1.2:0.1"],
+              ["sweep", "--family", "tmsv_gaussian", "--r", "0.5", "--g2", "1:1.5:0.5"],
               ["qfunc", "--n", "2", "--points", "5", "--out", str(tmp_path / "q.csv")],
-              ["verify"]]
+              ["verify"],
+              ["thresholds", "--r", "0.5"]]
     code = ("import contextlib, io, sys\n"
+            "sys.modules['scipy'] = None  # every scipy import now raises ImportError\n"
             "from noonamp.cli import main\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             f"    codes = [main(argv) for argv in {argvs!r}]\n"
-            "print(codes, [m for m in sys.modules if m.startswith('scipy.sparse')])\n")
+            "print(codes)\n")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=300, check=True).stdout
-    assert out.strip() == f"{[0] * len(argvs)} []"
+    assert out.strip() == str([0] * len(argvs))
 
 
 def test_cli_configuration_errors():
@@ -209,6 +208,12 @@ def test_cli_configuration_errors():
     ["sweep", "--family", "tmsv_gaussian", "--r", "1000", "--g2", "1:1.1:0.1"],
     ["sweep", "--family", "tmsv_gaussian", "--g2", "1:1e300:1e-300"],
     ["qfunc", "--extent", "-1", "--points", "3", "--out", "{tmp}/out.csv"],
+    # a stage gain g' so large that 1 - 1/g' rounds to 1: no auto cutoff exists
+    ["sweep", "--family", "noon_symmetric", "--n", "2", "--eta", "1e20",
+     "--g2", "1:1.5:0.5"],
+    ["sweep", "--family", "photon_added_tmsv", "--r", "0.3", "--eta", "1e20",
+     "--g2", "1:1.5:0.5"],
+    ["qfunc", "--n", "2", "--g2", "1e20"],
     # unwritable --out: a missing directory, or a directory itself
     ["sweep", "--family", "noon_symmetric", "--n", "2", "--g2", "1.0:1.1:0.1",
      "--out", "{tmp}/missing/x.csv"],
@@ -225,6 +230,8 @@ def test_cli_misuse_exits_2(argv, tmp_path, capsys):
     assert err.startswith("configuration error: ") and err.count("\n") == 1
     assert "Traceback" not in err
     assert not out.exists()
+    if "1e20" in argv:
+        assert "gain g' = " in err and "dimension cap" in err
 
 
 def _assert_invariant_failure(argv, tmp_path, capsys, match):

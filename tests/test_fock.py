@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -262,3 +263,12 @@ def test_full_solve_refused_above_dimension_limit():
     finally:
         tracemalloc.stop()
     assert peak < d * d * 8 // 100
+
+
+def test_log_factorials_match_exact_factorials():
+    """The table agrees with log k! of the exact integer k! to a few ulp,
+    relative, for every k < 1000; log 0! = log 1! = 0 exactly."""
+    table = fock.log_factorials(1000)
+    exact = np.array([math.log(math.factorial(k)) for k in range(1000)])
+    assert table.shape == (1000,)
+    np.testing.assert_allclose(table, exact, rtol=4 * np.finfo(float).eps, atol=0.0)

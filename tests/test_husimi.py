@@ -172,15 +172,17 @@ def test_scaling_law_unit_gain():
     cut = ModeCutoffs(24, 24)
     state = build_noon(spec, cut)
     mesh, _ = square_mesh(1.2, 7)
-    err = check_scaling_law(state, state, 1.0, MODE_SYMMETRIC, QGrid(mesh, mesh.copy()))
+    err = check_scaling_law(state, state, AmplifierParams(1.0), QGrid(mesh, mesh.copy()))
     assert err <= 1e-12
 
 
-def test_scaling_law_rejects_unknown_mode():
+def test_scaling_law_rejects_eta():
+    """The law holds at eta = 0 only, where the amplifier adds no noise."""
     state = build_noon(NoonSpec(1), ModeCutoffs(4, 4))
     mesh, _ = square_mesh(0.5, 3)
-    with pytest.raises(ValueError):
-        check_scaling_law(state, state, 1.0, "diagonal", QGrid(mesh, mesh.copy()))
+    with pytest.raises(ValueError, match="eta = 0"):
+        check_scaling_law(state, state, AmplifierParams(1.0, eta=0.5),
+                          QGrid(mesh, mesh.copy()))
 
 
 def test_zero_candidates_generator():

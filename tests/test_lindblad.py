@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from noonamp import (AmplifierParams, CutoffPolicy, MODE_ASYMMETRIC_A, MODE_SYMMETRIC,
-                     ModeCutoffs, NoonSpec, amplify_noon_symmetric, build_noon,
+from noonamp import (AmplifierParams, CutoffPolicy, MODE_ASYMMETRIC_A, ModeCutoffs,
+                     NoonSpec, amplify_noon_symmetric, build_noon,
                      check_scaling_law, evolve, select_cutoffs, square_mesh, trace_distance)
 from noonamp import _kernels, lindblad
 from noonamp.husimi import QGrid
@@ -111,7 +111,7 @@ def test_q_drift_scaling_consistency():
     g2 = 1.4
     out = evolve(build_noon(spec, cut), AmplifierParams(g2))
     mesh, _ = square_mesh(1.2, 7)
-    err = check_scaling_law(build_noon(spec, cut), out, g2, MODE_SYMMETRIC,
+    err = check_scaling_law(build_noon(spec, cut), out, AmplifierParams(g2),
                             QGrid(mesh, mesh.copy()))
     assert err < 1e-6
 
