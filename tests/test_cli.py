@@ -147,6 +147,37 @@ def test_cli_sweep_eta_above_zero(argv, capsys):
     assert float(rows[1]["log_negativity"]) < float(rows[0]["log_negativity"])
 
 
+def test_import_loads_no_scipy():
+    """``import noonamp`` leaves scipy unloaded; the modules import it at
+    first use."""
+    env = {**os.environ, "PYTHONPATH": str(Path(noonamp.__file__).parents[1])}
+    code = ("import sys, noonamp; "
+            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=60, check=True).stdout
+    assert out.strip() == "[]"
+
+
+def test_commands_load_no_scipy_sparse(tmp_path):
+    """The block and dense sweeps (eta = 0 and eta > 0, both NOON
+    families), ``qfunc`` and ``verify`` run without scipy.sparse."""
+    env = {**os.environ, "PYTHONPATH": str(Path(noonamp.__file__).parents[1])}
+    noon = ["--n", "2", "--g2", "1:1.5:0.5"]
+    argvs = [["sweep", "--family", family, *noon, "--eta", eta]
+             for family in ("noon_symmetric", "noon_asymmetric") for eta in ("0", "0.5")]
+    argvs += [["sweep", "--family", "noon_symmetric", *noon, "--method", "dense"],
+              ["qfunc", "--n", "2", "--points", "5", "--out", str(tmp_path / "q.csv")],
+              ["verify"]]
+    code = ("import contextlib, io, sys\n"
+            "from noonamp.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    codes = [main(argv) for argv in {argvs!r}]\n"
+            "print(codes, [m for m in sys.modules if m.startswith('scipy.sparse')])\n")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=300, check=True).stdout
+    assert out.strip() == f"{[0] * len(argvs)} []"
+
+
 def test_commands_run_without_scipy(tmp_path):
     """numpy is the only runtime dependency: with scipy unimportable,
     ``import noonamp`` and every command run, namely block and dense NOON
