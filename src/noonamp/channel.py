@@ -14,7 +14,8 @@ with geometric weights c ~ q^(n+m), q = (g2-1)/g2.  Coefficients are
 assembled in log space: factorial ratios like (n+N)!/n! overflow doubles
 long before the cutoffs needed at N=6 and g2=3.  The families go straight
 into the state's phase sectors: the diagonal families into sector (0, 0),
-the coupling into sectors +-(N, -N); no d x d array is ever allocated.
+the coupling into sector (N, -N) (and so its mirror); no d x d array is
+ever allocated.
 These closed forms hold for the fully inverted amplifier (eta = 0) only.
 
 ``amplify_state`` applies the channel at any bath parameter eta >= 0 to

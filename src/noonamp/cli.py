@@ -51,8 +51,20 @@ class SweepConfig:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"family must be one of {FAMILIES}")
-        if self.family.startswith("noon") and not self.n_values:
-            raise ValueError("NOON families need at least one N")
+        if self.family in _FAMILY_MODES:
+            if not self.n_values:
+                raise ValueError("NOON families need at least one N")
+            if len(set(self.n_values)) != len(self.n_values):
+                raise ValueError(f"N is repeated in {self.n_values}")
+        else:
+            unread = [name for name, is_set in (
+                ("n_values (--n)", self.n_values),
+                ("cutoff_policy (--cutoff, --tail-tol)",
+                 self.cutoff_policy != channel.CutoffPolicy()),
+                ("method (--method)", self.method != "block"),
+                ("oracle_check (--oracle-check)", self.oracle_check)) if is_set]
+            if unread:
+                raise ValueError(f"the {self.family} family does not read {', '.join(unread)}")
         if not all(map(math.isfinite, (self.g2_start, self.g2_stop, self.g2_step))):
             raise ValueError("g2 start, stop and step must be finite")
         if self.g2_start < 1.0:

@@ -1,14 +1,13 @@
 """Central numeric tolerances and size limits.
 
-The negativity and Husimi clamps, the negativity's Hermiticity check and
-the two dimension caps read these values directly and take no override.
-Two defaults can be changed per call: ``TwoModeState(atol=...)`` relaxes the
-structural checks of one constructed state (the integrator's output is
-checked at 1e-10), and ``channel.CutoffPolicy.tail_tol`` (the ``--tail-tol``
-flag) replaces DEFAULT_TAIL_TOL.
+The structural checks, the negativity and Husimi clamps and the two
+dimension caps read these values directly and take no override.  One
+default can be changed per call: ``channel.CutoffPolicy.tail_tol`` (the
+``--tail-tol`` flag) replaces DEFAULT_TAIL_TOL.
 """
 
-# Elementwise Hermiticity / trace bookkeeping.
+# Hermiticity of outside input (TwoModeState.from_entries) and the real,
+# non-negative diagonal a constructed state must have.
 ATOL_STRUCTURAL = 1e-12
 
 # Eigenvalues of a partial transpose in [-EIG_NEG_CLAMP, 0) count as zero.

@@ -6,19 +6,23 @@ matrix rho[n, m, p, q] = <n, m| rho |p, q> is stored by phase sector: the
 entries with n - p = k_a and m - q = k_b form sector (k_a, k_b), held as a
 (cutoff_a, cutoff_b) slice x[s] at positions j_a = min(n, p) and
 j_b = min(m, q).  Only j_a < cutoff_a - |k_a| and j_b < cutoff_b - |k_b|
-exist; the padding beyond is zero.  A state keeps only its nonzero sectors
-and their mirrors (-k_a, -k_b), in increasing (k_a, k_b) order, so the
-sector paired with s by Hermitian conjugation is S - 1 - s.
+exist; the padding beyond is zero.  Hermiticity makes sector
+(-k_a, -k_b) the complex conjugate of sector (k_a, k_b), position by
+position, so a state stores only sector (0, 0) and the nonzero sectors
+above it in increasing (k_a, k_b) order (k_a > 0, or k_a = 0 and
+k_b > 0).  Each of those stands for itself and its conjugate mirror, so a
+stored state is Hermitian by construction; only its diagonal, sector
+(0, 0), could carry an imaginary part, which construction checks.
 
 The phase-insensitive amplifier maps every sector to itself, so the
 package's states stay in few sectors: a NOON input and everything made
-from it hold exactly (0, 0) and +-(N, -N).  Everything reads the stack
+from it hold exactly (0, 0) and (N, -N).  Everything reads the stack
 directly: trace and populations are sector (0, 0), the partial transpose
 relabels k_b -> -k_b, the channel and the integrator act sector by sector.
 The entries are real (float64) for every state the package builds and
 complex128 only for genuinely complex input.  The dense eigensolves behind
 the dense negativity and the trace distance (``hermitian_eigvalsh``) take
-the stored entries as (row, col, value) triplets and solve one
+the entries, mirrors included, as (row, col, value) triplets and solve one
 conserved-charge block at a time.  A dense (d, d) copy is made only for a
 matrix that conserves no charge and by ``TwoModeState.matrix``, which no
 package code reads.  States are immutable after construction; every
@@ -72,27 +76,24 @@ class TwoModeState:
     """Density matrix of a truncated two-mode state, stored by phase sector.
 
     ``x[s]`` holds sector (``k_a[s]``, ``k_b[s]``) as the module docstring
-    lays out.  Sectors that are zero together with their mirror are
-    dropped; the entries are float64 unless an imaginary part is nonzero,
-    in which case they are complex128.  ``matrix`` builds a read-only dense
-    copy for consumers that need one and ``entries`` lists the nonzero
-    entries as triplets.
+    lays out: sector (0, 0) and the sectors above it, each standing for
+    itself and its conjugate mirror.  Zero sectors are dropped; the entries
+    are float64 unless an imaginary part is nonzero, in which case they are
+    complex128.  ``matrix`` builds a read-only dense copy for consumers that
+    need one and ``entries`` lists the nonzero entries, mirrors included,
+    as triplets.
 
-    Construction checks the stored entries: Hermiticity, a non-negative
-    diagonal and a trace of at most 1.  The Hermiticity error found there is
-    kept, so ``hermiticity_error`` (and the negativity's check) never scans
-    the entries again; a state built with ``validate=False`` computes it at
-    the first call instead.  ``trace_deficit`` records
-    1 - Tr(rho): states built by truncating an infinite sum are never
-    renormalized, the missing tail is carried explicitly so downstream
-    tolerances can budget for it.
+    Construction checks the diagonal (real and non-negative) and a trace
+    of at most 1; ``validate=False`` skips these checks.  Outside input,
+    which may not be Hermitian, comes in through ``from_entries``.
+    ``trace_deficit`` records 1 - Tr(rho): states built by truncating an
+    infinite sum are never renormalized, the missing tail is carried
+    explicitly so downstream tolerances can budget for it.
     """
 
-    __slots__ = ("cutoffs", "k_a", "k_b", "x", "trace_deficit", "_hermiticity_error")
+    __slots__ = ("cutoffs", "k_a", "k_b", "x", "trace_deficit")
 
-    def __init__(self, cutoffs: ModeCutoffs, k_a, k_b, x, validate: bool = True,
-                 atol: float | None = None):
-        atol = config.ATOL_STRUCTURAL if atol is None else atol
+    def __init__(self, cutoffs: ModeCutoffs, k_a, k_b, x, validate: bool = True):
         da, db = cutoffs.cutoff_a, cutoffs.cutoff_b
         k_a = np.asarray(k_a, dtype=np.int64)
         k_b = np.asarray(k_b, dtype=np.int64)
@@ -100,32 +101,27 @@ class TwoModeState:
         if k_a.ndim != 1 or k_b.shape != k_a.shape or x.shape != (k_a.size, da, db):
             raise ValueError(f"sector stack of shape {x.shape} does not match "
                              f"{k_a.size} sectors at cutoffs {da}x{db}")
-        codes = k_a * (2 * db - 1) + k_b   # increasing in (k_a, k_b)
+        codes = k_a * (2 * db - 1) + k_b   # increasing in (k_a, k_b), 0 at (0, 0)
         if (np.any(np.abs(k_a) >= da) or np.any(np.abs(k_b) >= db)
-                or np.any(np.diff(codes) <= 0) or not np.array_equal(codes, -codes[::-1])):
+                or np.any(np.diff(codes) <= 0) or np.any(codes < 0)):
             raise ValueError("sectors must be distinct, in increasing (k_a, k_b) order "
-                             "and closed under mirroring")
+                             "and none below (0, 0)")
         j_a, j_b = np.arange(da), np.arange(db)
         padding = ((j_a >= da - np.abs(k_a)[:, None])[:, :, None]
                    | (j_b >= db - np.abs(k_b)[:, None])[:, None, :])
         if np.any(x[padding]):
             raise ValueError("sector entries past the cutoffs must be zero")
         keep = np.any(x, axis=(1, 2))
-        keep = keep | keep[::-1]
         if np.iscomplexobj(x) and not np.any(x.imag):
             x = x.real
         x = x[keep].astype(np.complex128 if np.iscomplexobj(x) else np.float64)
         k_a, k_b = k_a[keep], k_b[keep]
         trace = _trace(x, k_a, k_b)
-        herm_err = None
         if validate:
-            herm_err = _hermiticity_error(x)
-            if herm_err > atol:
-                raise ValueError(f"matrix is not Hermitian: max |M - M^dag| = {herm_err:.3e}")
             diag = _populations(x, k_a, k_b)
-            if float(np.abs(diag.imag).max(initial=0.0)) > atol:
+            if float(np.abs(diag.imag).max(initial=0.0)) > config.ATOL_STRUCTURAL:
                 raise ValueError("diagonal has imaginary parts beyond tolerance")
-            if float(diag.real.min(initial=0.0)) < -atol:
+            if float(diag.real.min(initial=0.0)) < -config.ATOL_STRUCTURAL:
                 raise ValueError("diagonal has negative entries beyond tolerance")
             if trace > 1.0 + 1e-9:
                 raise ValueError(f"trace {trace} exceeds 1; not a truncated density matrix")
@@ -136,13 +132,14 @@ class TwoModeState:
         object.__setattr__(self, "k_b", k_b)
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "trace_deficit", max(0.0, 1.0 - trace))
-        object.__setattr__(self, "_hermiticity_error", herm_err)
 
     @classmethod
     def from_entries(cls, cutoffs: ModeCutoffs, rows, cols, values,
-                     **kwargs) -> "TwoModeState":
+                     validate: bool = True) -> "TwoModeState":
         """State from COO triplets over the flattened basis; repeated
-        (row, col) pairs are summed."""
+        (row, col) pairs are summed.  The matrix must be Hermitian within
+        ``config.ATOL_STRUCTURAL`` whatever ``validate`` says; the sectors
+        below (0, 0) are then dropped."""
         da, db = cutoffs.cutoff_a, cutoffs.cutoff_b
         rows = np.asarray(rows, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
@@ -160,8 +157,12 @@ class TwoModeState:
         x = np.zeros((sectors.size, da, db), dtype=np.result_type(values, np.float64))
         np.add.at(x, (np.searchsorted(sectors, codes), np.minimum(n, p), np.minimum(m, q)),
                   values)
-        k_a, k_b = np.divmod(sectors, width)
-        return cls(cutoffs, k_a - (da - 1), k_b - (db - 1), x, **kwargs)
+        err = float(np.abs(x - x[::-1].conj()).max(initial=0.0))   # mirror of s: S - 1 - s
+        if err > config.ATOL_STRUCTURAL:
+            raise ValueError(f"matrix is not Hermitian: max |M - M^dag| = {err:.3e}")
+        upper = sectors >= n_codes // 2   # (0, 0) and the sectors above it
+        k_a, k_b = np.divmod(sectors[upper], width)
+        return cls(cutoffs, k_a - (da - 1), k_b - (db - 1), x[upper], validate=validate)
 
     def __setattr__(self, name, value):
         raise AttributeError("TwoModeState is immutable")
@@ -176,18 +177,22 @@ class TwoModeState:
 
     def entries(self):
         """(rows, cols, values): the nonzero entries over the flattened
-        basis, in row-major order."""
+        basis, each stored sector's mirror included, in row-major order."""
         s, j_a, j_b = np.nonzero(self.x)
         ka, kb = self.k_a[s], self.k_b[s]
         db = self.cutoffs.cutoff_b
         rows = (j_a + np.maximum(ka, 0)) * db + j_b + np.maximum(kb, 0)
         cols = (j_a + np.maximum(-ka, 0)) * db + j_b + np.maximum(-kb, 0)
+        values = self.x[s, j_a, j_b]
+        off = (ka != 0) | (kb != 0)   # the mirror sits at the transposed position
+        rows, cols = np.concatenate([rows, cols[off]]), np.concatenate([cols, rows[off]])
+        values = np.concatenate([values, values[off].conj()])
         order = np.argsort(rows * self.dimension + cols)
-        return rows[order], cols[order], self.x[s, j_a, j_b][order]
+        return rows[order], cols[order], values[order]
 
     @property
     def matrix(self) -> np.ndarray:
-        """Read-only dense (d, d) copy of the stored entries."""
+        """Read-only dense (d, d) copy of the density matrix."""
         rows, cols, values = self.entries()
         dense = np.zeros((self.dimension, self.dimension), dtype=self.x.dtype)
         dense[rows, cols] = values
@@ -197,12 +202,6 @@ class TwoModeState:
     def populations(self) -> np.ndarray:
         """Diagonal occupation probabilities as a real (da, db) array."""
         return _populations(self.x, self.k_a, self.k_b).real.copy()
-
-    def hermiticity_error(self) -> float:
-        """max |M - M^dag| over the stored entries."""
-        if self._hermiticity_error is None:
-            object.__setattr__(self, "_hermiticity_error", _hermiticity_error(self.x))
-        return self._hermiticity_error
 
 
 def _populations(x, k_a, k_b) -> np.ndarray:
@@ -219,11 +218,6 @@ def _trace(x, k_a, k_b) -> float:
     return float(_populations(x, k_a, k_b).ravel().astype(np.complex128).sum().real)
 
 
-def _hermiticity_error(x) -> float:
-    # the mirror of sector s is S - 1 - s, at the same positions
-    return float(np.abs(x - x[::-1].conj()).max(initial=0.0))
-
-
 def log_factorials(n: int) -> np.ndarray:
     """log k! for k = 0 .. n - 1, the table behind every factorial ratio
     and coherent coefficient the package assembles in log space."""
@@ -232,11 +226,10 @@ def log_factorials(n: int) -> np.ndarray:
 
 def noon_sectors(cutoffs: ModeCutoffs, n_photons: int, diagonal,
                  coupling) -> TwoModeState:
-    """The state holding sector (0, 0) = ``diagonal`` and sectors
-    +-(N, -N) = ``coupling``: rho[n+N, m, n, m+N] = coupling[n, m] and its
-    mirror.  Every NOON-derived state has this form."""
-    n = n_photons
-    return TwoModeState(cutoffs, [-n, 0, n], [n, 0, -n], [coupling, diagonal, coupling])
+    """The state holding sector (0, 0) = ``diagonal`` and sector (N, -N) =
+    ``coupling``: rho[n+N, m, n, m+N] = coupling[n, m], and its mirror
+    (-N, N) the conjugate.  Every NOON-derived state has this form."""
+    return TwoModeState(cutoffs, [0, n_photons], [0, -n_photons], [diagonal, coupling])
 
 
 def build_noon(spec: NoonSpec, cutoffs: ModeCutoffs) -> TwoModeState:
@@ -263,10 +256,14 @@ def partial_transpose_b(state: TwoModeState) -> TwoModeState:
     Hermiticity and the trace are preserved; entanglement shows up as
     negative eigenvalues of the result.  The transpose swaps m and q, so
     every sector (k_a, k_b) becomes (k_a, -k_b) with its entries in place.
+    For k_a = 0 that label lies below (0, 0), so the sector keeps its label
+    and conjugates its entries: it holds the mirror instead.
     """
-    order = np.lexsort((-state.k_b, state.k_a))
-    return TwoModeState(state.cutoffs, state.k_a[order], -state.k_b[order],
-                        state.x[order], validate=False)
+    flip = state.k_a > 0
+    k_b = np.where(flip, -state.k_b, state.k_b)
+    x = np.where(flip[:, None, None], state.x, state.x.conj())
+    order = np.lexsort((k_b, state.k_a))
+    return TwoModeState(state.cutoffs, state.k_a[order], k_b[order], x[order], validate=False)
 
 
 def trace_distance(state_1: TwoModeState, state_2: TwoModeState) -> float:

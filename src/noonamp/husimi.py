@@ -4,10 +4,12 @@ Q(alpha, beta) = <alpha, beta| rho |alpha, beta> / pi^2, evaluated for all
 pairs drawn from a list of mode-a amplitudes and a list of mode-b
 amplitudes.  Coherent coefficients are assembled in log space.  The
 quadratic form is contracted one phase sector at a time:
-Q = sum over sectors s of Re(U_a[k_a] x_s U_b[k_b]^T) / pi^2, with
-U[k][i, j] = conj(v[i, j + max(k, 0)]) v[i, j + max(-k, 0)] the coherent
-products along the sector's diagonal.  No dense copy of the state is made;
-the cost follows the number of stored sectors, not d^2.
+Q = sum over stored sectors s of w_s Re(U_a[k_a] x_s U_b[k_b]^T) / pi^2,
+with U[k][i, j] = conj(v[i, j + max(k, 0)]) v[i, j + max(-k, 0)] the
+coherent products along the sector's diagonal and w_s = 2 for every sector
+but (0, 0), whose unstored mirror adds the complex conjugate.  No dense
+copy of the state is made; the cost follows the number of stored sectors,
+not d^2.
 
 At eta = 0 the amplifier acts on Q by pure argument scaling: equal gain
 on both modes sends Q(a, b) to Q(a/G, b/G)/G^4, gain on mode a alone to
@@ -93,11 +95,13 @@ def _guard(samples: np.ndarray, cutoff: int, label: str):
 
 
 def _sector_factors(state: TwoModeState, va: np.ndarray, vb: np.ndarray):
-    """Per stored sector (k_a, k_b): (U_a[k_a] x_s, U_b[k_b]), so that
-    Q = sum over sectors of Re(U_a[k_a] x_s U_b[k_b]^T) / pi^2."""
+    """Per stored sector (k_a, k_b): (w U_a[k_a] x_s, U_b[k_b]), so that
+    Q = sum over sectors of Re(w U_a[k_a] x_s U_b[k_b]^T) / pi^2, with the
+    weight w = 2 counting the unstored mirror of every sector but (0, 0)."""
     for k_a, k_b, x_s in zip(state.k_a.tolist(), state.k_b.tolist(), state.x):
         u_a, u_b = _diagonal_products(va, k_a), _diagonal_products(vb, k_b)
-        yield u_a @ x_s[:u_a.shape[1], :u_b.shape[1]], u_b
+        weight = 1.0 if k_a == k_b == 0 else 2.0
+        yield weight * (u_a @ x_s[:u_a.shape[1], :u_b.shape[1]]), u_b
 
 
 def _diagonal_products(v: np.ndarray, k: int) -> np.ndarray:

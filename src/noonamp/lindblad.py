@@ -9,13 +9,14 @@ with field gain G(t) = exp((N1 - N2) kappa t).  The generator only moves
 weight from rho[n, m, p, q] to (n +- 1, p +- 1) and (m +- 1, q +- 1), so
 the phase offsets (k_a, k_b) = (n - p, m - q) are conserved exactly: each
 sector of fixed (k_a, k_b) evolves independently of the others, and a
-sector empty at t = 0 stays zero for all time.  The integrator therefore
-evolves the state's own sector stack, which holds only the sectors
-populated at t = 0 (and their Hermitian mirrors), acted on matrix-free by
-``_kernels``; the generator is never materialized as a superoperator.
-This is a symmetry of the equation, not an approximation: every stored
-entry comes out bit-for-bit as a full-tensor integration would give it.  A NOON input
-fills only 3 of the (2 cutoff_a - 1)(2 cutoff_b - 1) sectors.
+sector empty at t = 0 stays zero for all time, and a sector's mirror
+evolves as its conjugate.  The integrator therefore evolves the state's
+own sector stack, sector (0, 0) and the populated sectors above it, acted
+on matrix-free by ``_kernels``; the generator is never materialized as a
+superoperator.  This is a symmetry of the equation, not an approximation:
+every stored entry comes out bit-for-bit as a full-tensor integration
+would give it.  A NOON input stores 2 of the (2 cutoff_a - 1)
+(2 cutoff_b - 1) sectors.
 
 A classical fourth-order Runge-Kutta scheme with a fixed step
 (``STEP_SIZE``) keeps runs bit-for-bit reproducible; amplification pushes
@@ -122,14 +123,9 @@ def evolve(state: TwoModeState, params: AmplifierParams) -> TwoModeState:
         k1 += 2.0 * k2
         k1 *= dt / 6.0
         rho += k1
-        # enforce Hermiticity each step; RK4 drift is symmetric-breaking noise.
-        # The mirror of sector s is S - 1 - s, at the same (j_a, j_b)
-        np.conjugate(rho[::-1], out=tmp)
-        rho += tmp
-        rho *= 0.5
         t += dt
         if (step + 1) % _LEAK_CHECK_EVERY == 0 or step == total_steps - 1:
             _check_leak(pops, modes, t, rate)
 
-    return TwoModeState(c, k_a, k_b, rho, atol=1e-10)
+    return TwoModeState(c, k_a, k_b, rho)
 

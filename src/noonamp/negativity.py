@@ -1,14 +1,15 @@
 """Logarithmic negativity from partial-transpose spectra.
 
 Two routes to the same number.  The block route reads NOON-derived
-states, which hold the phase sectors (0, 0) and +-(N, -N) only.  Their
+states, which store the phase sectors (0, 0) and (N, -N) only (the
+mirror (-N, N) is implied).  Their
 partial transpose keeps sector (0, 0) on its diagonal and couples each
 basis state to the one a step (N, N) away, so it is a direct sum of
 tridiagonal chains: short chains when both modes are amplified, 2x2 blocks
 when one is, thousands of chains in a few lengths.  The route reads the
 chains off the sector stack and solves the chains of one length by a
 single stacked ``np.linalg.eigvalsh`` call.  It takes any state with
-sector (0, 0) and at most one mirrored pair, and refuses every other.
+sector (0, 0) and at most one other stored sector, and refuses every other.
 
 The dense route is the oracle the block route must match.  It hands the
 partial transpose to ``fock.hermitian_eigvalsh``, which solves it one
@@ -26,9 +27,9 @@ its charge, so a coupling the block route missed would still show.
 No dense solve on either route exceeds ``config.FULL_SOLVE_MAX_DIMENSION``:
 a charge block holds at most min(cutoff_a, cutoff_b) basis states, and a
 whole-matrix solve or a chain above the limit is refused with ValueError
-before it is allocated.  Eigenvalues in
-[-``config.EIG_NEG_CLAMP``, 0) count as zero, and a state must be Hermitian
-within ``config.ATOL_STRUCTURAL``.
+before it is allocated.  Eigenvalues in [-``config.EIG_NEG_CLAMP``, 0)
+count as zero.  A state is Hermitian by construction, so neither route
+checks it.
 """
 
 from dataclasses import dataclass
@@ -77,13 +78,6 @@ def _neg_sums(eigs: np.ndarray) -> np.ndarray:
     return sums
 
 
-def _check_hermitian(state: TwoModeState):
-    err = state.hermiticity_error()
-    if err > config.ATOL_STRUCTURAL:
-        raise ValueError(f"state is not Hermitian within {config.ATOL_STRUCTURAL:g}: "
-                         f"{err:.3e}")
-
-
 def log_negativity_dense(state: TwoModeState) -> NegativityResult:
     """Full spectrum of the partial transpose, solved one conserved-charge
     block at a time (``fock.hermitian_eigvalsh``).
@@ -92,7 +86,6 @@ def log_negativity_dense(state: TwoModeState) -> NegativityResult:
     included; the blocks are dense and come from an exact charge test on
     the stored entries, not from the chains the block route reads.
     """
-    _check_hermitian(state)
     eigs = hermitian_eigvalsh(*partial_transpose_b(state).entries(), state.cutoffs)
     return _result(float(eigs[0]), _neg_sum(eigs), "dense")
 
@@ -100,8 +93,8 @@ def log_negativity_dense(state: TwoModeState) -> NegativityResult:
 def log_negativity_block(state: TwoModeState) -> NegativityResult:
     """Partial-transpose spectrum read as chains.
 
-    The state must hold sector (0, 0) and at most one mirrored pair
-    +-(k_a, k_b), as every NOON-derived state does; any other state is
+    The state must hold sector (0, 0) and at most one other sector
+    (k_a, k_b), as every NOON-derived state does; any other state is
     refused with ValueError (``log_negativity_dense`` takes it).  The
     partial transpose is never materialized: its diagonal is sector (0, 0)
     and its only couplings join each basis state to the one a step
@@ -115,32 +108,29 @@ def log_negativity_block(state: TwoModeState) -> NegativityResult:
     per chain.  A chain longer than ``config.FULL_SOLVE_MAX_DIMENSION`` is
     refused with ValueError before any block is allocated.
     """
-    _check_hermitian(state)
     k_a, k_b, x = state.k_a, state.k_b, state.x
-    if x.shape[0] > 3:
+    others = np.flatnonzero((k_a != 0) | (k_b != 0))   # sectors besides (0, 0)
+    if others.size > 1:
         raise ValueError(
-            f"the block route reads sector (0, 0) and one mirrored pair, and this state "
+            f"the block route reads sector (0, 0) and one other sector, and this state "
             f"holds {x.shape[0]} phase sectors; use the dense route (log_negativity_dense)")
 
     da, db = state.cutoffs.cutoff_a, state.cutoffs.cutoff_b
     d = state.dimension
     diag = state.populations().ravel()
-    # low[u] = PT[u + step, u] and up[u] = PT[u, u + step] for chain step
+    # low[u] = PT[u + step, u] = conj(PT[u, u + step]) for chain step
     # (ka, -kb) in the labels, step = ka cutoff_b - kb > 0 in the PT index
-    low, up = np.zeros(d, dtype=x.dtype), np.zeros(d, dtype=x.dtype)
+    low = np.zeros(d, dtype=x.dtype)
     step = 1
-    pair = np.flatnonzero((k_a != 0) | (k_b != 0))
-    if pair.size:
-        s, mirror = pair
-        ka, kb = int(k_a[s]), int(k_b[s])
+    if others.size:
+        ka, kb, sector = int(k_a[others[0]]), int(k_b[others[0]]), x[others[0]]
         step = ka * db - kb
-        if step < 0:
-            s, mirror, ka, kb, step = mirror, s, -ka, -kb, -step
+        if step < 0:   # ka = 0: the chain steps along the mirror (0, -kb)
+            kb, step, sector = -kb, -step, sector.conj()
         ja, jb = np.arange(da - abs(ka)), np.arange(db - abs(kb))
         u = ((ja + max(-ka, 0))[:, None] * db + (jb + max(kb, 0))[None, :]).ravel()
-        low[u] = x[s, :ja.size, :jb.size].ravel()
-        up[u] = x[mirror, :ja.size, :jb.size].ravel()
-    linked = np.flatnonzero((low != 0) | (up != 0))   # u coupled to u + step
+        low[u] = sector[:ja.size, :jb.size].ravel()
+    linked = np.flatnonzero(low != 0)   # u coupled to u + step
 
     occupied = diag != 0
     occupied[linked] = occupied[linked + step] = True
@@ -180,7 +170,7 @@ def log_negativity_block(state: TwoModeState) -> NegativityResult:
         else:
             on = r < size - 1   # every member but the last couples to the next
             stack[b[on], r[on] + 1, r[on]] = low[at[on]]
-            stack[b[on], r[on], r[on] + 1] = up[at[on]]
+            stack[b[on], r[on], r[on] + 1] = low[at[on]].conj()
             eigs = np.linalg.eigvalsh(stack)
         min_eig = min(min_eig, float(eigs[:, 0].min()))
         chain_neg[by_size[start:start + count]] = _neg_sums(eigs)

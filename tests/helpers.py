@@ -37,8 +37,10 @@ def product_state(mat_a, mat_b):
 
 
 def trace_and_purity(state):
-    """(Tr rho, Tr rho^2); the purity uses Hermiticity: Tr rho^2 = sum |rho_ij|^2."""
-    return state.trace, float(np.vdot(state.x, state.x).real)
+    """(Tr rho, Tr rho^2); the purity uses Hermiticity: Tr rho^2 = sum |rho_ij|^2,
+    where every stored sector but (0, 0) counts twice, once for its mirror."""
+    off = state.x[(state.k_a != 0) | (state.k_b != 0)]
+    return state.trace, float(np.vdot(state.x, state.x).real + np.vdot(off, off).real)
 
 
 def riemann_mass(grid, spacing_a, spacing_b):

@@ -148,8 +148,8 @@ def test_cli_sweep_eta_above_zero(argv, capsys):
 
 
 def test_import_loads_no_scipy():
-    """``import noonamp`` leaves scipy unloaded; the modules import it at
-    first use."""
+    """``import noonamp`` leaves scipy unloaded: no package module imports
+    it."""
     env = {**os.environ, "PYTHONPATH": str(Path(noonamp.__file__).parents[1])}
     code = ("import sys, noonamp; "
             "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
@@ -251,6 +251,15 @@ def test_cli_configuration_errors():
     ["sweep", "--family", "noon_symmetric", "--n", "2", "--g2", "1.0:1.1:0.1",
      "--out", "{tmp}"],
     ["qfunc", "--out", "{tmp}/missing/q.csv"],
+    # flags the family would not read, and a repeated N
+    ["sweep", "--family", "photon_added_tmsv", "--r", "0.3", "--cutoff", "10,10",
+     "--tail-tol", "1e-3", "--method", "both", "--oracle-check"],
+    ["sweep", "--family", "photon_added_tmsv", "--r", "0.3", "--tail-tol", "1e-3"],
+    ["sweep", "--family", "tmsv_gaussian", "--n", "2"],
+    ["sweep", "--family", "tmsv_gaussian", "--cutoff", "10,10"],
+    ["sweep", "--family", "tmsv_gaussian", "--method", "dense"],
+    ["sweep", "--family", "tmsv_gaussian", "--oracle-check"],
+    ["sweep", "--family", "noon_symmetric", "--n", "2", "--n", "2"],
 ], ids=lambda argv: " ".join(argv))
 def test_cli_misuse_exits_2(argv, tmp_path, capsys):
     out = tmp_path / "out.csv"

@@ -4,10 +4,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from noonamp import (ModeCutoffs, NoonSpec, TwoModeState, build_noon,
-                     config, fock, log_negativity_dense, partial_transpose_b, trace_distance)
+from noonamp import (AmplifierParams, CutoffPolicy, MODE_ASYMMETRIC_A, ModeCutoffs,
+                     NoonSpec, SqueezingSpec, TwoModeState, amplify_noon, amplify_state,
+                     build_noon, config, evolve, fock, log_negativity_dense,
+                     partial_transpose_b, photon_add_both, select_cutoffs, tmsv_fock,
+                     trace_distance)
 from noonamp.fock import hermitian_eigvalsh
-from noonamp.negativity import log_negativity_block
 
 from helpers import from_matrix, product_state, trace_and_purity
 
@@ -146,30 +148,61 @@ def test_state_validation():
 
 
 def test_sector_stack_validation():
-    """The constructor takes a well-formed stack only; from_entries takes
-    positions inside the basis only."""
+    """The constructor takes a well-formed stack only, holding no sector
+    below (0, 0); from_entries takes positions inside the basis only."""
     cut = ModeCutoffs(2, 3)
     with pytest.raises(ValueError, match="does not match"):
         TwoModeState(cut, [0], [0], np.zeros((1, 3, 2)))
-    with pytest.raises(ValueError, match="mirroring"):
-        TwoModeState(cut, [1], [0], np.zeros((1, 2, 3)))
-    with pytest.raises(ValueError, match="mirroring"):
+    with pytest.raises(ValueError, match="below"):
+        TwoModeState(cut, [-1], [0], np.zeros((1, 2, 3)))
+    with pytest.raises(ValueError, match="below"):
+        TwoModeState(cut, [0, 0], [0, -1], np.zeros((2, 2, 3)))
+    with pytest.raises(ValueError, match="below"):
         TwoModeState(cut, [0, 0], [0, 0], np.zeros((2, 2, 3)))
-    with pytest.raises(ValueError, match="mirroring"):
-        TwoModeState(cut, [-2, 0, 2], [0, 0, 0], np.zeros((3, 2, 3)))
-    padded = np.zeros((3, 2, 3))
-    padded[0, 1, 0] = 0.1  # sector (-1, 0) has positions j_a < 1 only
+    with pytest.raises(ValueError, match="below"):
+        TwoModeState(cut, [0, 2], [0, 0], np.zeros((2, 2, 3)))
+    padded = np.zeros((2, 2, 3))
+    padded[1, 1, 0] = 0.1  # sector (1, 0) has positions j_a < 1 only
     with pytest.raises(ValueError, match="past the cutoffs"):
-        TwoModeState(cut, [-1, 0, 1], [0, 0, 0], padded, validate=False)
+        TwoModeState(cut, [0, 1], [0, 0], padded, validate=False)
     with pytest.raises(ValueError, match="outside"):
         TwoModeState.from_entries(cut, [6], [0], [1.0])
-    # a sector that is zero together with its mirror is not kept, and a
-    # zero imaginary part is dropped
-    x = np.zeros((3, 2, 3), dtype=complex)
-    x[1, 0, 0] = 1.0
-    state = TwoModeState(cut, [-1, 0, 1], [0, 0, 0], x)
+    # a zero sector is not kept, and a zero imaginary part is dropped
+    x = np.zeros((2, 2, 3), dtype=complex)
+    x[0, 0, 0] = 1.0
+    state = TwoModeState(cut, [0, 1], [0, 0], x)
     assert state.k_a.tolist() == [0] and state.k_b.tolist() == [0]
     assert state.x.dtype == np.float64 and state.trace_deficit == 0.0
+
+
+def test_from_entries_keeps_upper_sectors_and_mirrors_entries():
+    """from_entries stores sector (0, 0) and the sectors above it; entries()
+    and matrix give back every entry, each mirror the conjugate."""
+    rng = np.random.default_rng(2)
+    cut = ModeCutoffs(2, 3)
+    rho = random_density(cut.dimension, rng)
+    state = from_matrix(cut, rho)
+    codes = state.k_a * (2 * cut.cutoff_b - 1) + state.k_b
+    assert codes[0] == 0 and np.all(np.diff(codes) > 0)
+    assert state.x.shape[0] == (3 * 5 + 1) // 2   # of (2 da - 1)(2 db - 1) sectors
+    m = state.matrix
+    assert np.array_equal(np.tril(m, -1), np.triu(m, 1).conj().T)
+    assert np.abs(m - rho).max() <= TOL
+
+
+def test_from_entries_refuses_non_hermitian():
+    """Outside input is checked for Hermiticity whether or not the state is
+    validated; the stored half cannot be non-Hermitian afterwards."""
+    rng = np.random.default_rng(2)
+    skew = random_density(6, rng)
+    skew[0, 1] += 1e-6
+    for validate in (True, False):
+        with pytest.raises(ValueError, match="not Hermitian"):
+            from_matrix(ModeCutoffs(2, 3), skew, validate=validate)
+    bad = np.zeros((9, 9), dtype=complex)
+    bad[0, 1] = 0.5
+    with pytest.raises(ValueError, match="not Hermitian"):
+        from_matrix(ModeCutoffs(3, 3), bad, validate=False)
 
 
 def test_state_immutable():
@@ -180,38 +213,36 @@ def test_state_immutable():
         state.matrix[0, 0] = 1.0
 
 
-def test_hermiticity_scanned_once_per_state(monkeypatch):
-    """A validated state keeps the error found at construction; an
-    unvalidated one scans its entries at the first read only."""
-    scans = []
-    scan = fock._hermiticity_error
+def _amplified(n, g2, eta=0.0, mode="symmetric"):
+    spec, params = NoonSpec(n), AmplifierParams(g2, eta=eta, mode_config=mode)
+    return amplify_noon(spec, params, select_cutoffs(spec, params, CutoffPolicy()))
 
-    def counted(x):
-        scans.append(x.size)
-        return scan(x)
 
-    monkeypatch.setattr(fock, "_hermiticity_error", counted)
-    rng = np.random.default_rng(2)
-    rho = random_density(6, rng)
-    state = from_matrix(ModeCutoffs(2, 3), rho)
-    assert len(scans) == 1
-    for _ in range(2):
-        # a random state fills every sector, which the block route refuses
-        # after its Hermiticity check
-        with pytest.raises(ValueError, match="dense route"):
-            log_negativity_block(state)
-        log_negativity_dense(state)
-    assert state.hermiticity_error() == scan(state.x) and len(scans) == 1
+def _photon_added():
+    return photon_add_both(tmsv_fock(SqueezingSpec(0.3), ModeCutoffs(18, 18)))
 
-    skew = rho.copy()
-    skew[0, 1] += 1e-6
-    lazy = from_matrix(ModeCutoffs(2, 3), skew, validate=False)
-    assert len(scans) == 1
-    assert lazy.hermiticity_error() == pytest.approx(1e-6, rel=1e-6)
-    assert lazy.hermiticity_error() == pytest.approx(1e-6, rel=1e-6) and len(scans) == 2
-    with pytest.raises(ValueError, match="Hermitian"):
-        log_negativity_block(lazy)
-    assert len(scans) == 2
+
+HERMITIAN_CASES = {
+    "closed_form_symmetric": lambda: _amplified(2, 1.5),
+    "closed_form_asymmetric": lambda: _amplified(3, 2.0, mode=MODE_ASYMMETRIC_A),
+    "map_eta": lambda: _amplified(2, 1.5, eta=0.5),
+    "map_eta_asymmetric": lambda: _amplified(2, 1.5, eta=0.5, mode=MODE_ASYMMETRIC_A),
+    "evolve": lambda: evolve(build_noon(NoonSpec(2), ModeCutoffs(12, 12)),
+                             AmplifierParams(1.05, eta=0.25)),
+    "photon_added": _photon_added,
+    "photon_added_amplified": lambda: amplify_state(_photon_added(),
+                                                    AmplifierParams(1.3, eta=0.5)),
+}
+
+
+@pytest.mark.parametrize("transposed", [False, True], ids=["state", "pt"])
+@pytest.mark.parametrize("case", list(HERMITIAN_CASES))
+def test_every_family_exactly_hermitian(case, transposed):
+    """Every state family, and its partial transpose, is Hermitian bit for
+    bit: a stored sector and its mirror cannot drift apart."""
+    state = HERMITIAN_CASES[case]()
+    m = (partial_transpose_b(state) if transposed else state).matrix
+    assert np.array_equal(m, m.conj().T)
 
 
 def test_trace_distance():

@@ -154,11 +154,8 @@ def full_tensor_evolve(state, params):
         k1 += 2.0 * k2
         k1 *= dt / 6.0
         rho += k1
-        np.conjugate(rho.transpose(2, 3, 0, 1), out=tmp)
-        rho += tmp
-        rho *= 0.5
     d = c.dimension
-    return from_matrix(c, rho.reshape(d, d), validate=True, atol=1e-10)
+    return from_matrix(c, rho.reshape(d, d))
 
 
 def phased_noon(n, phase, cutoffs):

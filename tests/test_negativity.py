@@ -188,12 +188,12 @@ def test_component_above_limit_refused_before_allocation():
     cutoffs = ModeCutoffs(10001, 1)
     d = cutoffs.dimension
     assert d > config.FULL_SOLVE_MAX_DIMENSION
-    # sectors +-(1, 0) couple |n> to |n + 1> in mode a: one chain holding
-    # all d basis states (position d - 1 lies past the sector's end)
+    # sector (1, 0) and its mirror couple |n> to |n + 1> in mode a: one
+    # chain holding all d basis states (position d - 1 lies past the
+    # sector's end)
     coupling = np.full((d, 1), 0.1 / d)
     coupling[-1] = 0.0
-    state = TwoModeState(cutoffs, [-1, 0, 1], [0, 0, 0],
-                         [coupling, np.full((d, 1), 1.0 / d), coupling])
+    state = TwoModeState(cutoffs, [0, 1], [0, 0], [np.full((d, 1), 1.0 / d), coupling])
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match="component of size 10001"):
@@ -202,16 +202,6 @@ def test_component_above_limit_refused_before_allocation():
     finally:
         tracemalloc.stop()
     assert peak < d * d * 8 // 100
-
-
-def test_non_hermitian_rejected():
-    bad = np.zeros((9, 9), dtype=complex)
-    bad[0, 1] = 0.5
-    state = from_matrix(ModeCutoffs(3, 3), bad, validate=False)
-    with pytest.raises(ValueError, match="Hermitian"):
-        log_negativity_dense(state)
-    with pytest.raises(ValueError, match="Hermitian"):
-        log_negativity_block(state)
 
 
 def test_zero_matrix_state():
@@ -293,15 +283,15 @@ def test_block_matches_per_component_reference_on_golden_grid(mode):
 def _chain_state(cutoffs, diagonal, couplings, dtype=float, validate=False):
     """The state whose partial transpose holds ``diagonal`` on its diagonal
     and, for each u: value in ``couplings``, the Hermitian coupling value
-    at PT[u + 1, u] between neighbours in mode b.  Its phase sectors are
-    (0, 0) and the one mirrored pair +-(0, 1)."""
+    at PT[u + 1, u] between neighbours in mode b.  Its stored phase sectors
+    are (0, 0) and (0, 1)."""
     pt = np.diag(np.asarray(diagonal, dtype=dtype))
     for u, value in couplings.items():
         assert (u + 1) % cutoffs.cutoff_b != 0  # u + 1 is a neighbour of u
         pt[u + 1, u] = value
         pt[u, u + 1] = np.conj(value)
     state = partial_transpose_b(from_matrix(cutoffs, pt, validate=False))
-    assert state.k_a.tolist()[-1] == 0 and state.k_b.tolist()[-1] == 1
+    assert state.k_a.tolist() == [0, 0] and state.k_b.tolist() == [0, 1]
     if validate:
         state = TwoModeState(cutoffs, state.k_a, state.k_b, state.x)
     return state

@@ -44,12 +44,15 @@ def assert_block_matches_dense(state):
 @settings(deadline=None, max_examples=40)
 @given(photons, gains, modes)
 def test_stored_entries_real_and_symmetric(n, g2, mode):
-    """Real, exactly symmetric, and held in the NOON's three phase sectors."""
+    """Real, held in the NOON's two stored phase sectors (exactly symmetric,
+    as each stands for its mirror), and the partial transpose relabels
+    (N, -N) to (N, N) with the entries in place."""
     state = amplified(n, g2, mode)
     assert state.x.dtype == np.float64
-    assert np.array_equal(state.x, state.x[::-1])   # each sector equals its mirror
-    assert state.k_a.tolist() == [-n, 0, n] and state.k_b.tolist() == [n, 0, -n]
-    assert partial_transpose_b(state).hermiticity_error() == 0.0
+    assert state.k_a.tolist() == [0, n] and state.k_b.tolist() == [0, -n]
+    pt = partial_transpose_b(state)
+    assert pt.k_a.tolist() == [0, n] and pt.k_b.tolist() == [0, n]
+    assert np.array_equal(pt.x, state.x)
 
 
 @settings(deadline=None, max_examples=40)
@@ -105,7 +108,7 @@ def test_exact_channel_output(n, g2, eta, mode):
     noon = build_noon(spec, cutoffs)
     out = amplify_state(noon, params)
     TwoModeState(out.cutoffs, out.k_a, out.k_b, out.x)  # the constructor's checks
-    assert out.k_a.tolist() == [-n, 0, n] and out.k_b.tolist() == [n, 0, -n]
+    assert out.k_a.tolist() == [0, n] and out.k_b.tolist() == [0, -n]
     assert out.trace <= noon.trace + 1e-14
     if eta == 0.0:
         closed = amplify_noon(spec, params, cutoffs)
@@ -174,11 +177,11 @@ def sparse_density(draw):
 @given(sparse_density())
 def test_random_states_block_equals_dense(drawn):
     """The block route matches the dense one on every state it reads (sector
-    (0, 0) and at most one mirrored pair) and names the dense route for
-    every other."""
+    (0, 0) and at most one other stored sector) and names the dense route
+    for every other."""
     state, has_imag = drawn
     assert state.x.dtype == (np.complex128 if has_imag else np.float64)
-    if state.x.shape[0] <= 3:
+    if state.x.shape[0] <= 2:
         assert assert_block_matches_dense(state).method == "block"
     else:
         with pytest.raises(ValueError, match="dense route"):
