@@ -157,7 +157,7 @@ class TwoModeState:
         x = np.zeros((sectors.size, da, db), dtype=np.result_type(values, np.float64))
         np.add.at(x, (np.searchsorted(sectors, codes), np.minimum(n, p), np.minimum(m, q)),
                   values)
-        err = float(np.abs(x - x[::-1].conj()).max(initial=0.0))   # mirror of s: S - 1 - s
+        err = _hermiticity_error(x)
         if err > config.ATOL_STRUCTURAL:
             raise ValueError(f"matrix is not Hermitian: max |M - M^dag| = {err:.3e}")
         upper = sectors >= n_codes // 2   # (0, 0) and the sectors above it
@@ -202,6 +202,12 @@ class TwoModeState:
     def populations(self) -> np.ndarray:
         """Diagonal occupation probabilities as a real (da, db) array."""
         return _populations(self.x, self.k_a, self.k_b).real.copy()
+
+
+def _hermiticity_error(x) -> float:
+    """max |M - M^dag| of a full sector stack in increasing code order, where
+    the mirror of sector s is sector S - 1 - s."""
+    return float(np.abs(x - x[::-1].conj()).max(initial=0.0))
 
 
 def _populations(x, k_a, k_b) -> np.ndarray:

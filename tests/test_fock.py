@@ -10,6 +10,7 @@ from noonamp import (AmplifierParams, CutoffPolicy, MODE_ASYMMETRIC_A, ModeCutof
                      partial_transpose_b, photon_add_both, select_cutoffs, tmsv_fock,
                      trace_distance)
 from noonamp.fock import hermitian_eigvalsh
+from noonamp.negativity import log_negativity_block
 
 from helpers import from_matrix, product_state, trace_and_purity
 
@@ -199,10 +200,6 @@ def test_from_entries_refuses_non_hermitian():
     for validate in (True, False):
         with pytest.raises(ValueError, match="not Hermitian"):
             from_matrix(ModeCutoffs(2, 3), skew, validate=validate)
-    bad = np.zeros((9, 9), dtype=complex)
-    bad[0, 1] = 0.5
-    with pytest.raises(ValueError, match="not Hermitian"):
-        from_matrix(ModeCutoffs(3, 3), bad, validate=False)
 
 
 def test_state_immutable():
@@ -211,6 +208,38 @@ def test_state_immutable():
         state.trace_deficit = 0.5
     with pytest.raises(ValueError):
         state.matrix[0, 0] = 1.0
+
+
+def test_hermiticity_scanned_once_per_state(monkeypatch):
+    """from_entries scans its input once, validated or not; the constructor,
+    the partial transpose and both negativity routes never scan, since the
+    stored half is Hermitian by construction."""
+    scans = []
+    scan = fock._hermiticity_error
+
+    def counted(x):
+        scans.append(x.size)
+        return scan(x)
+
+    monkeypatch.setattr(fock, "_hermiticity_error", counted)
+    rng = np.random.default_rng(2)
+    rho = random_density(6, rng)
+    state = from_matrix(ModeCutoffs(2, 3), rho)
+    assert len(scans) == 1
+    for _ in range(2):
+        # a random state fills every sector, which the block route refuses
+        with pytest.raises(ValueError, match="dense route"):
+            log_negativity_block(state)
+        log_negativity_dense(state)
+    TwoModeState(state.cutoffs, state.k_a, state.k_b, state.x)
+    partial_transpose_b(partial_transpose_b(state))
+    assert len(scans) == 1
+
+    skew = rho.copy()
+    skew[0, 1] += 1e-6
+    with pytest.raises(ValueError, match="not Hermitian"):
+        from_matrix(ModeCutoffs(2, 3), skew, validate=False)
+    assert len(scans) == 2
 
 
 def _amplified(n, g2, eta=0.0, mode="symmetric"):

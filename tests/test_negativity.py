@@ -204,6 +204,19 @@ def test_component_above_limit_refused_before_allocation():
     assert peak < d * d * 8 // 100
 
 
+def test_non_hermitian_rejected():
+    """A non-Hermitian matrix never reaches either route: from_entries
+    refuses it, validated or not.  Its Hermitian completion is accepted and
+    the routes agree on it."""
+    bad = np.zeros((9, 9), dtype=complex)
+    bad[0, 1] = 0.5
+    with pytest.raises(ValueError, match="not Hermitian"):
+        from_matrix(ModeCutoffs(3, 3), bad, validate=False)
+    state = from_matrix(ModeCutoffs(3, 3), bad + bad.conj().T, validate=False)
+    dense, block = log_negativity_dense(state), log_negativity_block(state)
+    assert block.log_negativity == pytest.approx(dense.log_negativity, abs=1e-12)
+
+
 def test_zero_matrix_state():
     zero = from_matrix(ModeCutoffs(3, 3), np.zeros((9, 9), dtype=complex))
     res = log_negativity_block(zero)
