@@ -1,5 +1,6 @@
-"""Hot kernels for the master-equation integrator: the single-mode
-gain/loss generator applied to the phase sectors of a two-mode state.
+"""The single-mode gain/loss generator of the amplifier master equation,
+applied to the phase sectors of a two-mode state: the one definition of the
+truncated generator.
 
 Generator convention, per amplified mode (kn1 = kappa*N1, kn2 = kappa*N2):
 
@@ -10,21 +11,18 @@ On the entries rho[n, m, p, q] it moves weight only along (n, p) ->
 (n+1, p+1) and (n-1, p-1) for mode a, and along (m, q) -> (m+1, q+1) and
 (m-1, q-1) for mode b.  The phase offsets k_a = n - p and k_b = m - q are
 therefore conserved: each sector of fixed (k_a, k_b) evolves on its own,
-and a sector empty at t = 0 stays exactly zero.  The integrator stores the
-sectors it needs stacked as x[s, j_a, j_b], where j_a = min(n, p) and
-j_b = min(m, q) are the positions along each sector's diagonal.  In
-sector s only j_a < cutoff_a - |k_a| and j_b < cutoff_b - |k_b| exist;
-the padding beyond carries zero ladder coefficients, so it stays zero.
+and a sector empty at t = 0 stays exactly zero.  The sectors are stacked
+as x[s, j_a, j_b], where j_a = min(n, p) and j_b = min(m, q) are the
+positions along each sector's diagonal.  In sector s only
+j_a < cutoff_a - |k_a| and j_b < cutoff_b - |k_b| exist; the padding
+beyond carries zero ladder coefficients, so it stays zero.  Creation out of
+the top retained Fock level is dropped; the integrator's leak monitor
+watches the resulting trace loss.
 
-Each entry is computed with the same floating-point operations, in the
-same order, as the full-tensor generator: ((2 kn1) (sqrt(n) sqrt(p))) x,
-then (kn1 ((n+1) + (p+1))) x, then the kn2 terms.  Where the full-tensor
-generator has no term (at a sector's end) a zero is added, which leaves
-every nonzero value unchanged, so sector evolution reproduces full-tensor
-evolution bit for bit.  Creation out of the top
-retained Fock level is dropped; the leak monitor in the integrator watches
-the resulting trace loss.  Both kernels accumulate into ``out`` (callers
-zero it first), so the two mode generators are summed without temporaries.
+``lindblad.evolve`` calls each kernel once per run, on a stack of identity
+slices, and reads off one generator matrix per distinct |k|; the
+coefficients depend on k only through |k|.  Both kernels accumulate into
+``out`` (callers zero it first).
 """
 
 from typing import NamedTuple

@@ -47,9 +47,10 @@ _MODE_CONFIGS = (MODE_SYMMETRIC, MODE_ASYMMETRIC_A)
 
 @dataclass(frozen=True)
 class AmplifierParams:
-    """The amplifier, as every layer takes it (closed forms, exact map, RK4
-    oracle, covariance channel): intensity gain g_squared = G^2, bath
-    parameter eta = N2/(N1-N2) and the modes the gain acts on."""
+    """The amplifier, as every layer takes it (closed forms, exact map,
+    master-equation oracle, covariance channel): intensity gain
+    g_squared = G^2, bath parameter eta = N2/(N1-N2) and the modes the gain
+    acts on."""
 
     g_squared: float
     eta: float = 0.0

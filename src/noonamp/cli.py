@@ -37,7 +37,7 @@ CSV_COLUMNS = ("family", "n", "r", "eta", "g_squared", "log_negativity", "neg_su
 class SweepConfig:
     family: str
     n_values: tuple[int, ...] = ()
-    r: float = 0.5
+    r: float | None = None   # the squeezed families read 0.5 when unset
     eta: float = 0.0
     g2_start: float = 1.0
     g2_stop: float = 3.0
@@ -56,7 +56,11 @@ class SweepConfig:
                 raise ValueError("NOON families need at least one N")
             if len(set(self.n_values)) != len(self.n_values):
                 raise ValueError(f"N is repeated in {self.n_values}")
+            if self.r is not None:
+                raise ValueError(f"the {self.family} family does not read r (--r)")
         else:
+            if self.r is None:
+                object.__setattr__(self, "r", 0.5)
             unread = [name for name, is_set in (
                 ("n_values (--n)", self.n_values),
                 ("cutoff_policy (--cutoff, --tail-tol)",
@@ -101,7 +105,7 @@ def _noon_point(cfg: SweepConfig, n: int, g2: float) -> dict:
     cutoffs = channel.select_cutoffs(spec, params, cfg.cutoff_policy)
     state = channel.amplify_noon(spec, params, cutoffs)
     res = negativity.log_negativity(state, cfg.method)
-    return _row(cfg, g2, n=n, r=None, log_negativity=res.log_negativity,
+    return _row(cfg, g2, n=n, log_negativity=res.log_negativity,
                 neg_sum=res.neg_sum, min_eigenvalue=res.min_eigenvalue,
                 method=cfg.method if cfg.method == "both" else res.method,
                 cutoff_a=cutoffs.cutoff_a, cutoff_b=cutoffs.cutoff_b,
@@ -216,7 +220,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--family", choices=FAMILIES, required=True)
     sweep.add_argument("--n", type=int, action="append", default=None,
                        help="NOON photon number (repeatable)")
-    sweep.add_argument("--r", type=float, default=0.5)
+    sweep.add_argument("--r", type=float, default=None,
+                       help="squeezing of the squeezed families (default 0.5)")
     sweep.add_argument("--eta", type=float, default=0.0)
     sweep.add_argument("--g2", type=_parse_g2, default=(1.0, 3.0, 0.05),
                        metavar="START:STOP:STEP")

@@ -12,7 +12,8 @@ position, so a state stores only sector (0, 0) and the nonzero sectors
 above it in increasing (k_a, k_b) order (k_a > 0, or k_a = 0 and
 k_b > 0).  Each of those stands for itself and its conjugate mirror, so a
 stored state is Hermitian by construction; only its diagonal, sector
-(0, 0), could carry an imaginary part, which construction checks.
+(0, 0), could carry an imaginary part, which construction checks and then
+drops, so sector (0, 0) is always stored real.
 
 The phase-insensitive amplifier maps every sector to itself, so the
 package's states stay in few sectors: a NOON input and everything made
@@ -84,8 +85,10 @@ class TwoModeState:
     as triplets.
 
     Construction checks the diagonal (real and non-negative) and a trace
-    of at most 1; ``validate=False`` skips these checks.  Outside input,
-    which may not be Hermitian, comes in through ``from_entries``.
+    of at most 1; ``validate=False`` skips these checks.  Either way the
+    diagonal's imaginary part is dropped, so sector (0, 0) is stored real.
+    Outside input, which may not be Hermitian, comes in through
+    ``from_entries``.
     ``trace_deficit`` records 1 - Tr(rho): states built by truncating an
     infinite sum are never renormalized, the missing tail is carried
     explicitly so downstream tolerances can budget for it.
@@ -111,16 +114,21 @@ class TwoModeState:
                    | (j_b >= db - np.abs(k_b)[:, None])[:, None, :])
         if np.any(x[padding]):
             raise ValueError("sector entries past the cutoffs must be zero")
+        if np.iscomplexobj(x):
+            middle = (k_a == 0) & (k_b == 0)
+            diag_imag = float(np.abs(x[middle].imag).max(initial=0.0))
+            if validate and diag_imag > config.ATOL_STRUCTURAL:
+                raise ValueError("diagonal has imaginary parts beyond tolerance")
+            x = x.copy()
+            x[middle] = x[middle].real   # the diagonal is stored real
+            if not np.any(x.imag):
+                x = x.real
         keep = np.any(x, axis=(1, 2))
-        if np.iscomplexobj(x) and not np.any(x.imag):
-            x = x.real
         x = x[keep].astype(np.complex128 if np.iscomplexobj(x) else np.float64)
         k_a, k_b = k_a[keep], k_b[keep]
         trace = _trace(x, k_a, k_b)
         if validate:
             diag = _populations(x, k_a, k_b)
-            if float(np.abs(diag.imag).max(initial=0.0)) > config.ATOL_STRUCTURAL:
-                raise ValueError("diagonal has imaginary parts beyond tolerance")
             if float(diag.real.min(initial=0.0)) < -config.ATOL_STRUCTURAL:
                 raise ValueError("diagonal has negative entries beyond tolerance")
             if trace > 1.0 + 1e-9:

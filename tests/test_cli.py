@@ -260,6 +260,8 @@ def test_cli_configuration_errors():
     ["sweep", "--family", "tmsv_gaussian", "--method", "dense"],
     ["sweep", "--family", "tmsv_gaussian", "--oracle-check"],
     ["sweep", "--family", "noon_symmetric", "--n", "2", "--n", "2"],
+    ["sweep", "--family", "noon_symmetric", "--n", "2", "--r", "0.9", "--g2", "1:1.1:0.1"],
+    ["sweep", "--family", "noon_asymmetric", "--n", "2", "--r", "0.5"],
 ], ids=lambda argv: " ".join(argv))
 def test_cli_misuse_exits_2(argv, tmp_path, capsys):
     out = tmp_path / "out.csv"

@@ -191,6 +191,20 @@ def test_from_entries_keeps_upper_sectors_and_mirrors_entries():
     assert np.abs(m - rho).max() <= TOL
 
 
+def test_complex_state_stores_diagonal_real():
+    """The rounding-level imaginary parts that a complex input carries on its
+    diagonal (7.8e-19 here) are dropped, so the dense matrix is Hermitian bit
+    for bit, diagonal included."""
+    rng = np.random.default_rng(0)
+    rho = random_density(9, rng)
+    assert np.any(np.diag(rho).imag)
+    state = from_matrix(ModeCutoffs(3, 3), rho)
+    assert state.x.dtype == np.complex128
+    assert not np.any(state.x[(state.k_a == 0) & (state.k_b == 0)].imag)
+    m = state.matrix
+    assert np.array_equal(m, m.conj().T)
+
+
 def test_from_entries_refuses_non_hermitian():
     """Outside input is checked for Hermiticity whether or not the state is
     validated; the stored half cannot be non-Hermitian afterwards."""

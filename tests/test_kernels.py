@@ -6,9 +6,9 @@ import pytest
 
 from noonamp import (AmplifierParams, MODE_ASYMMETRIC_A, ModeCutoffs, NoonSpec, SqueezingSpec,
                      TwoModeState, build_noon, evolve, photon_add_both, tmsv_fock)
-from noonamp import _kernels, lindblad
+from noonamp import _kernels
 
-from helpers import dense_tensor, from_matrix, same_state
+from helpers import dense_tensor, from_matrix
 
 
 def random_hermitian_tensor(da, db, rng):
@@ -89,9 +89,16 @@ def test_kernels_accumulate():
 
 
 # --- full-tensor reference integrator ---------------------------------------
-# The generator applied to the whole (da, db, da, db) tensor, and the RK4
-# loop around it, with the same floating-point operations in the same order
-# as the sector integrator.  Sector evolution must reproduce it bit for bit.
+# The generator applied to the whole (da, db, da, db) tensor, both modes
+# summed, and propagated by its own Taylor series.  ``evolve`` instead
+# exponentiates each mode's sector generator separately; the two agree to
+# rounding.
+
+# substep and Taylor order of the reference: the generators of the cases
+# below have 1-norms up to about 200, so h ||L|| <= 0.4 and the remainder
+# 0.4^17 / 17! is below 1e-21
+REF_SUBSTEP = 2e-3
+REF_ORDER = 16
 
 def full_gen_mode_a(rho, out, kn1, kn2, sq):
     da = rho.shape[0]
@@ -118,42 +125,32 @@ def full_gen_mode_b(rho, out, kn1, kn2, sq):
 
 
 def full_tensor_evolve(state, params):
+    """The master equation on the whole (da, db, da, db) tensor: a Taylor
+    series of the full-tensor generator, summed to REF_ORDER in equal
+    substeps of at most REF_SUBSTEP.  It shares no code with ``evolve``."""
     kn1, kn2 = 1.0 + params.eta, params.eta
     t_final = math.log(params.g_squared) / (2.0 * (kn1 - kn2))
-    h = lindblad.STEP_SIZE
-    n_full = int(t_final / h)
-    rem = t_final - n_full * h
-    total_steps = n_full + (1 if rem > 1e-15 * max(t_final, 1.0) else 0)
+    n_sub = math.ceil(t_final / REF_SUBSTEP)
+    h = t_final / n_sub
     c = state.cutoffs
     rho = dense_tensor(state).copy()
-    k1, k2, k3, k4, tmp = (np.empty_like(rho) for _ in range(5))
     sq_a = np.sqrt(np.arange(c.cutoff_a, dtype=np.float64))
     sq_b = np.sqrt(np.arange(c.cutoff_b, dtype=np.float64))
 
-    def generator(x, out):
-        out[:] = 0.0
+    def generator(x):
+        out = np.zeros_like(x)
         if "a" in params.amplified_modes:
             full_gen_mode_a(x, out, kn1, kn2, sq_a)
         if "b" in params.amplified_modes:
             full_gen_mode_b(x, out, kn1, kn2, sq_b)
+        return out
 
-    for step in range(total_steps):
-        dt = h if step < n_full else rem
-        generator(rho, k1)
-        np.multiply(k1, 0.5 * dt, out=tmp)
-        tmp += rho
-        generator(tmp, k2)
-        np.multiply(k2, 0.5 * dt, out=tmp)
-        tmp += rho
-        generator(tmp, k3)
-        np.multiply(k3, dt, out=tmp)
-        tmp += rho
-        generator(tmp, k4)
-        k1 += k4
-        k2 += k3
-        k1 += 2.0 * k2
-        k1 *= dt / 6.0
-        rho += k1
+    for _ in range(n_sub):
+        term, total = rho, rho.copy()
+        for m in range(1, REF_ORDER + 1):
+            term = generator(term) * (h / m)
+            total += term
+        rho = total
     d = c.dimension
     return from_matrix(c, rho.reshape(d, d))
 
@@ -184,9 +181,13 @@ EVOLVE_CASES = {
 
 @pytest.mark.parametrize("case", list(EVOLVE_CASES))
 def test_sector_evolution_matches_full_tensor(case):
+    """The sector propagators reproduce full-tensor propagation: the same
+    sectors, and every entry within 1e-14 (measured at most 6.7e-16)."""
     make, params = EVOLVE_CASES[case]
     state = make()
     got, want = evolve(state, params), full_tensor_evolve(state, params)
     assert got.x.dtype == want.x.dtype == state.x.dtype
-    assert same_state(got, want)
+    assert got.cutoffs == want.cutoffs
+    assert np.array_equal(got.k_a, want.k_a) and np.array_equal(got.k_b, want.k_b)
+    assert np.abs(got.x - want.x).max(initial=0.0) <= 1e-14
     assert (got.x.size > 0) == (state.x.size > 0)

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from noonamp import (AmplifierParams, CutoffPolicy, MODE_ASYMMETRIC_A, ModeCutoffs,
-                     NoonSpec, amplify_noon_symmetric, build_noon,
+from noonamp import (AmplifierParams, CutoffPolicy, MODE_ASYMMETRIC_A, MODE_SYMMETRIC,
+                     ModeCutoffs, NoonSpec, TwoModeState, amplify_noon, build_noon,
                      check_scaling_law, evolve, select_cutoffs, square_mesh, trace_distance)
-from noonamp import _kernels, lindblad
+from noonamp import _kernels, channel, checks
 from noonamp.husimi import QGrid
 
 from helpers import product_state
@@ -71,10 +71,9 @@ def test_mean_photon_law():
     assert abs(mean - expected) / expected <= 1e-6
 
 
-def test_trace_hermiticity_positivity_checkpoints(monkeypatch):
+def test_trace_hermiticity_positivity_checkpoints():
     """Integrating to G^2 = 1.2 and on from there to 1.5 keeps every state a
     density matrix."""
-    monkeypatch.setattr(lindblad, "STEP_SIZE", 1e-3)
     spec = NoonSpec(2)
     params = AmplifierParams(1.5)
     cut = select_cutoffs(spec, params, CutoffPolicy())
@@ -89,19 +88,16 @@ def test_trace_hermiticity_positivity_checkpoints(monkeypatch):
         assert np.linalg.eigvalsh(st.matrix)[0] >= -1e-8
 
 
-def test_step_halving_fourth_order(monkeypatch):
+def test_eta_zero_matches_closed_form():
+    """At eta = 0 the propagated NOON input is the closed form to rounding:
+    trace distance at most 1e-14 at N = 2, G^2 = 1.5, both modes (measured
+    9.5e-16 symmetric and 1.1e-15 asymmetric; fixed-step RK4 gave 6.5e-12)."""
     spec = NoonSpec(2)
-    params = AmplifierParams(1.5)
-    cut = select_cutoffs(spec, params, CutoffPolicy())
-    closed = amplify_noon_symmetric(spec, params, cut)
-    noon = build_noon(spec, cut)
-    err = {}
-    for h in (4e-3, 2e-3):
-        monkeypatch.setattr(lindblad, "STEP_SIZE", h)
-        out = evolve(noon, params)
-        err[h] = trace_distance(out, closed)
-    ratio = err[4e-3] / err[2e-3]
-    assert ratio >= 10.0, f"step halving gave ratio {ratio:.2f}"
+    for mode in (MODE_SYMMETRIC, MODE_ASYMMETRIC_A):
+        params = AmplifierParams(1.5, mode_config=mode)
+        cut = select_cutoffs(spec, params, CutoffPolicy())
+        out = evolve(build_noon(spec, cut), params)
+        assert trace_distance(out, amplify_noon(spec, params, cut)) <= 1e-14, mode
 
 
 def test_q_drift_scaling_consistency():
@@ -131,3 +127,35 @@ def test_eta_above_zero_supported():
     mean = float((np.arange(50) * out.populations()[:, 0]).sum())
     expected = (g2 - 1.0) * (1.0 + params.eta)
     assert abs(mean - expected) / expected <= 1e-6
+
+
+def test_oracle_checks_detect_injected_faults(monkeypatch):
+    """The oracle sees faults in what it checks: a stage gain built from
+    1.01 eta fails criterion 12 (measured 3.5e-3 against 1e-9), and a
+    closed-form coupling sector scaled by 1.001 fails criterion 3 (measured
+    4.5e-4 against 1e-6).  Both grids pass unpatched."""
+    both = (MODE_SYMMETRIC, MODE_ASYMMETRIC_A)
+
+    def criterion_12():
+        return checks.map_vs_oracle(both, (0.25, 1.0), 2, 1.5, ModeCutoffs(40, 40))
+
+    def criterion_3():
+        return checks.closed_form_vs_oracle(both, 2, 1.5, CutoffPolicy())
+
+    assert criterion_12().passed and criterion_3().passed
+
+    def skewed_stage_gain(self):
+        return 1.0 + (self.g_squared - 1.0) * (1.0 + 1.01 * self.eta)
+
+    monkeypatch.setattr(AmplifierParams, "stage_gain", property(skewed_stage_gain))
+    assert not criterion_12().passed
+
+    for name in ("amplify_noon_symmetric", "amplify_noon_asymmetric"):
+        def scaled(spec, params, cutoffs, closed_form=getattr(channel, name)):
+            state = closed_form(spec, params, cutoffs)
+            x = state.x.copy()
+            x[1] *= 1.001   # the coupling sector (N, -N)
+            return TwoModeState(cutoffs, state.k_a, state.k_b, x)
+
+        monkeypatch.setattr(channel, name, scaled)
+    assert not criterion_3().passed
