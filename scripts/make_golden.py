@@ -1,8 +1,10 @@
 #!/usr/bin/env python3
 """Regenerate data/golden_sweep.csv: the default negativity sweep
 (N in {2, 4, 6}, G^2 from 1 to 3 in steps of 0.05, both channel modes,
-block method).  The regression test compares fresh runs against this file
-at 1e-9."""
+block method).  The acceptance tests hold fresh runs to this file twice:
+every value within 1e-9 (criterion 8c) and the whole file byte for byte
+(test_golden_sweep_bytes), so a change that moves any printed digit
+shows up as a diff here."""
 
 from pathlib import Path
 

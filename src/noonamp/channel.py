@@ -1,21 +1,20 @@
 """The phase-insensitive amplifier: closed-form output states and the
 exact channel on any stored state.
 
-A NOON input with both modes amplified becomes a two-mode photon-added
-thermal state; with only mode a amplified, the b labels stay pinned to
-{0, N}.  Both constructors populate exactly four term families
-
-    diag   c(n,m) (n+N)!/n!               at |n+N, m>
-    diag   c(n,m) (m+N)!/m!               at |n, m+N>        (symmetric)
-    diag   c(n)   g2^N N!                 at |n, N>          (asymmetric)
-    offd   c(.)   sqrt(product of above)  coupling the two diagonal families
-
-with geometric weights c ~ q^(n+m), q = (g2-1)/g2.  Coefficients are
-assembled in log space: factorial ratios like (n+N)!/n! overflow doubles
-long before the cutoffs needed at N=6 and g2=3.  The families go straight
-into the state's phase sectors: the diagonal families into sector (0, 0),
-the coupling into sector (N, -N) (and so its mirror); no d x d array is
-ever allocated.
+A NOON input after gain on both modes is a two-mode photon-added thermal
+state; after gain on mode a alone, the b labels stay pinned to {0, N}.
+One builder makes both from per-mode shares.  An amplified mode sends
+|N><N| to q^n (n+N)!/n! at |n+N>, |0><0| to q^n at |n> and the coherence
+|N><0| to their geometric mean, q = (g2-1)/g2; a mode the gain does not
+act on keeps g2^N N! at |N>, 1 at |0> and their geometric mean.  Under the
+prefactor 1 / (2 N! g2^(N+M)), M amplified modes, the diagonal families are
+a's |N><N| share times b's |0><0| share and a's |0><0| times b's |N><N|,
+the coupling a's coherence times b's.
+Coefficients are assembled in log space: factorial ratios like (n+N)!/n!
+overflow doubles long before the cutoffs needed at N=6 and g2=3.  The
+families go straight into the state's phase sectors: the diagonal
+families into sector (0, 0), the coherence into sector (N, -N) (and so
+its mirror); no d x d array is ever allocated.
 These closed forms hold for the fully inverted amplifier (eta = 0) only.
 
 ``amplify_state`` applies the channel at any bath parameter eta >= 0 to
@@ -110,10 +109,8 @@ def select_cutoffs(spec: NoonSpec, params: AmplifierParams, policy: CutoffPolicy
         return policy.fixed_cutoffs
     n = spec.n_photons
     amp = _amplified_mode_cutoff(n, params.stage_gain, policy.tail_tol)
-    if params.mode_config == MODE_SYMMETRIC:
-        cutoff_a = cutoff_b = amp
-    else:
-        cutoff_a, cutoff_b = amp, n + 1
+    # a mode the gain does not act on holds 0 or N photons
+    cutoff_a, cutoff_b = (amp if mode in params.amplified_modes else n + 1 for mode in "ab")
     if cutoff_a * cutoff_b > config.MAX_TOTAL_DIMENSION:
         raise ValueError(
             f"auto cutoffs {cutoff_a}x{cutoff_b} exceed the dimension cap "
@@ -133,6 +130,66 @@ def _require_closed_form(params: AmplifierParams, expected_mode: str):
         )
 
 
+def _mode_share(n_ph: int, dim: int, amplified: bool, lf: np.ndarray, log_g2: float,
+                shape: tuple[int, ...]):
+    """One mode's shares of |N><N|, |0><0| and the coherence |N><0| (see the
+    module docstring), each as (positions, powers of q, log-g2 weight,
+    log-factorial weight); sector (N, -N) stores the coherence's |n+N><n| at
+    n.  Arrays take ``shape``, so two modes' shares combine by broadcasting."""
+    if not amplified:
+        log_nf = float(lf[n_ph])
+        return ((n_ph, 0, n_ph * log_g2, log_nf), (0, 0, 0.0, 0.0),
+                (0, 0, 0.5 * n_ph * log_g2, 0.5 * log_nf))
+    n = np.arange(dim)
+    shift = n[:dim - n_ph].reshape(shape)
+    log_ratio = (lf[n_ph:dim] - lf[:dim - n_ph]).reshape(shape)   # log (n+N)!/n!
+    return ((slice(n_ph, dim), shift, 0.0, log_ratio),
+            (slice(0, dim), n.reshape(shape), 0.0, 0.0),
+            (slice(0, dim - n_ph), shift, 0.0, 0.5 * log_ratio))
+
+
+def _noon_closed_form(spec: NoonSpec, params: AmplifierParams,
+                      cutoffs: ModeCutoffs) -> TwoModeState:
+    """The NOON state after gain on ``params.amplified_modes`` at eta = 0,
+    built from the two modes' shares."""
+    n_ph = spec.n_photons
+    if cutoffs.cutoff_a <= n_ph or cutoffs.cutoff_b <= n_ph:
+        raise ValueError("cutoffs too small for the photon number")
+    g2 = params.g_squared
+    if g2 == 1.0:
+        return build_noon(spec, cutoffs)
+
+    dims = (cutoffs.cutoff_a, cutoffs.cutoff_b)
+    log_g2 = math.log(g2)
+    log_q = math.log(g2 - 1.0) - log_g2
+    lf = log_factorials(max(dims) + 1)
+    modes = params.amplified_modes
+    log_pref = -(math.log(2.0) + float(lf[n_ph]) + (n_ph + len(modes)) * log_g2)
+    # a mode the gain does not act on fills single positions, and the other
+    # mode's arrays then need no second axis
+    shapes = ((-1, 1), (1, -1)) if len(modes) == 2 else ((-1,), (-1,))
+    (photon_a, vacuum_a, coherence_a), (photon_b, vacuum_b, coherence_b) = (
+        _mode_share(n_ph, dim, mode in modes, lf, log_g2, shape)
+        for mode, dim, shape in zip("ab", dims, shapes))
+
+    def weights(share_a, share_b):
+        # the sum order (prefactor + q powers + g2 part) + factorial part
+        # fixes the last bit of each entry, which the golden sweep pins
+        _, pow_a, g2_a, fact_a = share_a
+        _, pow_b, g2_b, fact_b = share_b
+        log = log_pref + (pow_a + pow_b) * log_q
+        if g2_a or g2_b:
+            log = log + (g2_a + g2_b)
+        return np.exp(log + (fact_a + fact_b))
+
+    diagonal, coupling = sectors = np.zeros((2,) + dims)
+    diagonal[photon_a[0], vacuum_b[0]] = weights(photon_a, vacuum_b)
+    # the two families meet where both modes hold N photons or more
+    diagonal[vacuum_a[0], photon_b[0]] += weights(vacuum_a, photon_b)
+    coupling[coherence_a[0], coherence_b[0]] = weights(coherence_a, coherence_b)
+    return noon_sectors(cutoffs, n_ph, sectors)
+
+
 def amplify_noon_symmetric(spec: NoonSpec, params: AmplifierParams,
                            cutoffs: ModeCutoffs) -> TwoModeState:
     """NOON state after equal gain on both modes, truncated to ``cutoffs``.
@@ -141,79 +198,14 @@ def amplify_noon_symmetric(spec: NoonSpec, params: AmplifierParams,
     trace_deficit is the geometric weight lost to truncation.
     """
     _require_closed_form(params, MODE_SYMMETRIC)
-    n_ph = spec.n_photons
-    if cutoffs.cutoff_a <= n_ph or cutoffs.cutoff_b <= n_ph:
-        raise ValueError("cutoffs too small for the photon number")
-    g2 = params.g_squared
-    if g2 == 1.0:
-        return build_noon(spec, cutoffs)
-
-    da, db = cutoffs.cutoff_a, cutoffs.cutoff_b
-    log_q = math.log(g2 - 1.0) - math.log(g2)
-    lf = log_factorials(max(da, db) + 1)
-    # prefactor 1 / (2 N! g2^(N+2))
-    log_pref = -(math.log(2.0) + lf[n_ph] + (n_ph + 2) * math.log(g2))
-
-    n_shift = np.arange(da - n_ph)   # labels n with n + N < cutoff_a
-    m_shift = np.arange(db - n_ph)
-    n_all = np.arange(da)
-    m_all = np.arange(db)
-    diagonal = np.zeros((da, db))
-    coupling = np.zeros((da, db))
-
-    # diagonal family |n+N, m>
-    diagonal[n_ph:, :] += np.exp(log_pref + (n_shift[:, None] + m_all[None, :]) * log_q
-                                 + (lf[n_shift + n_ph] - lf[n_shift])[:, None])
-
-    # diagonal family |n, m+N>; where it meets the first family the two add
-    diagonal[:, n_ph:] += np.exp(log_pref + (n_all[:, None] + m_shift[None, :]) * log_q
-                                 + (lf[m_shift + n_ph] - lf[m_shift])[None, :])
-
-    # off-diagonal pair coupling |n+N, m> <-> |n, m+N>
-    coupling[:da - n_ph, :db - n_ph] = np.exp(
-        log_pref + (n_shift[:, None] + m_shift[None, :]) * log_q
-        + 0.5 * ((lf[n_shift + n_ph] - lf[n_shift])[:, None]
-                 + (lf[m_shift + n_ph] - lf[m_shift])[None, :]))
-
-    return noon_sectors(cutoffs, n_ph, diagonal, coupling)
+    return _noon_closed_form(spec, params, cutoffs)
 
 
 def amplify_noon_asymmetric(spec: NoonSpec, params: AmplifierParams,
                             cutoffs: ModeCutoffs) -> TwoModeState:
     """NOON state after gain on mode a only; mode-b labels stay in {0, N}."""
     _require_closed_form(params, MODE_ASYMMETRIC_A)
-    n_ph = spec.n_photons
-    if cutoffs.cutoff_a <= n_ph or cutoffs.cutoff_b < n_ph + 1:
-        raise ValueError("cutoffs too small for the photon number")
-    g2 = params.g_squared
-    if g2 == 1.0:
-        return build_noon(spec, cutoffs)
-
-    da = cutoffs.cutoff_a
-    log_q = math.log(g2 - 1.0) - math.log(g2)
-    log_g2 = math.log(g2)
-    lf_n = log_factorials(da + 1)
-    lgN = float(lf_n[n_ph])
-    # prefactor 1 / (2 N! g2^(N+1))
-    log_pref = -(math.log(2.0) + lgN + (n_ph + 1) * log_g2)
-
-    n_shift = np.arange(da - n_ph)
-    n_all = np.arange(da)
-    diagonal = np.zeros((da, cutoffs.cutoff_b))
-    coupling = np.zeros((da, cutoffs.cutoff_b))
-
-    # diagonal family |n+N, 0>
-    diagonal[n_ph:, 0] = np.exp(log_pref + n_shift * log_q
-                                + (lf_n[n_shift + n_ph] - lf_n[n_shift]))
-
-    # diagonal family |n, N>, weight g2^N N!
-    diagonal[:, n_ph] = np.exp(log_pref + n_all * log_q + n_ph * log_g2 + lgN)
-
-    # off-diagonal pair |n+N, 0> <-> |n, N>, weight G^N sqrt((n+N)!/n! N!)
-    coupling[:da - n_ph, 0] = np.exp(log_pref + n_shift * log_q + 0.5 * n_ph * log_g2
-                                     + 0.5 * (lf_n[n_shift + n_ph] - lf_n[n_shift] + lgN))
-
-    return noon_sectors(cutoffs, n_ph, diagonal, coupling)
+    return _noon_closed_form(spec, params, cutoffs)
 
 
 def amplify_noon(spec: NoonSpec, params: AmplifierParams,

@@ -28,6 +28,9 @@ FAMILIES = ("noon_symmetric", "noon_asymmetric", "tmsv_gaussian", "photon_added_
 _FAMILY_MODES = {"noon_symmetric": channel.MODE_SYMMETRIC,
                  "noon_asymmetric": channel.MODE_ASYMMETRIC_A}
 
+# the most gains one sweep may ask for; the grid is a list built in memory
+MAX_G2_POINTS = 10**6
+
 CSV_COLUMNS = ("family", "n", "r", "eta", "g_squared", "log_negativity", "neg_sum",
                "min_eigenvalue", "method", "cutoff_a", "cutoff_b", "trace_deficit",
                "oracle_trace_distance")
@@ -87,6 +90,9 @@ def g2_values(cfg: SweepConfig) -> list[float]:
     count = (cfg.g2_stop - cfg.g2_start) / cfg.g2_step
     if not math.isfinite(count):
         raise ValueError("the g2 grid has no finite number of points")
+    if count + 1 > MAX_G2_POINTS:
+        raise ValueError(f"the g2 grid has about {count + 1:.3g} points, more than "
+                         f"{MAX_G2_POINTS}; raise the step")
     n = int(round(count))
     vals = [cfg.g2_start + k * cfg.g2_step for k in range(n + 2)]
     return [v for v in vals if v <= cfg.g2_stop + 1e-9 * cfg.g2_step]

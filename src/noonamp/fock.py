@@ -235,15 +235,15 @@ def _trace(x, k_a, k_b) -> float:
 def log_factorials(n: int) -> np.ndarray:
     """log k! for k = 0 .. n - 1, the table behind every factorial ratio
     and coherent coefficient the package assembles in log space."""
-    return np.array([math.lgamma(k + 1.0) for k in range(n)])
+    return np.fromiter(map(math.lgamma, range(1, n + 1)), np.float64, n)
 
 
-def noon_sectors(cutoffs: ModeCutoffs, n_photons: int, diagonal,
-                 coupling) -> TwoModeState:
-    """The state holding sector (0, 0) = ``diagonal`` and sector (N, -N) =
-    ``coupling``: rho[n+N, m, n, m+N] = coupling[n, m], and its mirror
-    (-N, N) the conjugate.  Every NOON-derived state has this form."""
-    return TwoModeState(cutoffs, [0, n_photons], [0, -n_photons], [diagonal, coupling])
+def noon_sectors(cutoffs: ModeCutoffs, n_photons: int, sectors) -> TwoModeState:
+    """The state holding sector (0, 0) = ``sectors[0]``, the diagonal, and
+    sector (N, -N) = ``sectors[1]``, the coupling: rho[n+N, m, n, m+N] =
+    sectors[1][n, m], and its mirror (-N, N) the conjugate.  Every
+    NOON-derived state has this form."""
+    return TwoModeState(cutoffs, [0, n_photons], [0, -n_photons], sectors)
 
 
 def build_noon(spec: NoonSpec, cutoffs: ModeCutoffs) -> TwoModeState:
@@ -258,10 +258,9 @@ def build_noon(spec: NoonSpec, cutoffs: ModeCutoffs) -> TwoModeState:
             f"cutoffs {cutoffs.cutoff_a}x{cutoffs.cutoff_b} cannot hold N={n}; "
             f"need both > {n}"
         )
-    diagonal = np.zeros((cutoffs.cutoff_a, cutoffs.cutoff_b))
-    coupling = np.zeros_like(diagonal)
-    diagonal[n, 0] = diagonal[0, n] = coupling[0, 0] = 0.5
-    return noon_sectors(cutoffs, n, diagonal, coupling)
+    sectors = np.zeros((2, cutoffs.cutoff_a, cutoffs.cutoff_b))
+    sectors[0, n, 0] = sectors[0, 0, n] = sectors[1, 0, 0] = 0.5
+    return noon_sectors(cutoffs, n, sectors)
 
 
 def partial_transpose_b(state: TwoModeState) -> TwoModeState:

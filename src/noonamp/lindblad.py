@@ -64,14 +64,12 @@ def _check_leak(pops, modes, t: float, rate: float):
     if pops is None:
         return
     msgs = []
-    if "a" in modes and pops.shape[0] >= 2:
-        leak = float(pops[-2:, :].sum())
-        if leak > _LEAK_TOL:
-            msgs.append(f"mode a top-two population {leak:.3e}")
-    if "b" in modes and pops.shape[1] >= 2:
-        leak = float(pops[:, -2:].sum())
-        if leak > _LEAK_TOL:
-            msgs.append(f"mode b top-two population {leak:.3e}")
+    for axis, mode in enumerate("ab"):
+        if mode in modes and pops.shape[axis] >= 2:
+            # pops[-2:] for mode a, pops[:, -2:] for mode b
+            leak = float(pops[(slice(None),) * axis + (slice(-2, None),)].sum())
+            if leak > _LEAK_TOL:
+                msgs.append(f"mode {mode} top-two population {leak:.3e}")
     if msgs:
         raise RuntimeError(
             f"cutoff leakage at t={t:.6g} (G^2={math.exp(2.0 * rate * t):.6g}): "

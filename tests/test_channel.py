@@ -157,7 +157,7 @@ def _thermal_two_mode(g2, dim):
     return t.reshape(dim * dim, dim * dim)
 
 
-@pytest.mark.parametrize("n_ph", [1, 2])
+@pytest.mark.parametrize("n_ph", [1, 2, 3])
 def test_symmetric_matches_ladder_construction(n_ph):
     """Photon-added-thermal identification: the closed form must equal
     (adag^N + bdag^N) rho_G (a^N + b^N) / (2 N! G^2N) built from explicit
@@ -175,13 +175,15 @@ def test_symmetric_matches_ladder_construction(n_ph):
     assert np.abs(state.matrix - expected).max() <= 1e-10
 
 
-def test_asymmetric_matches_ladder_construction():
-    g2, dim, n_ph = 1.7, 24, 2
+@pytest.mark.parametrize("n_ph, db", [(2, 3), (3, 6)])
+def test_asymmetric_matches_ladder_construction(n_ph, db):
+    """The same identification with gain on mode a only, also with mode b
+    kept wider than the N + 1 levels its labels {0, N} need."""
+    g2, dim = 1.7, 24
     spec = NoonSpec(n_ph)
-    cut = ModeCutoffs(dim, n_ph + 1)
+    cut = ModeCutoffs(dim, db)
     state = amplify_noon_asymmetric(spec, AmplifierParams(g2, mode_config=MODE_ASYMMETRIC_A), cut)
 
-    db = n_ph + 1
     q = (g2 - 1.0) / g2
     rho_a = np.diag(q ** np.arange(dim)).astype(complex) / g2
     vac_b = np.zeros((db, db), dtype=complex)

@@ -238,6 +238,8 @@ def test_cli_configuration_errors():
     # overflow: cosh(2r), the number of grid points; a negative extent
     ["sweep", "--family", "tmsv_gaussian", "--r", "1000", "--g2", "1:1.1:0.1"],
     ["sweep", "--family", "tmsv_gaussian", "--g2", "1:1e300:1e-300"],
+    # a finite grid too long to build: about 1e18 points
+    ["sweep", "--family", "tmsv_gaussian", "--g2", "1:1e9:1e-9"],
     ["qfunc", "--extent", "-1", "--points", "3", "--out", "{tmp}/out.csv"],
     # a stage gain g' so large that 1 - 1/g' rounds to 1: no auto cutoff exists
     ["sweep", "--family", "noon_symmetric", "--n", "2", "--eta", "1e20",
