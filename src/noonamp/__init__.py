@@ -17,8 +17,8 @@ from .gaussian import (CovarianceState, SqueezingSpec, amplify_covariance,
                        gaussian_log_negativity, photon_added_tmsv_negativity_sweep,
                        threshold_asymmetric, threshold_bisection, threshold_symmetric,
                        tmsv_covariance, tmsv_fock)
-from .husimi import (QGrid, check_scaling_law, check_zero_locus, default_grid_for_state,
-                     noon_zero_candidates, q_evaluate, q_pairs, square_mesh, write_qgrid_csv)
+from .husimi import (QGrid, default_grid_for_state, q_evaluate, q_pairs, square_mesh,
+                     write_qgrid_csv)
 from .lindblad import evolve
 from .negativity import NegativityResult, log_negativity_block, log_negativity_dense
 
@@ -27,9 +27,9 @@ __all__ = [
     "MODE_SYMMETRIC", "ModeCutoffs", "NegativityResult", "NoonSpec", "QGrid",
     "SqueezingSpec", "TwoModeState", "amplify_covariance",
     "amplify_noon", "amplify_noon_asymmetric", "amplify_noon_symmetric",
-    "amplify_state", "build_noon", "check_scaling_law", "check_zero_locus",
-    "default_grid_for_state", "evolve", "gaussian_log_negativity", "log_negativity_block",
-    "log_negativity_dense", "noon_zero_candidates", "partial_transpose_b",
+    "amplify_state", "build_noon", "default_grid_for_state", "evolve",
+    "gaussian_log_negativity", "log_negativity_block", "log_negativity_dense",
+    "partial_transpose_b",
     "photon_add_both", "photon_added_tmsv_negativity_sweep", "q_evaluate", "q_pairs",
     "select_cutoffs", "square_mesh", "threshold_asymmetric", "threshold_bisection",
     "threshold_symmetric", "tmsv_covariance", "tmsv_fock", "trace_distance",

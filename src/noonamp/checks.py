@@ -1,5 +1,6 @@
-"""Named invariant checks of the amplifier's closed forms, its exact channel
-and the Gaussian thresholds.
+"""Named invariant checks of the amplifier's closed forms, its exact channel,
+its action on the Husimi Q function (Q evaluated by ``noonamp.husimi``, the
+laws computed here) and the Gaussian thresholds.
 
 Each check takes its grid as arguments and returns a ``CheckResult``: the
 measured metric, the bound it is held to, whether it passed and a line of
@@ -145,28 +146,65 @@ def method_agreement(points, policy) -> CheckResult:
 
 
 def scaling_law(modes, n_photons: int, gains, policy) -> CheckResult:
-    """The amplified Q function is the input's, rescaled by the gain, on a
-    radius-2 disk of coherent amplitudes (cutoffs at least 32 per mode)."""
+    """At eta = 0 the amplifier acts on Q by argument scaling: each amplified
+    mode's argument is divided by G and Q scaled by 1/G^2, so
+    Q_out(a, b) = Q_in(a/G, b/G)/G^4 with both modes amplified and
+    Q_in(a/G, b)/G^2 with mode a only.  The metric is the worst violation on
+    a radius-2 disk of coherent amplitudes (cutoffs at least 32 per mode,
+    the NOON input held at the amplified state's cutoffs)."""
     mesh, _ = husimi.square_mesh(2.0 / math.sqrt(2.0), 9)
-    grid = husimi.QGrid(mesh, mesh.copy())
+    grid = husimi.QGrid(mesh, mesh)
     worst = 0.0
     for g2 in gains:
+        g = math.sqrt(g2)
         for mode in modes:
             state_out = _amplified(n_photons, g2, mode, policy, min_cutoff=32)
             state_in = fock.build_noon(fock.NoonSpec(n_photons), state_out.cutoffs)
-            params = channel.AmplifierParams(g2, mode_config=mode)
-            worst = max(worst, husimi.check_scaling_law(state_in, state_out, params, grid))
+            amplified = channel.AmplifierParams(g2, mode_config=mode).amplified_modes
+            q_out = husimi.q_evaluate(state_out, grid).values
+            scaled = husimi.QGrid(mesh / g if "a" in amplified else mesh,
+                                  mesh / g if "b" in amplified else mesh)
+            scale = 1.0 / g2 ** len(amplified)
+            q_in = husimi.q_evaluate(state_in, scaled).values
+            worst = max(worst, float(np.max(np.abs(q_out - scale * q_in))))
     return CheckResult(worst < 1e-8, worst, 1e-8, f"max grid error {worst:.3e}")
 
 
-def zero_locus(points) -> CheckResult:
-    """Amplification keeps the zeros of Q at every (N, G^2) point; the
-    metric counts the points where it does not."""
-    held = [husimi.check_zero_locus(fock.NoonSpec(n), g2, husimi.noon_zero_candidates(n, g2))
-            for n, g2 in points]
-    failed = len(held) - sum(held)
+def _noon_zeros(n_photons: int, g_squared: float) -> tuple[np.ndarray, np.ndarray]:
+    """Zeros of the N-photon NOON state's Q, where a^N + b^N = 0, stretched
+    by the gain: the pairs (G a, G a e^{i pi (2k+1)/N}) for a in (0.6, 1.0)
+    and k = 0 .. N-1."""
+    g = math.sqrt(g_squared)
+    pairs = [(g * a, g * a * np.exp(1j * math.pi * (2 * k + 1) / n_photons))
+             for a in (0.6, 1.0) for k in range(n_photons)]
+    alphas, betas = zip(*pairs)
+    return np.asarray(alphas, dtype=np.complex128), np.asarray(betas, dtype=np.complex128)
+
+
+def zero_locus(points, policy) -> CheckResult:
+    """At eta = 0 amplification stretches the zeros of Q by G and never
+    fills them in (at eta > 0 the added noise does).  At each (N, G^2)
+    point, Q of the state amplified on both modes stays below 1e-12 of its
+    maximum over an 11 x 11 grid at every stretched zero and above 1e-6 of
+    it at control points whose beta is 1.05 times larger; the metric counts
+    the points where it does not."""
+    perturb = 1.05
+    points = list(points)
+    failed = 0
+    for n, g2 in points:
+        alphas, betas = _noon_zeros(n, g2)
+        # |alpha| = |beta| on the zero set, so the controls' betas set the cutoff
+        need = int(4.0 * float(np.max(np.abs(betas) ** 2, initial=0.0)) * perturb**2) + 1
+        state = _amplified(n, g2, channel.MODE_SYMMETRIC, policy, min_cutoff=need)
+        q_max = float(husimi.q_evaluate(
+            state, husimi.default_grid_for_state(state, points=11)).values.max())
+        q_zero = husimi.q_pairs(state, alphas, betas)
+        q_ctrl = husimi.q_pairs(state, alphas, betas * perturb)
+        # six orders of magnitude lie between the zeros and the controls
+        failed += not (np.all(q_zero < 1e-12 * q_max) and np.all(q_ctrl > 1e-6 * q_max))
+    held = len(points) - failed
     return CheckResult(failed == 0, float(failed), 0.0,
-                       f"{sum(held)}/{len(held)} (N, G2) combinations hold")
+                       f"{held}/{len(points)} (N, G2) combinations hold")
 
 
 def gaussian_thresholds(symmetric_points, asymmetric_etas, open_ended_gains) -> CheckResult:
@@ -241,7 +279,7 @@ def battery(policy: channel.CutoffPolicy) -> dict[str, CheckResult]:
         ("method_agreement", method_agreement, ((2, 1.5), (2, 2.0), (4, 1.5)), policy),
         ("scaling_law_symmetric", scaling_law, sym, 2, (1.5,), policy),
         ("scaling_law_asymmetric", scaling_law, asym, 2, (1.5,), policy),
-        ("zero_locus", zero_locus, ((2, 1.5),)),
+        ("zero_locus", zero_locus, ((2, 1.5),), policy),
         ("gaussian_thresholds", gaussian_thresholds, ((0.5, 0.0), (0.5, 0.5)), (0.5,),
          np.linspace(1.0, 10.0, 19)),
         ("trace_deficit_budget", trace_deficit_budget, 2, 2.0, policy),

@@ -30,6 +30,8 @@ _FAMILY_MODES = {"noon_symmetric": channel.MODE_SYMMETRIC,
 
 # the most gains one sweep may ask for; the grid is a list built in memory
 MAX_G2_POINTS = 10**6
+# the most Q values (points^4) one qfunc dump may ask for; they are held in memory
+MAX_Q_VALUES = 10**7
 
 CSV_COLUMNS = ("family", "n", "r", "eta", "g_squared", "log_negativity", "neg_sum",
                "min_eigenvalue", "method", "cutoff_a", "cutoff_b", "trace_deficit",
@@ -284,6 +286,9 @@ def _sweep(args) -> int:
 
 
 def _qfunc(args) -> int:
+    if args.points**4 > MAX_Q_VALUES:
+        raise ValueError(f"--points {args.points} gives more than {MAX_Q_VALUES} Q values "
+                         "(points^4); lower --points")
     spec = NoonSpec(args.n)
     params = channel.AmplifierParams(g_squared=args.g2, eta=args.eta,
                                      mode_config=_FAMILY_MODES[args.family])

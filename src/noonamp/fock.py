@@ -124,7 +124,8 @@ class TwoModeState:
             if not np.any(x.imag):
                 x = x.real
         keep = np.any(x, axis=(1, 2))
-        x = x[keep].astype(np.complex128 if np.iscomplexobj(x) else np.float64)
+        # boolean indexing copies; the cast then copies only a foreign dtype
+        x = x[keep].astype(np.complex128 if np.iscomplexobj(x) else np.float64, copy=False)
         k_a, k_b = k_a[keep], k_b[keep]
         trace = _trace(x, k_a, k_b)
         if validate:

@@ -11,12 +11,11 @@ but (0, 0), whose unstored mirror adds the complex conjugate.  No dense
 copy of the state is made; the cost follows the number of stored sectors,
 not d^2.
 
-At eta = 0 the amplifier acts on Q by pure argument scaling: equal gain
-on both modes sends Q(a, b) to Q(a/G, b/G)/G^4, gain on mode a alone to
-Q(a/G, b)/G^2.  ``check_scaling_law`` measures the worst grid violation
-of that law and ``check_zero_locus`` verifies that the zero set of Q
-(the nonclassicality witness of the NOON state) is only stretched by G,
-never filled in.
+Both evaluators, over the product grid (``q_evaluate``) and at matched
+pairs (``q_pairs``), share one path: the amplitude guard, the coherent
+rows, the per-sector contraction, the 1/pi^2 factor and the clamp.  The
+checks built on Q (the eta = 0 scaling law and the zero locus of the NOON
+state) live in ``noonamp.checks``.
 """
 
 from dataclasses import dataclass
@@ -24,8 +23,8 @@ import math
 
 import numpy as np
 
-from . import channel, config
-from .fock import ModeCutoffs, TwoModeState, log_factorials
+from . import config
+from .fock import TwoModeState, log_factorials
 
 
 @dataclass(frozen=True)
@@ -111,26 +110,34 @@ def _diagonal_products(v: np.ndarray, k: int) -> np.ndarray:
     return v[:, max(k, 0):][:, :size].conj() * v[:, max(-k, 0):][:, :size]
 
 
-def q_evaluate(state: TwoModeState, grid: QGrid) -> QGrid:
-    """Q over all (alpha_i, beta_j) pairs of the grid; values in
-    [-config.Q_CLAMP, 0) are clipped to zero and anything lower raises."""
+def _q_values(state: TwoModeState, alphas: np.ndarray, betas: np.ndarray, shape,
+              contract) -> np.ndarray:
+    """Q of ``shape`` summed over the stored sectors, ``contract(left, u_b)``
+    giving one sector's share from the factors of ``_sector_factors``;
+    values in [-config.Q_CLAMP, 0) are clipped to zero and anything lower
+    raises."""
     c = state.cutoffs
-    _guard(grid.alpha_samples, c.cutoff_a, "alpha")
-    _guard(grid.beta_samples, c.cutoff_b, "beta")
-
-    va = coherent_matrix(grid.alpha_samples, c.cutoff_a)
-    vb = coherent_matrix(grid.beta_samples, c.cutoff_b)
-    values = np.zeros((len(va), len(vb)))
+    _guard(alphas, c.cutoff_a, "alpha")
+    _guard(betas, c.cutoff_b, "beta")
+    va = coherent_matrix(alphas, c.cutoff_a)
+    vb = coherent_matrix(betas, c.cutoff_b)
+    values = np.zeros(shape)
     for left, u_b in _sector_factors(state, va, vb):
-        values += (left @ u_b.T).real
+        values += contract(left, u_b)
     values /= math.pi**2
 
     low = float(values.min(initial=0.0))
     if low < -config.Q_CLAMP:
         raise ValueError(f"Q dipped to {low:.3e}, beyond the clamp {-config.Q_CLAMP:g}")
-    np.clip(values, 0.0, None, out=values)
-    return QGrid(alpha_samples=grid.alpha_samples, beta_samples=grid.beta_samples,
-                 values=values)
+    return np.clip(values, 0.0, None, out=values)
+
+
+def q_evaluate(state: TwoModeState, grid: QGrid) -> QGrid:
+    """Q over all (alpha_i, beta_j) pairs of the grid."""
+    a, b = grid.alpha_samples, grid.beta_samples
+    values = _q_values(state, a, b, (len(a), len(b)),
+                       lambda left, u_b: (left @ u_b.T).real)
+    return QGrid(alpha_samples=a, beta_samples=b, values=values)
 
 
 def q_pairs(state: TwoModeState, alphas: np.ndarray, betas: np.ndarray) -> np.ndarray:
@@ -139,85 +146,8 @@ def q_pairs(state: TwoModeState, alphas: np.ndarray, betas: np.ndarray) -> np.nd
     betas = np.asarray(betas, dtype=np.complex128)
     if alphas.shape != betas.shape:
         raise ValueError("alphas and betas must have matching shapes")
-    c = state.cutoffs
-    _guard(alphas, c.cutoff_a, "alpha")
-    _guard(betas, c.cutoff_b, "beta")
-    va = coherent_matrix(alphas, c.cutoff_a)
-    vb = coherent_matrix(betas, c.cutoff_b)
-    out = np.zeros(len(va))
-    for left, u_b in _sector_factors(state, va, vb):
-        out += (left * u_b).sum(axis=1).real
-    out /= math.pi**2
-    return np.clip(out, 0.0, None)
-
-
-def check_scaling_law(state_in: TwoModeState, state_out: TwoModeState,
-                      params: channel.AmplifierParams, grid: QGrid) -> float:
-    """Worst-grid |Q_out(args) - scale * Q_in(scaled args)| for the channel.
-
-    Each amplified mode's argument is divided by G and Q scaled by 1/G^2:
-    Q_in(a/G, b/G)/G^4 with both modes amplified, Q_in(a/G, b)/G^2 with
-    mode a only.  The law holds at eta = 0 only; other params are refused.
-    The input state must be held at cutoffs large enough for the same grid
-    (build the NOON input at the amplified cutoffs).
-    """
-    if params.eta != 0.0:
-        raise ValueError("the Q scaling law holds only at eta = 0")
-    g = math.sqrt(params.g_squared)
-    modes = params.amplified_modes
-    q_out = q_evaluate(state_out, grid).values
-    scaled = QGrid(grid.alpha_samples / g if "a" in modes else grid.alpha_samples,
-                   grid.beta_samples / g if "b" in modes else grid.beta_samples)
-    scale = 1.0 / params.g_squared ** len(modes)
-    q_in = q_evaluate(state_in, scaled).values
-    return float(np.max(np.abs(q_out - scale * q_in)))
-
-
-def noon_zero_candidates(n_photons: int, g_squared: float,
-                         base_alphas=(0.6, 1.0)) -> tuple[np.ndarray, np.ndarray]:
-    """All N-th-root zeros of |a^N + b^N|, stretched by the gain: pairs
-    (G a, G a e^{i pi (2k+1)/N}) for each base amplitude and k."""
-    g = math.sqrt(g_squared)
-    alphas, betas = [], []
-    for a in base_alphas:
-        for k in range(n_photons):
-            root = np.exp(1j * math.pi * (2 * k + 1) / n_photons)
-            alphas.append(g * a)
-            betas.append(g * a * root)
-    return np.asarray(alphas, dtype=np.complex128), np.asarray(betas, dtype=np.complex128)
-
-
-def check_zero_locus(spec, g_squared: float, zero_candidates) -> bool:
-    """An eta = 0 check: at eta > 0 the added noise fills the zeros of Q.
-
-    True iff Q of the amplified NOON state (both modes, eta = 0), at the
-    default auto cutoffs, stays below 1e-12 of its maximum over an 11 x 11
-    grid at every candidate zero and above 1e-6 of it at perturbed control
-    points.
-
-    ``zero_candidates`` is a pair (alphas, betas) of matched arrays, already
-    stretched by the gain; controls multiply each beta by 1.05.
-    """
-    alphas, betas = zero_candidates
-    alphas = np.asarray(alphas, dtype=np.complex128)
-    betas = np.asarray(betas, dtype=np.complex128)
-    perturb = 1.05
-
-    params = channel.AmplifierParams(g_squared=g_squared, mode_config=channel.MODE_SYMMETRIC)
-    cutoffs = channel.select_cutoffs(spec, params, channel.CutoffPolicy())
-    need_a = int(4.0 * float(np.max(np.abs(alphas) ** 2, initial=0.0))) + 1
-    need_b = int(4.0 * float(np.max(np.abs(betas) ** 2, initial=0.0)) * perturb**2) + 1
-    if cutoffs.cutoff_a < need_a or cutoffs.cutoff_b < need_b:
-        cutoffs = ModeCutoffs(max(cutoffs.cutoff_a, need_a), max(cutoffs.cutoff_b, need_b))
-    state = channel.amplify_noon(spec, params, cutoffs)
-
-    reference = q_evaluate(state, default_grid_for_state(state, points=11))
-    q_max = float(reference.values.max())
-    q_zero = q_pairs(state, alphas, betas)
-    q_ctrl = q_pairs(state, alphas, betas * perturb)
-
-    # six orders of magnitude lie between the zeros and the controls
-    return bool(np.all(q_zero < 1e-12 * q_max) and np.all(q_ctrl > 1e-6 * q_max))
+    return _q_values(state, alphas, betas, len(alphas),
+                     lambda left, u_b: (left * u_b).sum(axis=1).real)
 
 
 def write_qgrid_csv(grid: QGrid, path) -> None:

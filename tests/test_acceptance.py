@@ -66,7 +66,7 @@ def test_criterion_6_scaling_law():
 
 def test_criterion_7_zero_locus():
     report_check("7 zero-locus preservation", checks.zero_locus(
-        [(n, g2) for n in (2, 4) for g2 in (1.5, 2.5)]))
+        [(n, g2) for n in (2, 4) for g2 in (1.5, 2.5)], CutoffPolicy()))
 
 
 @pytest.fixture(scope="module")

@@ -241,6 +241,8 @@ def test_cli_configuration_errors():
     # a finite grid too long to build: about 1e18 points
     ["sweep", "--family", "tmsv_gaussian", "--g2", "1:1e9:1e-9"],
     ["qfunc", "--extent", "-1", "--points", "3", "--out", "{tmp}/out.csv"],
+    # a Q grid of 1e20 values, refused before any mesh is built
+    ["qfunc", "--points", "100000", "--out", "{tmp}/out.csv"],
     # a stage gain g' so large that 1 - 1/g' rounds to 1: no auto cutoff exists
     ["sweep", "--family", "noon_symmetric", "--n", "2", "--eta", "1e20",
      "--g2", "1:1.5:0.5"],

@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from noonamp import (AmplifierParams, CutoffPolicy, MODE_ASYMMETRIC_A, MODE_SYMMETRIC,
-                     ModeCutoffs, NoonSpec, QGrid,
-                     amplify_noon, amplify_noon_symmetric, build_noon, check_scaling_law,
-                     check_zero_locus, checks, default_grid_for_state, evolve,
-                     noon_zero_candidates, photon_add_both, q_evaluate, q_pairs,
+                     ModeCutoffs, NoonSpec, QGrid, TwoModeState,
+                     amplify_noon, amplify_noon_symmetric, build_noon, checks,
+                     default_grid_for_state, evolve, photon_add_both, q_evaluate, q_pairs,
                      select_cutoffs, square_mesh, tmsv_fock, write_qgrid_csv)
 from noonamp.gaussian import SqueezingSpec
 from noonamp.husimi import coherent_matrix
@@ -161,36 +160,36 @@ def test_q_negative_state_raises():
         q_evaluate(state, grid)
 
 
-@pytest.mark.parametrize("mode,g2", [(MODE_SYMMETRIC, 1.5), (MODE_ASYMMETRIC_A, 2.0)])
+def test_q_pairs_negative_state_raises():
+    """Not positive semidefinite, yet it passes construction: a coherence of
+    0.9 between |0,0> and |1,0>, each holding 0.5.  Both evaluators refuse
+    the same Q."""
+    state = TwoModeState.from_entries(ModeCutoffs(4, 4), [0, 4, 0, 4], [0, 4, 4, 0],
+                                      [0.5, 0.5, 0.9, 0.9])
+    alphas, betas = np.array([-0.7 + 0j]), np.array([0j])
+    with pytest.raises(ValueError, match=r"Q dipped to -3\.197e-02, beyond the clamp"):
+        q_evaluate(state, QGrid(alphas, betas))
+    with pytest.raises(ValueError, match=r"Q dipped to -3\.197e-02, beyond the clamp"):
+        q_pairs(state, alphas, betas)
+
+
+@pytest.mark.parametrize("mode,g2", [(MODE_SYMMETRIC, 1.5), (MODE_ASYMMETRIC_A, 2.0),
+                                     (MODE_SYMMETRIC, 1.0)])
 def test_scaling_law(mode, g2):
+    """At unit gain the amplified state is the NOON input itself, so the law
+    holds to rounding (1e-12) rather than the check's 1e-8."""
     fixed = CutoffPolicy(fixed_cutoffs=ModeCutoffs(36, 36))
-    assert checks.scaling_law((mode,), 2, (g2,), fixed).passed
-
-
-def test_scaling_law_unit_gain():
-    spec = NoonSpec(2)
-    cut = ModeCutoffs(24, 24)
-    state = build_noon(spec, cut)
-    mesh, _ = square_mesh(1.2, 7)
-    err = check_scaling_law(state, state, AmplifierParams(1.0), QGrid(mesh, mesh.copy()))
-    assert err <= 1e-12
-
-
-def test_scaling_law_rejects_eta():
-    """The law holds at eta = 0 only, where the amplifier adds no noise."""
-    state = build_noon(NoonSpec(1), ModeCutoffs(4, 4))
-    mesh, _ = square_mesh(0.5, 3)
-    with pytest.raises(ValueError, match="eta = 0"):
-        check_scaling_law(state, state, AmplifierParams(1.0, eta=0.5),
-                          QGrid(mesh, mesh.copy()))
+    result = checks.scaling_law((mode,), 2, (g2,), fixed)
+    assert result.passed and result.metric <= (1e-12 if g2 == 1.0 else 1e-8)
 
 
 def test_zero_candidates_generator():
-    alphas, betas = noon_zero_candidates(4, 2.0, base_alphas=(1.0,))
-    assert len(alphas) == 4
     g = math.sqrt(2.0)
-    # candidates satisfy (a/G)^N + (b/G)^N = 0
-    assert np.abs((alphas / g) ** 4 + (betas / g) ** 4).max() <= 1e-12
+    for n in range(1, 7):
+        alphas, betas = checks._noon_zeros(n, 2.0)
+        assert len(alphas) == 2 * n
+        # the stretched zeros satisfy (a/G)^N + (b/G)^N = 0
+        assert np.abs((alphas / g) ** n + (betas / g) ** n).max() <= 1e-12, n
 
 
 def test_zero_locus_examples():
@@ -203,17 +202,23 @@ def test_zero_locus_examples():
     q_ctrl = q_pairs(state, np.array([g * 1.0 + 0j]), np.array([g * 1.05j]))
     assert q_ctrl[0] > 1e-6
 
-    assert check_zero_locus(spec, g2, noon_zero_candidates(2, g2))
-    assert check_zero_locus(NoonSpec(4), 2.0,
-                            noon_zero_candidates(4, 2.0, base_alphas=(1.0,)))
+    result = checks.zero_locus(((2, g2), (4, 2.0)), CutoffPolicy())
+    assert result.passed and result.metric == 0.0
 
 
-def test_zero_locus_rejects_filled_zeros():
-    # feed non-zero points as "candidates": the check must fail
-    spec = NoonSpec(2)
-    alphas = np.array([1.2 + 0j])
-    betas = np.array([1.2 + 0j])  # a^2 + b^2 != 0
-    assert not check_zero_locus(spec, 1.5, (alphas, betas))
+def test_zero_locus_reads_policy():
+    """The battery's policy reaches the check: at fixed 8 x 8 cutoffs the
+    truncated state no longer keeps the zeros that the auto cutoffs do."""
+    fixed = CutoffPolicy(fixed_cutoffs=ModeCutoffs(8, 8))
+    assert not checks.zero_locus(((2, 1.5),), fixed).passed
+
+
+def test_zero_locus_rejects_filled_zeros(monkeypatch):
+    # feed non-zero points as the "zeros": the check must fail
+    monkeypatch.setattr(checks, "_noon_zeros",
+                        lambda n, g2: (np.array([1.2 + 0j]), np.array([1.2 + 0j])))
+    result = checks.zero_locus(((2, 1.5),), CutoffPolicy())  # a^2 + b^2 != 0
+    assert not result.passed and result.metric == 1.0
 
 
 def test_riemann_normalization_converges():

@@ -1,9 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 from noonamp import (AmplifierParams, CutoffPolicy, MODE_ASYMMETRIC_A, MODE_SYMMETRIC,
-                     ModeCutoffs, NoonSpec, TwoModeState, amplify_noon, build_noon,
-                     check_scaling_law, evolve, select_cutoffs, square_mesh, trace_distance)
+                     ModeCutoffs, NoonSpec, TwoModeState, amplify_noon, build_noon, evolve,
+                     q_evaluate, select_cutoffs, square_mesh, trace_distance)
 from noonamp import _kernels, channel, checks
 from noonamp.husimi import QGrid
 
@@ -107,8 +109,10 @@ def test_q_drift_scaling_consistency():
     g2 = 1.4
     out = evolve(build_noon(spec, cut), AmplifierParams(g2))
     mesh, _ = square_mesh(1.2, 7)
-    err = check_scaling_law(build_noon(spec, cut), out, AmplifierParams(g2),
-                            QGrid(mesh, mesh.copy()))
+    g = math.sqrt(g2)
+    q_out = q_evaluate(out, QGrid(mesh, mesh)).values
+    q_in = q_evaluate(build_noon(spec, cut), QGrid(mesh / g, mesh / g)).values
+    err = float(np.max(np.abs(q_out - q_in / g2**2)))
     assert err < 1e-6
 
 
