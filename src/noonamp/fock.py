@@ -109,11 +109,10 @@ class TwoModeState:
                 or np.any(np.diff(codes) <= 0) or np.any(codes < 0)):
             raise ValueError("sectors must be distinct, in increasing (k_a, k_b) order "
                              "and none below (0, 0)")
-        j_a, j_b = np.arange(da), np.arange(db)
-        padding = ((j_a >= da - np.abs(k_a)[:, None])[:, :, None]
-                   | (j_b >= db - np.abs(k_b)[:, None])[:, None, :])
-        if np.any(x[padding]):
-            raise ValueError("sector entries past the cutoffs must be zero")
+        # each sector's padding: its last |k_a| rows and its last |k_b| columns
+        for x_s, ka, kb in zip(x, k_a.tolist(), k_b.tolist()):
+            if x_s[da - abs(ka):].any() or x_s[:, db - abs(kb):].any():
+                raise ValueError("sector entries past the cutoffs must be zero")
         if np.iscomplexobj(x):
             middle = (k_a == 0) & (k_b == 0)
             diag_imag = float(np.abs(x[middle].imag).max(initial=0.0))

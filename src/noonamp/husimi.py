@@ -154,10 +154,14 @@ def write_qgrid_csv(grid: QGrid, path) -> None:
     """Columns re_alpha, im_alpha, re_beta, im_beta, q_value, one row per pair."""
     if grid.values is None:
         raise ValueError("grid has no evaluated values")
-    # each amplitude is formatted once per axis, each Q value once per row
+    # each amplitude is formatted once per axis and each distinct Q value
+    # once, told apart by bit pattern so that -0.0 keeps its sign
     alphas = [f"{a.real:.12g},{a.imag:.12g}," for a in grid.alpha_samples]
     betas = [f"{b.real:.12g},{b.imag:.12g}," for b in grid.beta_samples]
+    values = np.ascontiguousarray(grid.values, dtype=np.float64)
+    bits, which = np.unique(values.view(np.int64), return_inverse=True)
+    texts = [f"{q:.12g}\n" for q in bits.view(np.float64).tolist()]
     with open(path, "w") as fh:
         fh.write("re_alpha,im_alpha,re_beta,im_beta,q_value\n")
-        for a, row in zip(alphas, grid.values.tolist()):
-            fh.write("".join(f"{a}{b}{q:.12g}\n" for b, q in zip(betas, row)))
+        for a, row in zip(alphas, which.reshape(values.shape).tolist()):
+            fh.write("".join([f"{a}{b}{texts[q]}" for b, q in zip(betas, row)]))

@@ -11,6 +11,22 @@ chains off the sector stack and solves the chains of one length by a
 single stacked ``np.linalg.eigvalsh`` call.  It takes any state with
 sector (0, 0) and at most one other stored sector, and refuses every other.
 
+Most chains carry no negativity, and the block route solves only those
+that may.  By Sylvester's law of inertia, the number of negative LDL^T
+pivots of a tridiagonal T + s I is the number of eigenvalues of T below -s
+(the Sturm count behind LAPACK's bisection; Demmel, Applied Numerical
+Linear Algebra, SIAM 1997, section 5.3).  With s = EIG_NEG_CLAMP / 2, a
+chain whose pivots are all positive has no eigenvalue below -s, so
+``_neg_sums`` would give it exactly 0: the half-clamp margin, 5e-13, is far
+larger than the rounding of the pivots and of LAPACK, about 1e-16 on
+entries of magnitude at most 1.  Such a chain is not solved.  Every chain
+is solved in two cases: when the chains with a non-positive pivot yield no
+eigenvalue below -EIG_NEG_CLAMP (or there are none), because the smallest
+eigenvalue, which the result reports, may then lie in any chain; and when
+an entry exceeds 1 in magnitude, which only a state built with
+``validate=False`` can hold.  Either way the result is bit for bit that of
+solving every chain.
+
 The dense route is the oracle the block route must match.  It hands the
 partial transpose to ``fock.hermitian_eigvalsh``, which solves it one
 conserved-charge block at a time.  Phase-insensitive amplification commutes
@@ -103,10 +119,15 @@ def log_negativity_block(state: TwoModeState) -> NegativityResult:
     into one (count, length, length) stack and solved by one
     ``np.linalg.eigvalsh`` call, which runs the same LAPACK routine on each
     matrix as a solve of that matrix alone; a 1x1 chain is its diagonal
-    entry.  Each chain's negative sum is then added up in order of its
-    smallest PT index, so the result is bit for bit that of one eigensolve
-    per chain.  A chain longer than ``config.FULL_SOLVE_MAX_DIMENSION`` is
-    refused with ValueError before any block is allocated.
+    entry.  Only the chains with a non-positive LDL^T pivot of
+    T + EIG_NEG_CLAMP / 2 I are solved, unless they carry no negativity or
+    an entry exceeds 1 in magnitude, when every chain is (see the module
+    docstring); an unsolved chain has no eigenvalue below -EIG_NEG_CLAMP / 2
+    and contributes 0.  Each chain's negative sum is then added up in order
+    of its smallest PT index, so the result is bit for bit that of one
+    eigensolve per chain.  A chain longer than
+    ``config.FULL_SOLVE_MAX_DIMENSION`` is refused with ValueError before
+    any block is allocated.
     """
     k_a, k_b, x = state.k_a, state.k_b, state.x
     others = np.flatnonzero((k_a != 0) | (k_b != 0))   # sectors besides (0, 0)
@@ -148,22 +169,88 @@ def log_negativity_block(state: TwoModeState) -> NegativityResult:
             f"partial-transpose component of size {sizes.max()} exceeds the "
             f"eigensolve limit {config.FULL_SOLVE_MAX_DIMENSION}")
     rank = (nodes - head[nodes]) // step
+    chain_neg = np.zeros(sizes.size)  # each chain's neg_sum, in chain order
+    chains = (sizes, nodes, chain, rank, diag, low, chain_neg)
 
-    # the chains of one length form one batch, stacked in chain order: a
-    # chain's slot is its rank among the chains of its length
-    by_size = np.argsort(sizes, kind="stable")
+    every = np.ones(sizes.size, dtype=bool)
+    if max(np.abs(diag).max(initial=0.0), np.abs(low).max(initial=0.0)) > 1.0:
+        todo = every   # outside the pivots' rounding margin
+    else:
+        todo = _nonpositive_pivot(sizes, nodes, chain, rank, diag, low)
+    min_eig = _solve_chains(todo, *chains)
+    if not min_eig < -config.EIG_NEG_CLAMP:
+        # no negativity, and min_eigenvalue may lie in any chain
+        min_eig = _solve_chains(every, *chains)
+    if nodes.size < d:
+        min_eig = min(0.0, min_eig)   # empty rows contribute eigenvalue 0
+
+    # added in chain order, as one solve per chain adds them
+    neg_sum = float(np.cumsum(chain_neg)[-1]) if chain_neg.size else 0.0
+    if not np.isfinite(min_eig):
+        min_eig = 0.0
+    return _result(float(min_eig), neg_sum, "block", int(sizes.size))
+
+
+def _nonpositive_pivot(sizes, nodes, chain, rank, diag, low) -> np.ndarray:
+    """Per chain: does T + shift I have a non-positive LDL^T pivot, for
+    shift = ``config.EIG_NEG_CLAMP`` / 2?  ``diag`` and ``low`` hold each
+    PT row's diagonal entry and its coupling to the next member of its chain.
+
+    The chains are sorted by decreasing length and their nodes laid out
+    rank-major, so rank i of every chain longer than i is one contiguous
+    slice, and max(sizes) vectorized steps run the pivot recurrence
+    p_i = a_i + shift - |b_{i-1}|^2 / p_{i-1} of every chain in O(d)
+    memory.  A zero pivot is replaced by -shift, which has already flagged
+    its chain and keeps the next step finite.
+    """
+    shift = 0.5 * config.EIG_NEG_CLAMP
+    place = np.empty(sizes.size, dtype=np.int64)
+    place[np.argsort(-sizes, kind="stable")] = np.arange(sizes.size)
+    # longer[i]: the number of chains longer than i, which hold rank i
+    longer = sizes.size - np.cumsum(np.bincount(sizes))[:-1]
+    offset = np.concatenate(([0], np.cumsum(longer)))
+    at = offset[rank] + place[chain]
+    shifted = np.empty(at.size)
+    shifted[at] = diag[nodes]
+    shifted += shift
+    coupling = np.empty(at.size)
+    coupling[at] = np.abs(low[nodes]) ** 2
+
+    flagged = np.zeros(sizes.size, dtype=bool)
+    pivot = shifted[:sizes.size]
+    for i, n in enumerate(longer.tolist()[1:], start=1):
+        flagged[:pivot.size] |= pivot <= 0
+        prev = np.where(pivot[:n] == 0, -shift, pivot[:n])
+        pivot = shifted[offset[i]:offset[i] + n] - coupling[offset[i - 1]:offset[i - 1] + n] / prev
+    flagged[:pivot.size] |= pivot <= 0
+    return flagged[place]
+
+
+def _solve_chains(todo, sizes, nodes, chain, rank, diag, low, chain_neg) -> float:
+    """Solve the chains marked in ``todo`` and store each one's negative sum
+    in ``chain_neg``; returns their smallest eigenvalue (inf if none).
+
+    The chains of each length are scattered into one (count, length,
+    length) stack and solved by one ``np.linalg.eigvalsh`` call, which runs
+    the same LAPACK routine on each matrix as a solve of that matrix alone;
+    a 1x1 chain is its diagonal entry.
+    """
+    ids = np.flatnonzero(todo)
+    # a chain's slot is its rank among the chains of its length
+    by_size = ids[np.argsort(sizes[ids], kind="stable")]
     batch_sizes, starts, counts = np.unique(sizes[by_size], return_index=True,
                                             return_counts=True)
     slot = np.empty(sizes.size, dtype=np.int64)
-    slot[by_size] = np.arange(sizes.size) - np.repeat(starts, counts)
+    slot[by_size] = np.arange(by_size.size) - np.repeat(starts, counts)
+    pick = todo[chain]
+    nodes, chain, rank = nodes[pick], chain[pick], rank[pick]
     node_sizes = sizes[chain]
 
-    min_eig = 0.0 if nodes.size < d else np.inf  # empty rows contribute eigenvalue 0
-    chain_neg = np.zeros(sizes.size)  # each chain's neg_sum, in chain order
+    min_eig = np.inf
     for size, start, count in zip(batch_sizes.tolist(), starts, counts):
         sel = node_sizes == size
         at, b, r = nodes[sel], slot[chain[sel]], rank[sel]
-        stack = np.zeros((count, size, size), dtype=x.dtype)
+        stack = np.zeros((count, size, size), dtype=low.dtype)
         stack[b, r, r] = diag[at]
         if size == 1:
             eigs = stack[:, :, 0].real  # PT leaves the diagonal in place
@@ -174,12 +261,7 @@ def log_negativity_block(state: TwoModeState) -> NegativityResult:
             eigs = np.linalg.eigvalsh(stack)
         min_eig = min(min_eig, float(eigs[:, 0].min()))
         chain_neg[by_size[start:start + count]] = _neg_sums(eigs)
-
-    # added in chain order, as one solve per chain adds them
-    neg_sum = float(np.cumsum(chain_neg)[-1]) if chain_neg.size else 0.0
-    if not np.isfinite(min_eig):
-        min_eig = 0.0
-    return _result(float(min_eig), neg_sum, "block", int(sizes.size))
+    return min_eig
 
 
 def log_negativity(state: TwoModeState, method: str = "block") -> NegativityResult:

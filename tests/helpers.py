@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from noonamp import config
 from noonamp.fock import ModeCutoffs, TwoModeState
 
 
@@ -48,3 +49,50 @@ def riemann_mass(grid, spacing_a, spacing_b):
     if grid.values is None:
         raise ValueError("grid has no evaluated values")
     return float(grid.values.sum() * spacing_a**2 * spacing_b**2)
+
+
+def per_component_reference(state):
+    """(neg_sum, min_eigenvalue, block_count) of the partial transpose, one
+    eigensolve per coupling component in order of its smallest PT index."""
+    from scipy import sparse
+    from scipy.sparse.csgraph import connected_components
+
+    d, db = state.dimension, state.cutoffs.cutoff_b
+    rows, cols, data = state.entries()
+    # positions in the partial transpose of the entries at (rows, cols)
+    pt_i, pt_j = (rows // db) * db + cols % db, (cols // db) * db + rows % db
+    graph = sparse.coo_array((np.ones(pt_i.size, dtype=np.int8), (pt_i, pt_j)),
+                             shape=(d, d))
+    _, labels = connected_components(graph, directed=False)
+    occupied = np.unique(np.concatenate([pt_i, pt_j]))
+    _, first, comp = np.unique(labels[occupied], return_index=True, return_inverse=True)
+    comp = np.argsort(np.argsort(first))[comp]
+    sizes = np.bincount(comp)
+    members = occupied[np.argsort(comp, kind="stable")]
+    local = np.empty(d, dtype=np.int64)
+    local[members] = np.arange(members.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    node_comp = np.empty(d, dtype=np.int64)
+    node_comp[occupied] = comp
+    order = np.argsort(node_comp[pt_i], kind="stable")
+    bounds = np.searchsorted(node_comp[pt_i][order], np.arange(sizes.size + 1))
+    loc_i, loc_j, vals = local[pt_i][order], local[pt_j][order], data[order]
+
+    min_eig = 0.0 if occupied.size < d else np.inf
+    neg_sum = 0.0
+    for k, size in enumerate(sizes):
+        lo, hi = bounds[k], bounds[k + 1]
+        if size == 1:
+            val = float(vals[lo].real)
+            min_eig = min(min_eig, val)
+            if val < -config.EIG_NEG_CLAMP:
+                neg_sum += -val
+            continue
+        sub = np.zeros((size, size), dtype=vals.dtype)
+        sub[loc_i[lo:hi], loc_j[lo:hi]] = vals[lo:hi]
+        eigs = np.linalg.eigvalsh(sub)
+        min_eig = min(min_eig, float(eigs[0]))
+        neg = eigs[eigs < -config.EIG_NEG_CLAMP]
+        neg_sum += float(-neg.sum()) if neg.size else 0.0
+    if not np.isfinite(min_eig):
+        min_eig = 0.0
+    return neg_sum, float(min_eig), int(sizes.size)

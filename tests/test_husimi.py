@@ -268,9 +268,40 @@ def test_qgrid_csv_matches_per_row_format(tmp_path):
     grid = q_evaluate(state, QGrid(mesh, betas))
     path = tmp_path / "q.csv"
     write_qgrid_csv(grid, path)
+    assert path.read_bytes() == _per_value_csv(grid)
+
+
+def _per_value_csv(grid):
+    """The CSV bytes with every field of every row formatted on its own."""
     want = ["re_alpha,im_alpha,re_beta,im_beta,q_value\n"]
     for i, a in enumerate(grid.alpha_samples):
         for j, b in enumerate(grid.beta_samples):
             want.append(f"{a.real:.12g},{a.imag:.12g},{b.real:.12g},{b.imag:.12g},"
                         f"{grid.values[i, j]:.12g}\n")
-    assert path.read_bytes() == "".join(want).encode()
+    return "".join(want).encode()
+
+
+@pytest.mark.parametrize("kind", ["repeated", "clamped_zeros", "all_distinct"])
+def test_qgrid_csv_formats_each_distinct_value_once(tmp_path, kind):
+    """Formatting each distinct Q value once writes the bytes that
+    formatting every value does: on an evaluated grid, where values repeat
+    and clamped zeros sit at the NOON's zeros, on hand-set values that
+    include -0.0 next to 0.0 and a subnormal, and on all-distinct values."""
+    mesh, _ = square_mesh(1.5, 7)
+    if kind == "repeated":
+        grid = q_evaluate(build_noon(NoonSpec(2), ModeCutoffs(24, 24)), QGrid(mesh, mesh.copy()))
+        assert 0 < np.unique(grid.values).size < grid.values.size // 4
+    elif kind == "clamped_zeros":
+        # Q of the N = 1 NOON state vanishes where beta = -alpha
+        grid = q_evaluate(build_noon(NoonSpec(1), ModeCutoffs(24, 24)), QGrid(mesh, mesh.copy()))
+        assert np.count_nonzero(grid.values == 0.0) >= mesh.size // 2
+        values = grid.values.copy()
+        values[0, :4] = [-0.0, 0.0, 5e-324, 1.0 / 3.0]
+        grid = QGrid(mesh, mesh.copy(), values)
+    else:
+        rng = np.random.default_rng(11)
+        grid = QGrid(mesh, mesh.copy(), rng.random((49, 49)) * 10.0 ** rng.integers(-20, 2, (49, 49)))
+        assert np.unique(grid.values).size == grid.values.size
+    path = tmp_path / "q.csv"
+    write_qgrid_csv(grid, path)
+    assert path.read_bytes() == _per_value_csv(grid)

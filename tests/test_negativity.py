@@ -13,7 +13,7 @@ from noonamp.cli import SweepConfig, g2_values
 from noonamp.fock import partial_transpose_b
 from noonamp.negativity import log_negativity_block, log_negativity_dense
 
-from helpers import dense_tensor, from_matrix, product_state
+from helpers import dense_tensor, from_matrix, per_component_reference, product_state
 
 # dense eigensolve at auto cutoffs (tail 1e-10), stable to 4e-16 under
 # cutoff doubling; see test_golden_symmetric_value
@@ -225,57 +225,10 @@ def test_zero_matrix_state():
     assert res.min_eigenvalue == 0.0
 
 
-def _per_component_reference(state):
-    """(neg_sum, min_eigenvalue, block_count) of the partial transpose, one
-    eigensolve per coupling component in order of its smallest PT index."""
-    from scipy import sparse
-    from scipy.sparse.csgraph import connected_components
-
-    d, db = state.dimension, state.cutoffs.cutoff_b
-    rows, cols, data = state.entries()
-    # positions in the partial transpose of the entries at (rows, cols)
-    pt_i, pt_j = (rows // db) * db + cols % db, (cols // db) * db + rows % db
-    graph = sparse.coo_array((np.ones(pt_i.size, dtype=np.int8), (pt_i, pt_j)),
-                             shape=(d, d))
-    _, labels = connected_components(graph, directed=False)
-    occupied = np.unique(np.concatenate([pt_i, pt_j]))
-    _, first, comp = np.unique(labels[occupied], return_index=True, return_inverse=True)
-    comp = np.argsort(np.argsort(first))[comp]
-    sizes = np.bincount(comp)
-    members = occupied[np.argsort(comp, kind="stable")]
-    local = np.empty(d, dtype=np.int64)
-    local[members] = np.arange(members.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    node_comp = np.empty(d, dtype=np.int64)
-    node_comp[occupied] = comp
-    order = np.argsort(node_comp[pt_i], kind="stable")
-    bounds = np.searchsorted(node_comp[pt_i][order], np.arange(sizes.size + 1))
-    loc_i, loc_j, vals = local[pt_i][order], local[pt_j][order], data[order]
-
-    min_eig = 0.0 if occupied.size < d else np.inf
-    neg_sum = 0.0
-    for k, size in enumerate(sizes):
-        lo, hi = bounds[k], bounds[k + 1]
-        if size == 1:
-            val = float(vals[lo].real)
-            min_eig = min(min_eig, val)
-            if val < -config.EIG_NEG_CLAMP:
-                neg_sum += -val
-            continue
-        sub = np.zeros((size, size), dtype=vals.dtype)
-        sub[loc_i[lo:hi], loc_j[lo:hi]] = vals[lo:hi]
-        eigs = np.linalg.eigvalsh(sub)
-        min_eig = min(min_eig, float(eigs[0]))
-        neg = eigs[eigs < -config.EIG_NEG_CLAMP]
-        neg_sum += float(-neg.sum()) if neg.size else 0.0
-    if not np.isfinite(min_eig):
-        min_eig = 0.0
-    return neg_sum, float(min_eig), int(sizes.size)
-
-
 def _assert_matches_reference(state):
     res = log_negativity_block(state)
     assert (res.neg_sum, res.min_eigenvalue, res.block_count) == \
-        _per_component_reference(state)
+        per_component_reference(state)
     return res
 
 
@@ -359,3 +312,154 @@ def test_block_solves_each_component_size_once(monkeypatch):
     sizes = [shape[-1] for shape in calls]
     assert len(sizes) == len(set(sizes)) and min(sizes) > 1
     assert sum(shape[0] for shape in calls) < res.block_count
+
+
+
+# The block route eigensolves only the chains that have a non-positive
+# LDL^T pivot of T + EIG_NEG_CLAMP / 2, and every chain when those carry no
+# negativity or an entry exceeds 1.  Each test below holds it to the
+# per-component reference bit for bit.
+
+SHIFT = config.EIG_NEG_CLAMP / 2
+
+
+@pytest.fixture
+def solved(monkeypatch):
+    """Shapes of the stacks handed to np.linalg.eigvalsh while it is active."""
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def spy(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    return calls
+
+
+def _ulps(value, count):
+    """``value`` moved by ``count`` units in the last place."""
+    for _ in range(abs(count)):
+        value = np.nextafter(value, math.copysign(np.inf, count))
+    return float(value)
+
+
+@pytest.mark.parametrize("negative_elsewhere", [False, True])
+@pytest.mark.parametrize("depth", [0.4, 0.6, 1.0, 1.5])
+def test_filter_near_the_clamp(depth, negative_elsewhere, solved):
+    """Seven 2x2 chains with diagonal 1/4 and coupling 1/4 + depth *
+    EIG_NEG_CLAMP, moved by -3..3 ulps, have smallest eigenvalue about
+    -depth * EIG_NEG_CLAMP: above the pivot shift (0.4), between it and the
+    clamp (0.6), at the clamp (1) and past it (1.5).  Only the chains below
+    the shift are solved, and every chain is solved when they carry no
+    negativity."""
+    c = ModeCutoffs(2, 14)   # chains run along the rows of 14
+    couplings = {2 * k: _ulps(0.25 + depth * config.EIG_NEG_CLAMP, k - 3) for k in range(7)}
+    if negative_elsewhere:
+        couplings[14] = 0.35   # eigenvalues 0.25 -+ 0.35
+    state = _chain_state(c, np.full(c.dimension, 0.25), couplings)
+    expected = per_component_reference(state)
+    solved.clear()
+    res = log_negativity_block(state)
+    assert (res.neg_sum, res.min_eigenvalue, res.block_count) == expected
+
+    flagged = 7 * (depth > 0.5) + negative_elsewhere
+    every = 7 + negative_elsewhere if res.neg_sum == 0.0 else 0
+    assert sum(shape[0] for shape in solved) == flagged + every
+    if negative_elsewhere:
+        assert res.min_eigenvalue == pytest.approx(-0.1, abs=1e-15)
+    else:
+        assert res.min_eigenvalue == pytest.approx(-depth * config.EIG_NEG_CLAMP,
+                                                   abs=1e-15)
+    if depth != 1.0:   # at the clamp, the ulps decide
+        counted = 7 * 1.5 * config.EIG_NEG_CLAMP if depth > 1.0 else 0.0
+        assert res.neg_sum == pytest.approx(counted + 0.1 * negative_elsewhere, abs=1e-15)
+
+
+def test_filter_zero_pivots(solved):
+    """Exactly zero pivots count as non-positive and leave no inf or nan:
+    chain [0, 1] starts at diagonal -shift, so its first pivot is zero, and
+    chain [3, 4] is [[1/2 - shift, 1/2], [1/2, 1/2 - shift]], whose second
+    pivot, in the pass's last step, is (1/2 - shift + shift) - (1/2)^2 / (1/2)
+    = 0."""
+    c = ModeCutoffs(2, 5)   # chains run along the rows of 5
+    half = 0.5 - SHIFT
+    assert -SHIFT + SHIFT == 0.0 and half + SHIFT == 0.5
+    diagonal = [-SHIFT, 0.3, 0.1, half, half] + [0.1] * 5
+    state = _chain_state(c, diagonal, {0: 0.1, 3: 0.5})
+    expected = per_component_reference(state)
+    solved.clear()
+    with np.errstate(all="raise"):
+        res = log_negativity_block(state)
+    assert (res.neg_sum, res.min_eigenvalue, res.block_count) == expected
+    assert res.neg_sum > 0.02 and res.block_count == 8
+    assert solved == [(2, 2, 2)]   # both chains flagged, and no fallback
+
+
+def test_filter_solves_every_chain_past_unit_entries(solved):
+    """An unvalidated state with an entry above 1 lies outside the pivots'
+    rounding margin, so every chain is solved, the positive-definite
+    [[3, 1.5], [1.5, 3]] too."""
+    c = ModeCutoffs(2, 4)   # chains run along the rows of 4
+    diagonal = [3.0, 3.0, 0.2, 0.2, 0.5, 0.5, 0.5, 0.5]
+    state = _chain_state(c, diagonal, {0: 1.5, 2: 0.3})   # [2, 3] at 0.2 -+ 0.3
+    expected = per_component_reference(state)
+    solved.clear()
+    res = log_negativity_block(state)
+    assert (res.neg_sum, res.min_eigenvalue, res.block_count) == expected
+    assert res.neg_sum == pytest.approx(0.1, abs=1e-15)
+    assert solved == [(2, 2, 2)]
+
+
+@pytest.mark.parametrize("g2", [2.0, 2.5, 3.0])
+def test_filter_fallback_rows_without_negativity(g2):
+    """Symmetric N = 2 at eta = 1 is separable at these gains: E_N = 0, and
+    min_eigenvalue, a rounding-level value, may lie in any chain, so every
+    chain is solved."""
+    spec = NoonSpec(2)
+    params = AmplifierParams(g2, eta=1.0)
+    state = amplify_noon(spec, params, select_cutoffs(spec, params, CutoffPolicy()))
+    res = _assert_matches_reference(state)
+    assert res.neg_sum == 0.0 and res.log_negativity == 0.0
+    assert abs(res.min_eigenvalue) < config.EIG_NEG_CLAMP
+
+
+def test_filter_solves_fewer_chains_than_it_reads(solved):
+    """At the golden sweep's largest state (symmetric N = 6, G^2 = 3) the
+    stacked eigensolves hold fewer matrices than the 756 chains longer
+    than 1."""
+    spec = NoonSpec(6)
+    params = AmplifierParams(3.0)
+    state = amplify_noon(spec, params, select_cutoffs(spec, params, CutoffPolicy()))
+    expected = per_component_reference(state)
+    solved.clear()
+    res = log_negativity_block(state)
+    assert (res.neg_sum, res.min_eigenvalue, res.block_count) == expected
+    # a chain longer than 1 is a PT row with an off-diagonal entry
+    rows, cols, _ = partial_transpose_b(state).entries()
+    singles = np.unique(rows).size - np.unique(rows[rows != cols]).size
+    assert res.block_count == 828 and res.block_count - singles == 756
+    assert sum(shape[0] for shape in solved) < 756
+
+
+@pytest.mark.parametrize("length", [2500, 5000])
+def test_filter_memory_is_linear_in_dimension(length):
+    """One positive-definite chain of ``length`` nodes next to ``length`` 1x1
+    chains, one of them at -0.01: the pivot pass clears the long chain
+    without a (chains x longest chain) array and without solving it
+    (200 MB at 5,000).  The peak measured 146 bytes per basis state."""
+    c = ModeCutoffs(length, 2)   # sector (1, 0) steps by 2 in the PT index
+    diagonal = np.zeros((length, 2))
+    diagonal[:, 0], diagonal[:, 1], diagonal[7, 1] = 3e-5, 1e-5, -0.01
+    coupling = np.zeros((length, 2))
+    coupling[:-1, 0] = 1e-5   # column 0 is one chain, column 1 is 1x1 chains
+    state = TwoModeState(c, [0, 1], [0, 0], [diagonal, coupling], validate=False)
+    tracemalloc.start()
+    try:
+        res = log_negativity_block(state)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert res.block_count == length + 1
+    assert res.neg_sum == 0.01 and res.min_eigenvalue == -0.01
+    assert peak < 200 * c.dimension

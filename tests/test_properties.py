@@ -1,7 +1,8 @@
 """Property tests over the (N, G^2, mode) space of the closed forms (stored
 entries, trace, negativity, Husimi Q, charge-blocked spectra), over the
-(N, G^2, eta, mode) space of the exact channel and of the master-equation
-oracle, and over random sparse density matrices, real and complex."""
+(N, G^2, eta, mode) space of the block negativity, the exact channel and
+the master-equation oracle, and over random sparse density matrices, real
+and complex."""
 
 from unittest import mock
 
@@ -17,7 +18,7 @@ from noonamp import (AmplifierParams, CutoffPolicy, MODE_ASYMMETRIC_A, MODE_SYMM
 from noonamp.fock import hermitian_eigvalsh
 from noonamp.negativity import log_negativity_block, log_negativity_dense
 
-from helpers import from_matrix
+from helpers import from_matrix, per_component_reference
 
 DENSE_DIM_MAX = 1500  # keeps each dense eigensolve well under a second
 
@@ -68,6 +69,20 @@ def test_block_equals_dense(n, g2, mode):
     state = amplified(n, g2, mode)
     assume(state.dimension <= DENSE_DIM_MAX)
     assert_block_matches_dense(state)
+
+
+@settings(deadline=None, max_examples=25)
+@given(photons, gains, st.one_of(st.just(0.0), st.floats(0.0, 1.0)), modes)
+@example(n=2, g2=2.0, eta=1.0, mode=MODE_SYMMETRIC)   # E_N = 0: every chain solved
+def test_block_equals_per_component_reference(n, g2, eta, mode):
+    """The block route, which eigensolves only the chains with a
+    non-positive pivot, returns bit for bit the (neg_sum, min_eigenvalue,
+    block_count) of one eigensolve per component."""
+    spec = NoonSpec(n)
+    params = AmplifierParams(g2, eta=eta, mode_config=mode)
+    state = amplify_noon(spec, params, select_cutoffs(spec, params, CutoffPolicy()))
+    res = log_negativity_block(state)
+    assert (res.neg_sum, res.min_eigenvalue, res.block_count) == per_component_reference(state)
 
 
 @settings(deadline=None, max_examples=40)
