@@ -1,33 +1,31 @@
-"""The phase-insensitive amplifier: closed-form output states and the
-exact channel on any stored state.
+"""The phase-insensitive amplifier: closed-form NOON outputs and the exact channel.
 
-A NOON input after gain on both modes is a two-mode photon-added thermal
-state; after gain on mode a alone, the b labels stay pinned to {0, N}.
-One builder makes both from per-mode shares.  An amplified mode sends
-|N><N| to q^n (n+N)!/n! at |n+N>, |0><0| to q^n at |n> and the coherence
-|N><0| to their geometric mean, q = (g2-1)/g2; a mode the gain does not
-act on keeps g2^N N! at |N>, 1 at |0> and their geometric mean.  Under the
-prefactor 1 / (2 N! g2^(N+M)), M amplified modes, the diagonal families are
-a's |N><N| share times b's |0><0| share and a's |0><0| times b's |N><N|,
-the coupling a's coherence times b's.
-Coefficients are assembled in log space: factorial ratios like (n+N)!/n!
-overflow doubles long before the cutoffs needed at N=6 and g2=3.  The
-families go straight into the state's phase sectors: the diagonal
-families into sector (0, 0), the coherence into sector (N, -N) (and so
-its mirror); no d x d array is ever allocated.
-These closed forms hold for the fully inverted amplifier (eta = 0) only.
+An amplified mode at bath parameter eta is a quantum-limited attenuator of
+transmissivity tau = G^2/g' followed by a quantum-limited amplifier of gain
+g' = 1 + (G^2 - 1)(1 + eta) (Caruso, Giovannetti & Holevo, NJP 8, 310
+(2006)); at eta = 0, g' = G^2 and the attenuator is the identity.
 
-``amplify_state`` applies the channel at any bath parameter eta >= 0 to
-any state, through its Kraus operators (Ivan, Sabapathy & Simon, PRA 84,
-042311 (2011)): a quantum-limited attenuator of transmissivity tau = G^2/g'
-followed by a quantum-limited amplifier of gain g' = 1 + (G^2 - 1)(1 + eta)
-(Caruso, Giovannetti & Holevo, NJP 8, 310 (2006)); at eta = 0 the
-attenuator is the identity.  Both Kraus families keep every phase sector
-(n - p, m - q), so on the state's sector stack the channel is one matrix
-per amplified mode and distinct |n - p|, applied by batched matrix
+One builder makes the NOON output for both mode configurations and every
+eta from per-mode shares, q = (g'-1)/g'.  An amplified mode sends |0><0| to
+the thermal state q^n at |n>, and |N><N| to sum_l C(N, l) tau^l
+(1-tau)^(N-l) times the photon-added thermal state q^n (n+l)!/n! at |n+l>
+(Agarwal & Tara, PRA 46, 485 (1992)), only l = N at eta = 0; loss keeps
+tau^(N/2) of the coherence |N><0|, which then becomes the geometric mean of
+the l = N and vacuum shares.  A mode the gain does not act on keeps
+g'^N N! at |N>, 1 at |0> and their geometric mean.  Under the prefactor
+1 / (2 N! g'^(N+M)), M amplified modes, the diagonal families are a's
+|N><N| share times b's |0><0| share and a's |0><0| times b's |N><N|, the
+coupling a's coherence times b's, all assembled in log space (factorial
+ratios like (n+N)!/n! overflow doubles at the cutoffs of N=6, g'=3) and
+written straight into the phase sectors (0, 0) and (N, -N).
+
+``amplify_state`` applies the same channel to any state through its Kraus
+operators (Ivan, Sabapathy & Simon, PRA 84, 042311 (2011)), and is the
+closed form's independent check.  Both Kraus families keep every phase
+sector (n - p, m - q), so on the state's sector stack the channel is one
+matrix per amplified mode and distinct |n - p|, applied by batched matrix
 products.  Weight carried past a cutoff is dropped and lands in
 ``trace_deficit`` exactly; there is no step size and nothing to monitor.
-``amplify_noon`` takes the closed form at eta = 0 and the map otherwise.
 """
 
 from dataclasses import dataclass
@@ -62,6 +60,8 @@ class AmplifierParams:
             raise ValueError("eta must be finite and >= 0")
         if self.mode_config not in _MODE_CONFIGS:
             raise ValueError(f"mode_config must be one of {_MODE_CONFIGS}")
+        if not math.isfinite(self.stage_gain):
+            raise ValueError("amplifier-stage gain g' = 1 + (G^2 - 1)(1 + eta) is not finite")
 
     @property
     def stage_gain(self) -> float:
@@ -123,69 +123,79 @@ def select_cutoffs(spec: NoonSpec, params: AmplifierParams, policy: CutoffPolicy
 def _require_closed_form(params: AmplifierParams, expected_mode: str):
     if params.mode_config != expected_mode:
         raise ValueError(f"params.mode_config must be '{expected_mode}'")
-    if params.eta != 0.0:
-        raise ValueError(
-            "no closed form for eta != 0; apply the channel with amplify_state "
-            "(amplify_noon does so)"
-        )
 
 
-def _mode_share(n_ph: int, dim: int, amplified: bool, lf: np.ndarray, log_g2: float,
+def _stage_logs(params: AmplifierParams) -> tuple[float, float, float]:
+    """log g', log tau and log(1 - tau); the last two are 0 at eta = 0 (no loss)."""
+    g2, log_g = params.g_squared, math.log(params.stage_gain)
+    # summed as logs: the product (g2 - 1) eta underflows to 0 for subnormal eta
+    log_loss = math.log(g2 - 1.0) + math.log(params.eta) - log_g if params.eta else 0.0
+    return log_g, math.log(g2) - log_g, log_loss
+
+
+def _mode_share(n_ph: int, dim: int, amplified: bool, lf: np.ndarray, logs, survivors,
                 shape: tuple[int, ...]):
     """One mode's shares of |N><N|, |0><0| and the coherence |N><0| (see the
-    module docstring), each as (positions, powers of q, log-g2 weight,
-    log-factorial weight); sector (N, -N) stores the coherence's |n+N><n| at
-    n.  Arrays take ``shape``, so two modes' shares combine by broadcasting."""
+    module docstring), each as (positions, powers of q, scalar log weight,
+    log-factorial weight); the |N><N| share is a tuple of them, one per
+    number of photons in ``survivors`` that pass the loss stage.  Sector
+    (N, -N) stores the coherence's |n+N><n| at n; ``logs`` is ``_stage_logs``.
+    Arrays take ``shape``, so two modes' shares combine by broadcasting."""
+    log_g, log_tau, log_loss = logs
     if not amplified:
         log_nf = float(lf[n_ph])
-        return ((n_ph, 0, n_ph * log_g2, log_nf), (0, 0, 0.0, 0.0),
-                (0, 0, 0.5 * n_ph * log_g2, 0.5 * log_nf))
+        return (((n_ph, 0, n_ph * log_g, log_nf),), (0, 0, 0.0, 0.0),
+                (0, 0, 0.5 * n_ph * log_g, 0.5 * log_nf))
     n = np.arange(dim)
-    shift = n[:dim - n_ph].reshape(shape)
-    log_ratio = (lf[n_ph:dim] - lf[:dim - n_ph]).reshape(shape)   # log (n+N)!/n!
-    return ((slice(n_ph, dim), shift, 0.0, log_ratio),
-            (slice(0, dim), n.reshape(shape), 0.0, 0.0),
-            (slice(0, dim - n_ph), shift, 0.0, 0.5 * log_ratio))
+
+    def added(l):   # C(N, l) tau^l (1-tau)^(N-l) g'^(N-l) N!/l! and log (n+l)!/n!
+        log_w = (l * log_tau + (n_ph - l) * (log_loss + log_g)
+                 + 2.0 * (lf[n_ph] - lf[l]) - lf[n_ph - l])
+        return (slice(l, dim), n[:dim - l].reshape(shape), log_w,
+                (lf[l:dim] - lf[:dim - l]).reshape(shape))
+
+    _, shift, log_w, log_ratio = added(n_ph)
+    return (tuple(added(l) for l in survivors), (slice(0, dim), n.reshape(shape), 0.0, 0.0),
+            (slice(0, dim - n_ph), shift, 0.5 * log_w, 0.5 * log_ratio))
 
 
 def _noon_closed_form(spec: NoonSpec, params: AmplifierParams,
                       cutoffs: ModeCutoffs) -> TwoModeState:
-    """The NOON state after gain on ``params.amplified_modes`` at eta = 0,
-    built from the two modes' shares."""
+    """The NOON state after gain on ``params.amplified_modes`` at bath
+    ``params.eta``, built from the two modes' shares."""
     n_ph = spec.n_photons
     if cutoffs.cutoff_a <= n_ph or cutoffs.cutoff_b <= n_ph:
         raise ValueError("cutoffs too small for the photon number")
-    g2 = params.g_squared
-    if g2 == 1.0:
+    if params.g_squared == 1.0:
         return build_noon(spec, cutoffs)
 
     dims = (cutoffs.cutoff_a, cutoffs.cutoff_b)
-    log_g2 = math.log(g2)
-    log_q = math.log(g2 - 1.0) - log_g2
+    logs = _stage_logs(params)
+    log_q = math.log(params.stage_gain - 1.0) - logs[0]
+    survivors = range(n_ph + 1) if params.eta else (n_ph,)
     lf = log_factorials(max(dims) + 1)
     modes = params.amplified_modes
-    log_pref = -(math.log(2.0) + float(lf[n_ph]) + (n_ph + len(modes)) * log_g2)
+    log_pref = -(math.log(2.0) + float(lf[n_ph]) + (n_ph + len(modes)) * logs[0])
     # a mode the gain does not act on fills single positions, and the other
     # mode's arrays then need no second axis
     shapes = ((-1, 1), (1, -1)) if len(modes) == 2 else ((-1,), (-1,))
     (photon_a, vacuum_a, coherence_a), (photon_b, vacuum_b, coherence_b) = (
-        _mode_share(n_ph, dim, mode in modes, lf, log_g2, shape)
+        _mode_share(n_ph, dim, mode in modes, lf, logs, survivors, shape)
         for mode, dim, shape in zip("ab", dims, shapes))
 
     def weights(share_a, share_b):
-        # the sum order (prefactor + q powers + g2 part) + factorial part
+        # the sum order (prefactor + q powers + scalar part) + factorial part
         # fixes the last bit of each entry, which the golden sweep pins
-        _, pow_a, g2_a, fact_a = share_a
-        _, pow_b, g2_b, fact_b = share_b
-        log = log_pref + (pow_a + pow_b) * log_q
-        if g2_a or g2_b:
-            log = log + (g2_a + g2_b)
-        return np.exp(log + (fact_a + fact_b))
+        _, pow_a, log_a, fact_a = share_a
+        _, pow_b, log_b, fact_b = share_b
+        return np.exp(log_pref + (pow_a + pow_b) * log_q + (log_a + log_b) + (fact_a + fact_b))
 
     diagonal, coupling = sectors = np.zeros((2,) + dims)
-    diagonal[photon_a[0], vacuum_b[0]] = weights(photon_a, vacuum_b)
     # the two families meet where both modes hold N photons or more
-    diagonal[vacuum_a[0], photon_b[0]] += weights(vacuum_a, photon_b)
+    for term in photon_a:
+        diagonal[term[0], vacuum_b[0]] += weights(term, vacuum_b)
+    for term in photon_b:
+        diagonal[vacuum_a[0], term[0]] += weights(vacuum_a, term)
     coupling[coherence_a[0], coherence_b[0]] = weights(coherence_a, coherence_b)
     return noon_sectors(cutoffs, n_ph, sectors)
 
@@ -195,7 +205,7 @@ def amplify_noon_symmetric(spec: NoonSpec, params: AmplifierParams,
     """NOON state after equal gain on both modes, truncated to ``cutoffs``.
 
     At g_squared = 1 this is exactly the input NOON state.  The recorded
-    trace_deficit is the geometric weight lost to truncation.
+    trace_deficit is the weight lost to truncation.
     """
     _require_closed_form(params, MODE_SYMMETRIC)
     return _noon_closed_form(spec, params, cutoffs)
@@ -210,16 +220,12 @@ def amplify_noon_asymmetric(spec: NoonSpec, params: AmplifierParams,
 
 def amplify_noon(spec: NoonSpec, params: AmplifierParams,
                  cutoffs: ModeCutoffs) -> TwoModeState:
-    """Output state for ``params.mode_config``: the closed form at eta = 0,
-    the exact channel applied to the NOON input otherwise.
+    """Output state for ``params.mode_config``, at any eta.
 
     The builder is looked up on this module at every call, so rebinding
-    ``amplify_noon_symmetric``, ``amplify_noon_asymmetric`` or
-    ``amplify_state`` here (fault injection, tracing) reaches every caller
-    of the dispatch.
+    ``amplify_noon_symmetric`` or ``amplify_noon_asymmetric`` here (fault
+    injection, tracing) reaches every caller of the dispatch.
     """
-    if params.eta != 0.0:
-        return amplify_state(build_noon(spec, cutoffs), params)
     if params.mode_config == MODE_SYMMETRIC:
         return amplify_noon_symmetric(spec, params, cutoffs)
     return amplify_noon_asymmetric(spec, params, cutoffs)

@@ -61,6 +61,8 @@ class CovarianceState:
         cov = np.asarray(self.cov, dtype=np.float64)
         if cov.shape != (4, 4):
             raise ValueError("covariance must be 4x4")
+        if not np.all(np.isfinite(cov)):
+            raise ValueError("covariance entries must be finite")
         if float(np.abs(cov - cov.T).max()) > 1e-10:
             raise ValueError("covariance must be symmetric")
         # uncertainty relation: cov + i Omega >= 0

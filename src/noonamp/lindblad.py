@@ -32,11 +32,11 @@ checked; the run aborts if they grow past the leak budget.
 This module is the independent oracle for the physical model: the
 package's states come from the closed forms and from the exact Kraus map
 (``channel.amplify_state``), and ``evolve`` checks both by integrating the
-equation they solve.  It takes the same ``channel.AmplifierParams`` as the
-map and reads the rates from ``eta`` alone, kappa N1 = 1 + eta and
-kappa N2 = eta (so eta = N2/(N1-N2)), never from the map's
-``stage_gain``.  No package pipeline integrates; ``evolve`` serves the
-``noonamp.checks`` oracle checks and ``sweep --oracle-check``.
+equation they solve.  It takes the same ``channel.AmplifierParams`` as
+they do and reads the rates from ``eta`` alone, kappa N1 = 1 + eta and
+kappa N2 = eta (so eta = N2/(N1-N2)), never from their ``stage_gain``.
+No package pipeline integrates; ``evolve`` serves the ``noonamp.checks``
+oracle checks and ``sweep --oracle-check``.
 """
 
 import math

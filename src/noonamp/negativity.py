@@ -85,12 +85,12 @@ def _neg_sum(eigs: np.ndarray) -> float:
 
 
 def _neg_sums(eigs: np.ndarray) -> np.ndarray:
-    """``_neg_sum`` of each row of ascending spectra, bit for bit."""
-    # one negative is exact as it stands; the rows with more (the negatives
-    # lead each row) are summed as _neg_sum sums them
-    sums = np.where(eigs[:, 0] < -config.EIG_NEG_CLAMP, -eigs[:, 0], 0.0)
-    for r in np.flatnonzero(eigs[:, 1:2] < -config.EIG_NEG_CLAMP):
-        sums[r] = _neg_sum(eigs[r])
+    """``_neg_sum`` of each row of ascending spectra, bit for bit: the rows
+    with k negatives, which lead each row, are summed over their first k."""
+    counts = np.count_nonzero(eigs < -config.EIG_NEG_CLAMP, axis=1)
+    sums = np.zeros(eigs.shape[0])
+    for k in (np.flatnonzero(np.bincount(counts)[1:]) + 1).tolist():
+        sums[counts == k] = -eigs[counts == k, :k].sum(axis=1)
     return sums
 
 

@@ -2,7 +2,7 @@
 
 Criteria 1-7, 8a, 8b and 11 are the ``noonamp.checks`` functions that
 ``noonamp verify`` runs on quick grids, here on their full grids;
-criterion 12 is a ``noonamp.checks`` function that only this suite runs.  Run with
+criterion 12 is criterion 3's check at eta > 0, which only this suite runs.  Run with
 `pytest tests/test_acceptance.py -v -s` to stream the lines; the heavy
 criteria (dense method agreement, the photon-added pipeline) take a few
 minutes together.
@@ -44,7 +44,7 @@ def test_criterion_2_vacuum_to_thermal():
 
 def test_criterion_3_closed_form_vs_oracle():
     report_check("3 closed form vs oracle", checks.closed_form_vs_oracle(
-        BOTH_MODES, 2, 1.5, CutoffPolicy()))
+        BOTH_MODES, (0.0,), 2, 1.5, CutoffPolicy()))
 
 
 def test_criterion_4_method_agreement():
@@ -158,9 +158,10 @@ def test_criterion_10_commutation_identity():
 
 def test_criterion_11_map_vs_closed_form():
     report_check("11 exact channel vs closed forms", checks.map_vs_closed_form(
-        [(n, g2) for n in (2, 6) for g2 in (1.5, 3.0)], CutoffPolicy()))
+        [(n, g2, eta) for n in (2, 6) for g2 in (1.5, 3.0) for eta in (0.0, 0.5)],
+        CutoffPolicy()))
 
 
-def test_criterion_12_map_vs_oracle():
-    report_check("12 exact channel vs oracle at eta > 0", checks.map_vs_oracle(
-        BOTH_MODES, (0.25, 1.0), 2, 1.5, ModeCutoffs(40, 40)))
+def test_criterion_12_closed_form_vs_oracle_at_eta():
+    report_check("12 closed forms vs oracle at eta > 0", checks.closed_form_vs_oracle(
+        BOTH_MODES, (0.25, 1.0), 2, 1.5, CutoffPolicy(fixed_cutoffs=ModeCutoffs(40, 40))))

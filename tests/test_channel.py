@@ -32,6 +32,8 @@ def test_params_validation():
             AmplifierParams(g_squared=bad)
         with pytest.raises(ValueError, match="eta must be finite"):
             AmplifierParams(g_squared=2.0, eta=bad)
+    with pytest.raises(ValueError, match="gain g' = .* is not finite"):
+        AmplifierParams(g_squared=3.0, eta=1.7e308)
 
 
 def test_cutoff_policy_validation():
@@ -78,29 +80,30 @@ def test_zero_gain_identity():
     assert np.abs(asym.matrix - ideal.matrix).max() <= 1e-12
 
 
-def test_eta_requests_rejected():
-    spec = NoonSpec(2)
-    cut = ModeCutoffs(8, 8)
-    with pytest.raises(ValueError, match="eta"):
-        amplify_noon_symmetric(spec, AmplifierParams(1.5, eta=0.3), cut)
-    with pytest.raises(ValueError, match="eta"):
-        amplify_noon_asymmetric(spec, AmplifierParams(1.5, eta=0.3,
-                                                      mode_config=MODE_ASYMMETRIC_A), cut)
-
-
-def test_amplify_noon_sends_eta_to_the_map():
-    """eta > 0 goes through the exact channel, at cutoffs sized by the
-    amplifier-stage gain g' = 1 + (G^2 - 1)(1 + eta)."""
-    spec = NoonSpec(2)
-    params = AmplifierParams(1.5, eta=0.5)
-    assert params.stage_gain == 1.75
+@pytest.mark.parametrize("n_ph", [1, 2, 4])
+def test_closed_form_at_eta_matches_the_map(n_ph):
+    """At eta > 0 both public entry points and the dispatch build the state
+    the exact channel makes of the NOON input, to 1e-15 per stored entry in
+    the same sectors, at cutoffs sized by the amplifier-stage gain
+    g' = 1 + (G^2 - 1)(1 + eta)."""
+    spec = NoonSpec(n_ph)
+    assert AmplifierParams(1.5, eta=0.5).stage_gain == 1.75
     assert AmplifierParams(1.5).stage_gain == 1.5
-    cut = select_cutoffs(spec, params, CutoffPolicy())
-    assert cut == select_cutoffs(spec, AmplifierParams(1.75), CutoffPolicy())
-    state = amplify_noon(spec, params, cut)
-    want = amplify_state(build_noon(spec, cut), params)
-    assert same_state(state, want)
-    assert state.trace_deficit <= 100.0 * CutoffPolicy().tail_tol  # the verify budget
+    for mode, closed_form in ((MODE_SYMMETRIC, amplify_noon_symmetric),
+                              (MODE_ASYMMETRIC_A, amplify_noon_asymmetric)):
+        for eta in (5e-324, 0.5, 2.0):
+            params = AmplifierParams(1.5, eta=eta, mode_config=mode)
+            cut = select_cutoffs(spec, params, CutoffPolicy())
+            assert cut == select_cutoffs(spec, AmplifierParams(
+                params.stage_gain, mode_config=mode), CutoffPolicy())
+            state = closed_form(spec, params, cut)
+            assert same_state(amplify_noon(spec, params, cut), state)
+            want = amplify_state(build_noon(spec, cut), params)
+            assert state.k_a.tolist() == want.k_a.tolist() == [0, n_ph]
+            assert state.k_b.tolist() == want.k_b.tolist() == [0, -n_ph]
+            assert float(np.abs(state.x - want.x).max()) <= 1e-15
+            assert abs(state.trace_deficit - want.trace_deficit) <= 1e-14
+            assert state.trace_deficit <= 100.0 * CutoffPolicy().tail_tol  # the verify budget
 
 
 def _kraus_reference(rho, dims, mode_matrices):
@@ -343,4 +346,4 @@ def test_oracle_equivalence_grid(mode):
     """Closed forms against direct master-equation integration."""
     for n_ph in (1, 2):
         for g2 in (1.2, 1.5, 2.0):
-            assert checks.closed_form_vs_oracle((mode,), n_ph, g2, CutoffPolicy()).passed
+            assert checks.closed_form_vs_oracle((mode,), (0.0,), n_ph, g2, CutoffPolicy()).passed

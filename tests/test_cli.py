@@ -133,8 +133,8 @@ def test_cli_fixed_cutoff_flag(tmp_path):
     ["--family", "photon_added_tmsv", "--r", "0.3", "--g2", "1.0:1.1:0.1"],
 ], ids=["noon_symmetric", "noon_asymmetric", "photon_added_tmsv"])
 def test_cli_sweep_eta_above_zero(argv, capsys):
-    """eta > 0 rows come from the exact channel; the NOON rows agree with
-    the integrated master equation."""
+    """eta > 0 rows: the NOON rows (closed forms) agree with the integrated
+    master equation."""
     assert main(["sweep", "--eta", "0.5"] + argv) == 0
     lines = capsys.readouterr().out.strip().split("\n")
     rows = [dict(zip(lines[0].split(","), line.split(","))) for line in lines[1:]]
@@ -249,6 +249,11 @@ def test_cli_configuration_errors():
     ["sweep", "--family", "photon_added_tmsv", "--r", "0.3", "--eta", "1e20",
      "--g2", "1:1.5:0.5"],
     ["qfunc", "--n", "2", "--g2", "1e20"],
+    # a stage gain g' that overflows, and added covariance noise that does
+    ["sweep", "--family", "noon_symmetric", "--n", "2", "--eta", "1.7e308",
+     "--g2", "1:3:2", "--cutoff", "10,10"],
+    ["sweep", "--family", "tmsv_gaussian", "--r", "0.3", "--eta", "1.7e308",
+     "--g2", "1:1.5:0.5"],
     # unwritable --out: a missing directory, or a directory itself
     ["sweep", "--family", "noon_symmetric", "--n", "2", "--g2", "1.0:1.1:0.1",
      "--out", "{tmp}/missing/x.csv"],
@@ -267,17 +272,21 @@ def test_cli_configuration_errors():
     ["sweep", "--family", "noon_symmetric", "--n", "2", "--r", "0.9", "--g2", "1:1.1:0.1"],
     ["sweep", "--family", "noon_asymmetric", "--n", "2", "--r", "0.5"],
 ], ids=lambda argv: " ".join(argv))
-def test_cli_misuse_exits_2(argv, tmp_path, capsys):
+def test_cli_misuse_exits_2(argv, tmp_path, capsys, recwarn):
     out = tmp_path / "out.csv"
     argv = [a.format(tmp=tmp_path) for a in argv]
     extra = ["--out", str(out)] if argv[0] == "qfunc" and "--out" not in argv else []
     assert main(argv + extra) == 2
     err = capsys.readouterr().err
     assert err.startswith("configuration error: ") and err.count("\n") == 1
+    assert not recwarn.list   # a warning would be a second stderr line
     assert "Traceback" not in err
     assert not out.exists()
     if "1e20" in argv:
         assert "gain g' = " in err and "dimension cap" in err
+    if "1.7e308" in argv:
+        assert ("gain g' = " in err and "not finite" in err if "noon_symmetric" in argv
+                else "covariance entries must be finite" in err)
 
 
 def _assert_invariant_failure(argv, tmp_path, capsys, match):
@@ -335,7 +344,7 @@ def test_cli_qfunc(tmp_path):
 
 
 def test_cli_qfunc_eta(tmp_path):
-    """--eta sends the state through the exact channel; the default is the
+    """--eta builds the state at that bath parameter; the default is the
     ideal amplifier, byte for byte."""
     argv = ["qfunc", "--n", "2", "--g2", "1.5", "--points", "4"]
     outs = {eta: tmp_path / f"q_{eta}.csv" for eta in ("default", "0", "0.5")}
@@ -383,6 +392,23 @@ def test_verify_output_independent_of_blas_threads():
                for threads in ("1", "2")]
     assert outputs[0] == outputs[1]
     assert json.loads(outputs[0].splitlines()[-1])["failed"] == 0
+
+
+def test_verify_detects_skewed_loss_stage(monkeypatch, capsys):
+    """Deliberate fault injection: a closed form whose transmissivity tau
+    comes from 1.01 eta fails verify through map_vs_closed_form, its one
+    check at eta > 0."""
+    stage_logs = channel._stage_logs
+
+    def skewed(params):
+        log_g, _, log_loss = stage_logs(params)
+        g_amp = 1.0 + (params.g_squared - 1.0) * (1.0 + 1.01 * params.eta)
+        return log_g, math.log(params.g_squared / g_amp), log_loss
+
+    monkeypatch.setattr(channel, "_stage_logs", skewed)
+    assert run_verify() == 1
+    summary = json.loads(capsys.readouterr().out.strip().split("\n")[-1])
+    assert [name for name, ok in summary["checks"].items() if not ok] == ["map_vs_closed_form"]
 
 
 @pytest.mark.parametrize("builder,oracle_check", [

@@ -36,9 +36,10 @@ def test_params_validation_and_eta(monkeypatch):
     def no_stage_gain(self):
         raise AssertionError("evolve read stage_gain")
 
+    params = AmplifierParams(1.01, eta=0.5)   # construction checks the stage gain
     monkeypatch.setattr(_kernels, "ladder", recording_ladder)
     monkeypatch.setattr(AmplifierParams, "stage_gain", property(no_stage_gain))
-    evolve(build_noon(NoonSpec(1), ModeCutoffs(12, 12)), AmplifierParams(1.01, eta=0.5))
+    evolve(build_noon(NoonSpec(1), ModeCutoffs(12, 12)), params)
     assert rates == [("a", 1.5, 0.5), ("b", 1.5, 0.5)]
 
 
@@ -141,10 +142,11 @@ def test_oracle_checks_detect_injected_faults(monkeypatch):
     both = (MODE_SYMMETRIC, MODE_ASYMMETRIC_A)
 
     def criterion_12():
-        return checks.map_vs_oracle(both, (0.25, 1.0), 2, 1.5, ModeCutoffs(40, 40))
+        return checks.closed_form_vs_oracle(both, (0.25, 1.0), 2, 1.5,
+                                            CutoffPolicy(fixed_cutoffs=ModeCutoffs(40, 40)))
 
     def criterion_3():
-        return checks.closed_form_vs_oracle(both, 2, 1.5, CutoffPolicy())
+        return checks.closed_form_vs_oracle(both, (0.0,), 2, 1.5, CutoffPolicy())
 
     assert criterion_12().passed and criterion_3().passed
 

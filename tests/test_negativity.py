@@ -8,7 +8,7 @@ from noonamp import (AmplifierParams, CutoffPolicy, MODE_ASYMMETRIC_A, MODE_SYMM
                      ModeCutoffs, NoonSpec, TwoModeState, amplify_noon,
                      amplify_noon_asymmetric, amplify_noon_symmetric, build_noon,
                      select_cutoffs)
-from noonamp import config
+from noonamp import config, negativity
 from noonamp.cli import SweepConfig, g2_values
 from noonamp.fock import partial_transpose_b
 from noonamp.negativity import log_negativity_block, log_negativity_dense
@@ -180,6 +180,23 @@ def test_negative_eigenvalue_clamp():
         for res in (log_negativity_dense(state), log_negativity_block(state)):
             assert abs(res.min_eigenvalue - eig) <= 1e-24
             assert res.neg_sum == pytest.approx(-eig if counted else 0.0, rel=1e-12, abs=0.0)
+
+
+def test_row_sums_match_one_sum_per_row():
+    """``_neg_sums`` gives each ascending row's ``_neg_sum`` bit for bit, for
+    rows with 0 to 39 negatives, some inside the clamp."""
+    rng = np.random.default_rng(11)
+    rows = []
+    for k in list(range(40)) * 3:
+        neg = -rng.uniform(1e-12, 1.0, size=k) * 10.0 ** -rng.integers(0, 8, size=k)
+        rest = rng.uniform(-config.EIG_NEG_CLAMP, 1.0, size=40 - k)
+        rows.append(np.sort(np.concatenate([neg, rest])))
+    eigs = np.array(rows)
+    # with rows free of negatives, and with a negative in every row
+    for batch in (eigs, eigs[eigs[:, 0] < -config.EIG_NEG_CLAMP]):
+        want = np.array([negativity._neg_sum(row) for row in batch])
+        assert np.array_equal(negativity._neg_sums(batch), want)
+        assert np.count_nonzero(want) > 100
 
 
 def test_component_above_limit_refused_before_allocation():

@@ -116,7 +116,7 @@ def test_husimi_q_nonnegative(n, g2, mode):
 def test_exact_channel_output(n, g2, eta, mode):
     """The exact channel applied to the NOON input gives a valid truncated
     density matrix whose trace does not exceed the input's (beyond
-    rounding), and at eta = 0 it is the closed form."""
+    rounding), and it is the closed form at every eta."""
     spec = NoonSpec(n)
     params = AmplifierParams(g2, eta=eta, mode_config=mode)
     cutoffs = select_cutoffs(spec, params, CutoffPolicy())
@@ -125,10 +125,9 @@ def test_exact_channel_output(n, g2, eta, mode):
     TwoModeState(out.cutoffs, out.k_a, out.k_b, out.x)  # the constructor's checks
     assert out.k_a.tolist() == [0, n] and out.k_b.tolist() == [0, -n]
     assert out.trace <= noon.trace + 1e-14
-    if eta == 0.0:
-        closed = amplify_noon(spec, params, cutoffs)
-        assert np.array_equal(closed.k_a, out.k_a) and np.array_equal(closed.k_b, out.k_b)
-        assert float(np.abs(closed.x - out.x).max()) <= 1e-15
+    closed = amplify_noon(spec, params, cutoffs)
+    assert np.array_equal(closed.k_a, out.k_a) and np.array_equal(closed.k_b, out.k_b)
+    assert float(np.abs(closed.x - out.x).max()) <= 1e-15
 
 
 @settings(deadline=None, max_examples=25)
