@@ -255,6 +255,11 @@ def _mode_matrices(dim: int, ks: np.ndarray, params: AmplifierParams) -> np.ndar
 
     log_paths = 0.5 * (log_binomial(hi + k, steps) + log_binomial(hi, steps))
 
+    # The stage logs are worked out here again rather than read from
+    # _stage_logs.  This map is the closed form's independent check
+    # (checks.map_vs_closed_form), and test_verify_detects_skewed_loss_stage
+    # injects its fault into _stage_logs, relying on the map not sharing it.
+    # Sharing them keeps every bit but would blind that test.
     g_amp, g2 = params.stage_gain, params.g_squared
     log_g = math.log(g_amp)
     log_amp = (log_paths + steps * (math.log(g_amp - 1.0) - log_g)

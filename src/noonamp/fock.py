@@ -116,7 +116,7 @@ class TwoModeState:
         if np.iscomplexobj(x):
             middle = (k_a == 0) & (k_b == 0)
             diag_imag = float(np.abs(x[middle].imag).max(initial=0.0))
-            if validate and diag_imag > config.ATOL_STRUCTURAL:
+            if validate and not diag_imag <= config.ATOL_STRUCTURAL:
                 raise ValueError("diagonal has imaginary parts beyond tolerance")
             x = x.copy()
             x[middle] = x[middle].real   # the diagonal is stored real
@@ -127,11 +127,11 @@ class TwoModeState:
         x = x[keep].astype(np.complex128 if np.iscomplexobj(x) else np.float64, copy=False)
         k_a, k_b = k_a[keep], k_b[keep]
         trace = _trace(x, k_a, k_b)
-        if validate:
+        if validate:   # written so that a NaN fails each check
             diag = _populations(x, k_a, k_b)
-            if float(diag.real.min(initial=0.0)) < -config.ATOL_STRUCTURAL:
-                raise ValueError("diagonal has negative entries beyond tolerance")
-            if trace > 1.0 + 1e-9:
+            if not float(diag.real.min(initial=0.0)) >= -config.ATOL_STRUCTURAL:
+                raise ValueError("diagonal has negative or NaN entries beyond tolerance")
+            if not trace <= 1.0 + 1e-9:
                 raise ValueError(f"trace {trace} exceeds 1; not a truncated density matrix")
         for arr in (k_a, k_b, x):
             arr.setflags(write=False)
@@ -146,12 +146,14 @@ class TwoModeState:
                      validate: bool = True) -> "TwoModeState":
         """State from COO triplets over the flattened basis; repeated
         (row, col) pairs are summed.  The matrix must be Hermitian within
-        ``config.ATOL_STRUCTURAL`` whatever ``validate`` says; the sectors
-        below (0, 0) are then dropped."""
+        ``config.ATOL_STRUCTURAL`` and every value finite, whatever
+        ``validate`` says; the sectors below (0, 0) are then dropped."""
         da, db = cutoffs.cutoff_a, cutoffs.cutoff_b
         rows = np.asarray(rows, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
         values = np.asarray(values)
+        if not np.isfinite(values).all():
+            raise ValueError("entries must be finite")
         if rows.size and not (0 <= min(rows.min(), cols.min())
                               and max(rows.max(), cols.max()) < cutoffs.dimension):
             raise ValueError(f"entry outside the {cutoffs.dimension}-dimensional basis")

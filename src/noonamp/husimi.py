@@ -86,7 +86,7 @@ def coherent_matrix(samples: np.ndarray, cutoff: int) -> np.ndarray:
 
 def _guard(samples: np.ndarray, cutoff: int, label: str):
     top = float(np.max(np.abs(samples) ** 2, initial=0.0))
-    if top > cutoff / 4.0 + 1e-12:
+    if not top <= cutoff / 4.0 + 1e-12:   # a NaN amplitude fails too
         raise ValueError(
             f"|{label}|^2 = {top:.4g} exceeds cutoff/4 = {cutoff / 4.0:.4g}; "
             "coherent-state tails past the cutoff would contaminate Q"

@@ -7,9 +7,10 @@ partial transpose keeps sector (0, 0) on its diagonal and couples each
 basis state to the one a step (N, N) away, so it is a direct sum of
 tridiagonal chains: short chains when both modes are amplified, 2x2 blocks
 when one is, thousands of chains in a few lengths.  The route reads the
-chains off the sector stack and solves the chains of one length by a
-single stacked ``np.linalg.eigvalsh`` call.  It takes any state with
-sector (0, 0) and at most one other stored sector, and refuses every other.
+chains off the sector stack, lays their entries out once (see
+``log_negativity_block``) and solves the chains of each length together.
+It takes any state with sector (0, 0) and at most one other stored sector,
+and refuses every other.
 
 Most chains carry no negativity, and the block route solves only those
 that may.  By Sylvester's law of inertia, the number of negative LDL^T
@@ -115,19 +116,22 @@ def log_negativity_block(state: TwoModeState) -> NegativityResult:
     partial transpose is never materialized: its diagonal is sector (0, 0)
     and its only couplings join each basis state to the one a step
     (k_a, -k_b) away, so it is a direct sum of tridiagonal chains, split
-    wherever a coupling is zero.  The chains of each length are scattered
-    into one (count, length, length) stack and solved by one
-    ``np.linalg.eigvalsh`` call, which runs the same LAPACK routine on each
-    matrix as a solve of that matrix alone; a 1x1 chain is its diagonal
-    entry.  Only the chains with a non-positive LDL^T pivot of
-    T + EIG_NEG_CLAMP / 2 I are solved, unless they carry no negativity or
-    an entry exceeds 1 in magnitude, when every chain is (see the module
-    docstring); an unsolved chain has no eigenvalue below -EIG_NEG_CLAMP / 2
-    and contributes 0.  Each chain's negative sum is then added up in order
-    of its smallest PT index, so the result is bit for bit that of one
-    eigensolve per chain.  A chain longer than
+    wherever a coupling is zero.  A chain longer than
     ``config.FULL_SOLVE_MAX_DIMENSION`` is refused with ValueError before
     any block is allocated.
+
+    The chains are numbered in order of their smallest PT index and laid
+    out once, for the pivot pass and the solves alike: each chain gets a
+    slot, longest chains first, and the diagonal ``a`` and the coupling
+    ``b`` to the next member of rank i of the chain in slot s sit at
+    ``offset[i] + s``.  So rank i of every chain longer than i is one
+    contiguous slice, and the chains of one length are one run of slots.
+    Each run's chains to be solved (the module docstring says which) are
+    scattered into one (count, length, length) stack and solved by one
+    ``np.linalg.eigvalsh`` call, which runs the same LAPACK routine on each
+    matrix as a solve of that matrix alone; a 1x1 chain is its diagonal
+    entry.  Each chain's negative sum is added up in chain order, so the
+    result is bit for bit that of one eigensolve per chain.
     """
     k_a, k_b, x = state.k_a, state.k_b, state.x
     others = np.flatnonzero((k_a != 0) | (k_b != 0))   # sectors besides (0, 0)
@@ -162,105 +166,88 @@ def log_negativity_block(state: TwoModeState) -> NegativityResult:
     while not np.array_equal(head[head], head):
         head = head[head]
     nodes = np.flatnonzero(occupied)   # PT rows with a stored entry, ascending
-    # chains are numbered in order of their first (smallest) member
     _, chain, sizes = np.unique(head[nodes], return_inverse=True, return_counts=True)
     if sizes.max(initial=0) > config.FULL_SOLVE_MAX_DIMENSION:
         raise ValueError(
             f"partial-transpose component of size {sizes.max()} exceeds the "
             f"eigensolve limit {config.FULL_SOLVE_MAX_DIMENSION}")
-    rank = (nodes - head[nodes]) // step
-    chain_neg = np.zeros(sizes.size)  # each chain's neg_sum, in chain order
-    chains = (sizes, nodes, chain, rank, diag, low, chain_neg)
+
+    place = np.empty(sizes.size, dtype=np.int64)   # each chain's slot
+    place[np.argsort(-sizes, kind="stable")] = np.arange(sizes.size)
+    # longer[i]: the number of chains longer than i, which hold rank i
+    # (minlength=2 keeps longer[0] = 0 when there is no chain)
+    longer = sizes.size - np.cumsum(np.bincount(sizes, minlength=2))[:-1]
+    offset = np.concatenate(([0], np.cumsum(longer)))
+    at = offset[(nodes - head[nodes]) // step] + place[chain]
+    a = np.empty(nodes.size)
+    a[at] = diag[nodes]
+    b = np.empty(nodes.size, dtype=low.dtype)
+    b[at] = low[nodes]
+    neg = np.zeros(sizes.size)   # each chain's neg_sum, in slot order
 
     every = np.ones(sizes.size, dtype=bool)
-    if max(np.abs(diag).max(initial=0.0), np.abs(low).max(initial=0.0)) > 1.0:
+    if max(np.abs(a).max(initial=0.0), np.abs(b).max(initial=0.0)) > 1.0:
         todo = every   # outside the pivots' rounding margin
     else:
-        todo = _nonpositive_pivot(sizes, nodes, chain, rank, diag, low)
-    min_eig = _solve_chains(todo, *chains)
+        todo = _nonpositive_pivot(longer, offset, a, np.abs(b) ** 2)
+    min_eig = _solve_chains(todo, neg, longer, offset, a, b)
     if not min_eig < -config.EIG_NEG_CLAMP:
         # no negativity, and min_eigenvalue may lie in any chain
-        min_eig = _solve_chains(every, *chains)
+        min_eig = _solve_chains(every, neg, longer, offset, a, b)
     if nodes.size < d:
         min_eig = min(0.0, min_eig)   # empty rows contribute eigenvalue 0
 
     # added in chain order, as one solve per chain adds them
-    neg_sum = float(np.cumsum(chain_neg)[-1]) if chain_neg.size else 0.0
+    neg_sum = float(np.cumsum(neg[place])[-1]) if neg.size else 0.0
     if not np.isfinite(min_eig):
         min_eig = 0.0
     return _result(float(min_eig), neg_sum, "block", int(sizes.size))
 
 
-def _nonpositive_pivot(sizes, nodes, chain, rank, diag, low) -> np.ndarray:
-    """Per chain: does T + shift I have a non-positive LDL^T pivot, for
-    shift = ``config.EIG_NEG_CLAMP`` / 2?  ``diag`` and ``low`` hold each
-    PT row's diagonal entry and its coupling to the next member of its chain.
+def _nonpositive_pivot(longer, offset, a, b2) -> np.ndarray:
+    """Per slot: does T + shift I have a non-positive LDL^T pivot, for
+    shift = ``config.EIG_NEG_CLAMP`` / 2?  ``b2`` is |b|^2.
 
-    The chains are sorted by decreasing length and their nodes laid out
-    rank-major, so rank i of every chain longer than i is one contiguous
-    slice, and max(sizes) vectorized steps run the pivot recurrence
+    One vectorized step per rank runs the pivot recurrence
     p_i = a_i + shift - |b_{i-1}|^2 / p_{i-1} of every chain in O(d)
     memory.  A zero pivot is replaced by -shift, which has already flagged
     its chain and keeps the next step finite.
     """
     shift = 0.5 * config.EIG_NEG_CLAMP
-    place = np.empty(sizes.size, dtype=np.int64)
-    place[np.argsort(-sizes, kind="stable")] = np.arange(sizes.size)
-    # longer[i]: the number of chains longer than i, which hold rank i
-    longer = sizes.size - np.cumsum(np.bincount(sizes))[:-1]
-    offset = np.concatenate(([0], np.cumsum(longer)))
-    at = offset[rank] + place[chain]
-    shifted = np.empty(at.size)
-    shifted[at] = diag[nodes]
-    shifted += shift
-    coupling = np.empty(at.size)
-    coupling[at] = np.abs(low[nodes]) ** 2
-
-    flagged = np.zeros(sizes.size, dtype=bool)
-    pivot = shifted[:sizes.size]
+    shifted = a + shift
+    flagged = np.zeros(longer[0], dtype=bool)
+    pivot = shifted[:longer[0]]
     for i, n in enumerate(longer.tolist()[1:], start=1):
         flagged[:pivot.size] |= pivot <= 0
         prev = np.where(pivot[:n] == 0, -shift, pivot[:n])
-        pivot = shifted[offset[i]:offset[i] + n] - coupling[offset[i - 1]:offset[i - 1] + n] / prev
+        pivot = shifted[offset[i]:offset[i] + n] - b2[offset[i - 1]:offset[i - 1] + n] / prev
     flagged[:pivot.size] |= pivot <= 0
-    return flagged[place]
+    return flagged
 
 
-def _solve_chains(todo, sizes, nodes, chain, rank, diag, low, chain_neg) -> float:
-    """Solve the chains marked in ``todo`` and store each one's negative sum
-    in ``chain_neg``; returns their smallest eigenvalue (inf if none).
-
-    The chains of each length are scattered into one (count, length,
-    length) stack and solved by one ``np.linalg.eigvalsh`` call, which runs
-    the same LAPACK routine on each matrix as a solve of that matrix alone;
-    a 1x1 chain is its diagonal entry.
-    """
-    ids = np.flatnonzero(todo)
-    # a chain's slot is its rank among the chains of its length
-    by_size = ids[np.argsort(sizes[ids], kind="stable")]
-    batch_sizes, starts, counts = np.unique(sizes[by_size], return_index=True,
-                                            return_counts=True)
-    slot = np.empty(sizes.size, dtype=np.int64)
-    slot[by_size] = np.arange(by_size.size) - np.repeat(starts, counts)
-    pick = todo[chain]
-    nodes, chain, rank = nodes[pick], chain[pick], rank[pick]
-    node_sizes = sizes[chain]
-
+def _solve_chains(todo, neg, longer, offset, a, b) -> float:
+    """Solve the slots marked in ``todo``, one stack per chain length, and
+    store each one's negative sum in ``neg``; returns their smallest
+    eigenvalue (inf if none)."""
     min_eig = np.inf
-    for size, start, count in zip(batch_sizes.tolist(), starts, counts):
-        sel = node_sizes == size
-        at, b, r = nodes[sel], slot[chain[sel]], rank[sel]
-        stack = np.zeros((count, size, size), dtype=low.dtype)
-        stack[b, r, r] = diag[at]
+    ends = np.append(longer, 0)
+    for size in range(1, longer.size + 1):
+        # the chains of length size hold slots ends[size] to ends[size - 1]
+        slots = np.flatnonzero(todo[ends[size]:ends[size - 1]]) + ends[size]
+        if not slots.size:
+            continue
+        at = offset[:size] + slots[:, None]   # (count, size) node positions
         if size == 1:
-            eigs = stack[:, :, 0].real  # PT leaves the diagonal in place
+            eigs = a[at]
         else:
-            on = r < size - 1   # every member but the last couples to the next
-            stack[b[on], r[on] + 1, r[on]] = low[at[on]]
-            stack[b[on], r[on], r[on] + 1] = low[at[on]].conj()
+            r = np.arange(size)
+            stack = np.zeros((slots.size, size, size), dtype=b.dtype)
+            stack[:, r, r] = a[at]
+            stack[:, r[1:], r[:-1]] = b[at[:, :-1]]
+            stack[:, r[:-1], r[1:]] = b[at[:, :-1]].conj()
             eigs = np.linalg.eigvalsh(stack)
         min_eig = min(min_eig, float(eigs[:, 0].min()))
-        chain_neg[by_size[start:start + count]] = _neg_sums(eigs)
+        neg[slots] = _neg_sums(eigs)
     return min_eig
 
 

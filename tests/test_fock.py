@@ -216,6 +216,26 @@ def test_from_entries_refuses_non_hermitian():
             from_matrix(ModeCutoffs(2, 3), skew, validate=validate)
 
 
+def test_non_finite_entries_refused():
+    """A comparison with NaN is false, so a NaN would pass a check written
+    as ``x > bound``.  from_entries refuses non-finite values whatever
+    ``validate`` says, a NaN population or coherence included, and the
+    constructor refuses a NaN diagonal."""
+    cut = ModeCutoffs(2, 2)
+    for validate in (True, False):
+        with pytest.raises(ValueError, match="finite"):
+            TwoModeState.from_entries(cut, [0, 3], [0, 3], [np.nan, 0.5], validate=validate)
+        with pytest.raises(ValueError, match="finite"):
+            TwoModeState.from_entries(cut, [0, 3, 0, 3], [0, 3, 3, 0],
+                                      [0.5, 0.5, np.nan, np.nan], validate=validate)
+        with pytest.raises(ValueError, match="finite"):
+            TwoModeState.from_entries(cut, [0], [0], [np.inf], validate=validate)
+    x = np.zeros((1, 2, 2))
+    x[0, 0, 0], x[0, 1, 1] = np.nan, 0.5
+    with pytest.raises(ValueError, match="NaN"):
+        TwoModeState(cut, [0], [0], x)
+
+
 def test_state_immutable():
     state = build_noon(NoonSpec(1), ModeCutoffs(3, 3))
     with pytest.raises(AttributeError):

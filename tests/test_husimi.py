@@ -65,6 +65,11 @@ def test_amplitude_guard():
         q_evaluate(state, big)
     with pytest.raises(ValueError, match="cutoff/4"):
         q_pairs(state, np.array([0j]), np.array([3.0 + 0j]))
+    # a NaN amplitude fails the guard too, instead of yielding a NaN Q
+    with pytest.raises(ValueError, match="cutoff/4"):
+        q_pairs(state, [np.nan], [0])
+    with pytest.raises(ValueError, match="cutoff/4"):
+        q_evaluate(state, QGrid(np.array([0j]), np.array([complex(np.nan, 0.0)])))
     # |alpha|^2 = cutoff/4 itself is admitted, and exact for a finite support
     out = q_evaluate(state, QGrid(np.array([1.0 + 0j]), np.array([0j])))
     analytic = math.exp(-1.0) / (2 * math.pi**2)

@@ -137,8 +137,9 @@ def test_eta_above_zero_supported():
 def test_oracle_checks_detect_injected_faults(monkeypatch):
     """The oracle sees faults in what it checks: a stage gain built from
     1.01 eta fails criterion 12 (measured 3.5e-3 against 1e-9), and a
-    closed-form coupling sector scaled by 1.001 fails criterion 3 (measured
-    4.5e-4 against 1e-6).  Both grids pass unpatched."""
+    closed-form coupling sector scaled by 1.001 or by 1 + 1e-6 fails
+    criterion 3 (measured 4.5e-4 and 4.5e-7 against 1e-9).  Both grids pass
+    unpatched."""
     both = (MODE_SYMMETRIC, MODE_ASYMMETRIC_A)
 
     def criterion_12():
@@ -156,12 +157,15 @@ def test_oracle_checks_detect_injected_faults(monkeypatch):
     monkeypatch.setattr(AmplifierParams, "stage_gain", property(skewed_stage_gain))
     assert not criterion_12().passed
 
-    for name in ("amplify_noon_symmetric", "amplify_noon_asymmetric"):
-        def scaled(spec, params, cutoffs, closed_form=getattr(channel, name)):
-            state = closed_form(spec, params, cutoffs)
-            x = state.x.copy()
-            x[1] *= 1.001   # the coupling sector (N, -N)
-            return TwoModeState(cutoffs, state.k_a, state.k_b, x)
+    closed_forms = {name: getattr(channel, name)
+                    for name in ("amplify_noon_symmetric", "amplify_noon_asymmetric")}
+    for scale in (1.001, 1.0 + 1e-6):
+        for name, closed_form in closed_forms.items():
+            def scaled(spec, params, cutoffs, closed_form=closed_form, scale=scale):
+                state = closed_form(spec, params, cutoffs)
+                x = state.x.copy()
+                x[1] *= scale   # the coupling sector (N, -N)
+                return TwoModeState(cutoffs, state.k_a, state.k_b, x)
 
-        monkeypatch.setattr(channel, name, scaled)
-    assert not criterion_3().passed
+            monkeypatch.setattr(channel, name, scaled)
+        assert not criterion_3().passed, scale
