@@ -85,8 +85,9 @@ class TwoModeState:
     as triplets.
 
     Construction checks the diagonal (real and non-negative) and a trace
-    of at most 1; ``validate=False`` skips these checks.  Either way the
-    diagonal's imaginary part is dropped, so sector (0, 0) is stored real.
+    of at most 1; ``validate=False`` skips these checks.  Either way every
+    stored entry must be finite, and the diagonal's imaginary part is
+    dropped, so sector (0, 0) is stored real.
     Outside input, which may not be Hermitian, comes in through
     ``from_entries``.
     ``trace_deficit`` records 1 - Tr(rho): states built by truncating an
@@ -126,12 +127,14 @@ class TwoModeState:
         # boolean indexing copies; the cast then copies only a foreign dtype
         x = x[keep].astype(np.complex128 if np.iscomplexobj(x) else np.float64, copy=False)
         k_a, k_b = k_a[keep], k_b[keep]
+        if not np.isfinite(x).all():
+            raise ValueError("entries must be finite, not NaN or inf")
         trace = _trace(x, k_a, k_b)
-        if validate:   # written so that a NaN fails each check
+        if validate:
             diag = _populations(x, k_a, k_b)
-            if not float(diag.real.min(initial=0.0)) >= -config.ATOL_STRUCTURAL:
-                raise ValueError("diagonal has negative or NaN entries beyond tolerance")
-            if not trace <= 1.0 + 1e-9:
+            if float(diag.real.min(initial=0.0)) < -config.ATOL_STRUCTURAL:
+                raise ValueError("diagonal has negative entries beyond tolerance")
+            if trace > 1.0 + 1e-9:
                 raise ValueError(f"trace {trace} exceeds 1; not a truncated density matrix")
         for arr in (k_a, k_b, x):
             arr.setflags(write=False)
@@ -303,9 +306,12 @@ def hermitian_eigvalsh(rows, cols, values, cutoffs: ModeCutoffs) -> np.ndarray:
     the squeezed vacuum).  Such a matrix is block diagonal in the charge
     and its spectrum is the union of the blocks' spectra.  The test is exact
     over the integers and reads each entry once.  Every basis state
-    of a charge, rows without a stored entry included, joins its block, and
-    each block is solved densely.  A matrix that conserves neither charge is
-    solved whole, up to ``config.FULL_SOLVE_MAX_DIMENSION``.
+    of a charge, rows without a stored entry included, joins its block.
+    The blocks of one size are solved densely by one stacked
+    ``np.linalg.eigvalsh`` call, which runs the same LAPACK routine on each
+    block as a solve of that block alone; a block with no stored entry
+    keeps its exact zero eigenvalues.  A matrix that conserves neither
+    charge is solved whole, up to ``config.FULL_SOLVE_MAX_DIMENSION``.
     """
     d = cutoffs.dimension
     n_a, n_b = np.divmod(np.arange(d), cutoffs.cutoff_b)
@@ -328,17 +334,26 @@ def hermitian_eigvalsh(rows, cols, values, cutoffs: ModeCutoffs) -> np.ndarray:
     starts = np.cumsum(sizes) - sizes
     place = np.empty(d, dtype=np.intp)
     place[np.argsort(charge, kind="stable")] = np.arange(d) - np.repeat(starts, sizes)
-    order = np.argsort(charge[rows], kind="stable")
-    block_rows, block_cols, vals = place[rows[order]], place[cols[order]], values[order]
-    bounds = np.searchsorted(charge[rows[order]], np.arange(sizes.size + 1))
 
-    eigs = []
-    for k, size in enumerate(sizes.tolist()):
-        lo, hi = bounds[k], bounds[k + 1]
-        if lo == hi:
-            eigs.append(np.zeros(size))
-            continue
-        block = np.zeros((size, size), dtype=vals.dtype)
-        np.add.at(block, (block_rows[lo:hi], block_cols[lo:hi]), vals[lo:hi])
-        eigs.append(np.linalg.eigvalsh(block))
-    return np.sort(np.concatenate(eigs))
+    # the blocks with a stored entry, grouped by size: slot[k] is block k's
+    # place in its size's stack, and the entries are grouped the same way,
+    # in input order within a size, so repeated positions are summed in
+    # the order one scatter per block sums them
+    block = charge[rows]
+    filled = np.flatnonzero(np.bincount(block, minlength=sizes.size))
+    filled = filled[np.argsort(sizes[filled], kind="stable")]
+    counts = np.bincount(sizes[filled])
+    first = np.cumsum(counts) - counts   # each size's first block in filled
+    slot = np.empty(sizes.size, dtype=np.intp)
+    slot[filled] = np.arange(filled.size) - first[sizes[filled]]
+    order = np.argsort(sizes[block], kind="stable")
+    bounds = np.searchsorted(sizes[block[order]], np.arange(counts.size + 1))
+
+    eigs = np.zeros(d)
+    for size in np.flatnonzero(counts).tolist():
+        at = order[bounds[size]:bounds[size + 1]]
+        run = filled[first[size]:first[size] + counts[size]]
+        stack = np.zeros((run.size, size, size), dtype=values.dtype)
+        np.add.at(stack, (slot[block[at]], place[rows[at]], place[cols[at]]), values[at])
+        eigs[starts[run][:, None] + np.arange(size)] = np.linalg.eigvalsh(stack)
+    return np.sort(eigs)

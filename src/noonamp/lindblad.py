@@ -25,9 +25,10 @@ Taylor sum (Moler & Van Loan, SIAM Rev. 45, 3 (2003); Al-Mohy & Higham,
 SIAM J. Matrix Anal. Appl. 31, 970 (2009)); there is no time-step error.
 
 Amplification pushes weight toward the cutoff, so the state is advanced in
-spans of ``CHECK_INTERVAL`` (and one final partial span), and after each
-span the populations of the top two Fock levels of each amplified mode are
-checked; the run aborts if they grow past the leak budget.
+ceil(t / ``CHECK_INTERVAL``) equal spans, all by one propagator per
+amplified mode, and after each span the populations of the top two Fock
+levels of each amplified mode are checked; the run aborts if they grow
+past the leak budget.
 
 This module is the independent oracle for the physical model: the
 package's states come from the closed forms and from the exact Kraus map
@@ -47,8 +48,8 @@ from . import _kernels
 from .channel import AmplifierParams
 from .fock import TwoModeState
 
-# time between leak checks, in units of 1/kappa; the state is advanced
-# exactly by this span, so it sets only where the monitor looks
+# longest time between leak checks, in units of 1/kappa; the state is
+# advanced exactly over each span, so it sets only where the monitor looks
 CHECK_INTERVAL = 5e-3
 
 _LEAK_TOL = 1e-8
@@ -108,38 +109,33 @@ def evolve(state: TwoModeState, params: AmplifierParams) -> TwoModeState:
     """Integrate the master equation on ``params.amplified_modes`` with
     kappa N1 = 1 + eta and kappa N2 = eta until the intensity gain
     exp(2 (kappa N1 - kappa N2) t) reaches params.g_squared, checking the
-    leak every CHECK_INTERVAL and at the end."""
+    leak after each of ceil(t / CHECK_INTERVAL) equal spans, the last at t."""
     kappa_n1, kappa_n2 = 1.0 + params.eta, params.eta
     rate = kappa_n1 - kappa_n2
     t_final = math.log(params.g_squared) / (2.0 * rate)
     if t_final == 0.0:
         return state
-
-    n_full = int(t_final / CHECK_INTERVAL)
-    rem = t_final - n_full * CHECK_INTERVAL
-    spans = [CHECK_INTERVAL] * n_full + ([rem] if rem > 1e-15 * max(t_final, 1.0) else [])
+    n_spans = math.ceil(t_final / CHECK_INTERVAL)
 
     modes = params.amplified_modes
     c = state.cutoffs
     k_a, k_b, x = state.k_a, state.k_b, state.x
-    # per amplified mode, each sector's propagator for each span length
+    # per amplified mode, each sector's propagator over one span
     props = {}
     for mode, k, dim in (("a", k_a, c.cutoff_a), ("b", k_b, c.cutoff_b)):
         if mode in modes:
             k_abs, index = np.unique(np.abs(k), return_inverse=True)
             gens = _generators(mode, k_abs, dim, kappa_n1, kappa_n2)
-            props[mode] = {span: _expm(gens, span)[index].astype(x.dtype)
-                           for span in set(spans)}
+            props[mode] = _expm(gens, t_final / n_spans)[index].astype(x.dtype)
     # the (0, 0) sector holds the populations, rho[n, m, n, m] = x[s, n, m]
     middle = np.flatnonzero((k_a == 0) & (k_b == 0))
 
-    t = 0.0
-    for span in spans:
+    # linspace ends exactly at t_final
+    for t in np.linspace(0.0, t_final, n_spans + 1)[1:].tolist():
         if "a" in props:
-            x = props["a"][span] @ x
+            x = props["a"] @ x
         if "b" in props:
-            x = x @ props["b"][span]
-        t += span
+            x = x @ props["b"]
         _check_leak(x[middle[0]].real if middle.size else None, modes, t, rate)
 
     return TwoModeState(c, k_a, k_b, x)

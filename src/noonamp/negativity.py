@@ -24,9 +24,10 @@ entries of magnitude at most 1.  Such a chain is not solved.  Every chain
 is solved in two cases: when the chains with a non-positive pivot yield no
 eigenvalue below -EIG_NEG_CLAMP (or there are none), because the smallest
 eigenvalue, which the result reports, may then lie in any chain; and when
-an entry exceeds 1 in magnitude, which only a state built with
-``validate=False`` can hold.  Either way the result is bit for bit that of
-solving every chain.
+an entry exceeds 1 in magnitude.  Validation bounds the diagonal by the
+trace, at most 1, but it does not test positivity, so it bounds no
+coherence: a validated state can hold an off-diagonal entry above 1.
+Either way the result is bit for bit that of solving every chain.
 
 The dense route is the oracle the block route must match.  It hands the
 partial transpose to ``fock.hermitian_eigvalsh``, which solves it one

@@ -300,10 +300,13 @@ def _assert_invariant_failure(argv, tmp_path, capsys, match):
 
 def test_cli_oracle_leak_exits_1(tmp_path, capsys):
     """The integrator's leak monitor aborts at the auto cutoffs of N=4,
-    G^2=1.55: one stderr line, exit 1, no output file."""
-    _assert_invariant_failure(["sweep", "--family", "noon_symmetric", "--n", "4",
-                               "--g2", "1.55:1.56:0.05", "--oracle-check"],
-                              tmp_path, capsys, "cutoff leakage")
+    G^2=1.55, and at cutoffs 20x20 well before the final gain: one stderr
+    line, exit 1, no output file."""
+    argv = ["sweep", "--family", "noon_symmetric", "--n", "4",
+            "--g2", "1.55:1.56:0.05", "--oracle-check"]
+    _assert_invariant_failure(argv, tmp_path, capsys, "cutoff leakage")
+    _assert_invariant_failure(argv + ["--cutoff", "20,20"], tmp_path, capsys,
+                              "cutoff leakage at t=0.0946")
 
 
 def test_cli_method_disagreement_exits_1(tmp_path, capsys, monkeypatch):

@@ -218,9 +218,9 @@ def test_from_entries_refuses_non_hermitian():
 
 def test_non_finite_entries_refused():
     """A comparison with NaN is false, so a NaN would pass a check written
-    as ``x > bound``.  from_entries refuses non-finite values whatever
-    ``validate`` says, a NaN population or coherence included, and the
-    constructor refuses a NaN diagonal."""
+    as ``x > bound``.  from_entries and the constructor refuse non-finite
+    values whatever ``validate`` says, a NaN population or coherence
+    included; a NaN coherence would otherwise read as zero negativity."""
     cut = ModeCutoffs(2, 2)
     for validate in (True, False):
         with pytest.raises(ValueError, match="finite"):
@@ -234,6 +234,12 @@ def test_non_finite_entries_refused():
     x[0, 0, 0], x[0, 1, 1] = np.nan, 0.5
     with pytest.raises(ValueError, match="NaN"):
         TwoModeState(cut, [0], [0], x)
+    x = np.zeros((2, 2, 2))
+    x[0] = np.diag([0.5, 0.5])
+    x[1, 0, 0] = np.nan   # the coupling sector (1, -1)
+    for validate in (True, False):
+        with pytest.raises(ValueError, match="finite"):
+            TwoModeState(cut, [0, 1], [0, -1], x, validate=validate)
 
 
 def test_state_immutable():

@@ -6,7 +6,7 @@ import pytest
 from noonamp import (AmplifierParams, CutoffPolicy, MODE_ASYMMETRIC_A, MODE_SYMMETRIC,
                      ModeCutoffs, NoonSpec, TwoModeState, amplify_noon, build_noon, evolve,
                      q_evaluate, select_cutoffs, square_mesh, trace_distance)
-from noonamp import _kernels, channel, checks
+from noonamp import _kernels, channel, checks, lindblad
 from noonamp.husimi import QGrid
 
 from helpers import product_state
@@ -115,6 +115,34 @@ def test_q_drift_scaling_consistency():
     q_in = q_evaluate(build_noon(spec, cut), QGrid(mesh / g, mesh / g)).values
     err = float(np.max(np.abs(q_out - q_in / g2**2)))
     assert err < 1e-6
+
+
+@pytest.mark.parametrize("g2", [1.2, 1.5])
+@pytest.mark.parametrize("mode", [MODE_SYMMETRIC, MODE_ASYMMETRIC_A])
+def test_equal_spans_one_propagator_per_mode(monkeypatch, mode, g2):
+    """One _expm call per amplified mode, and a leak check after each of
+    ceil(t / CHECK_INTERVAL) equal spans, the last at t itself."""
+    expm, check_leak = lindblad._expm, lindblad._check_leak
+    spans, times = [], []
+
+    def spy_expm(gens, t):
+        spans.append(t)
+        return expm(gens, t)
+
+    def spy_check_leak(pops, modes, t, rate):
+        times.append(t)
+        return check_leak(pops, modes, t, rate)
+
+    monkeypatch.setattr(lindblad, "_expm", spy_expm)
+    monkeypatch.setattr(lindblad, "_check_leak", spy_check_leak)
+    params = AmplifierParams(g2, mode_config=mode)
+    evolve(build_noon(NoonSpec(2), ModeCutoffs(40, 40)), params)
+    t_final = math.log(g2) / 2.0
+    n_spans = math.ceil(t_final / lindblad.CHECK_INTERVAL)
+    assert len(spans) == len(params.amplified_modes)
+    assert spans == [t_final / n_spans] * len(spans)
+    assert len(times) == n_spans and times[-1] == t_final
+    assert np.allclose(np.diff(times, prepend=0.0), t_final / n_spans, rtol=1e-12, atol=0)
 
 
 def test_leak_monitor_aborts():

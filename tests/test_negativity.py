@@ -414,18 +414,26 @@ def test_filter_zero_pivots(solved):
 
 
 def test_filter_solves_every_chain_past_unit_entries(solved):
-    """An unvalidated state with an entry above 1 lies outside the pivots'
-    rounding margin, so every chain is solved, the positive-definite
-    [[3, 1.5], [1.5, 3]] too."""
+    """A state with an entry above 1 lies outside the pivots' rounding
+    margin, so every chain is solved, the positive-definite one too:
+    [[3, 1.5], [1.5, 3]] in an unvalidated state, and [[0.2, 0.1],
+    [0.1, 0.2]] next to a coherence of 1.5 in a validated one, since
+    validation bounds the diagonal but not the coherences."""
     c = ModeCutoffs(2, 4)   # chains run along the rows of 4
-    diagonal = [3.0, 3.0, 0.2, 0.2, 0.5, 0.5, 0.5, 0.5]
-    state = _chain_state(c, diagonal, {0: 1.5, 2: 0.3})   # [2, 3] at 0.2 -+ 0.3
-    expected = per_component_reference(state)
-    solved.clear()
-    res = log_negativity_block(state)
-    assert (res.neg_sum, res.min_eigenvalue, res.block_count) == expected
-    assert res.neg_sum == pytest.approx(0.1, abs=1e-15)
-    assert solved == [(2, 2, 2)]
+    cases = [
+        # [2, 3] at 0.2 -+ 0.3
+        (False, [3.0, 3.0, 0.2, 0.2, 0.5, 0.5, 0.5, 0.5], {0: 1.5, 2: 0.3}, 0.1),
+        # trace 1; [0, 1] at 0.1 -+ 1.5
+        (True, [0.1, 0.1, 0.2, 0.2, 0.1, 0.1, 0.1, 0.1], {0: 1.5, 2: 0.1}, 1.4),
+    ]
+    for validate, diagonal, couplings, neg_sum in cases:
+        state = _chain_state(c, diagonal, couplings, validate=validate)
+        expected = per_component_reference(state)
+        solved.clear()
+        res = log_negativity_block(state)
+        assert (res.neg_sum, res.min_eigenvalue, res.block_count) == expected
+        assert res.neg_sum == pytest.approx(neg_sum, abs=1e-15)
+        assert solved == [(2, 2, 2)], validate
 
 
 @pytest.mark.parametrize("g2", [2.0, 2.5, 3.0])

@@ -155,7 +155,7 @@ def assert_spectrum_equals_full_solve(state, charge_conserved):
     assert got.shape == want.shape
     assert np.abs(got - want).max() <= 1e-14
     if charge_conserved:
-        largest = max((call.args[0].shape[0] for call in solve.call_args_list), default=0)
+        largest = max((call.args[0].shape[-1] for call in solve.call_args_list), default=0)
         assert largest <= min(state.cutoffs.cutoff_a, state.cutoffs.cutoff_b)
 
 
