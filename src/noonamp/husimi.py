@@ -36,11 +36,15 @@ class QGrid:
     values: np.ndarray | None = None
 
 
+def _check_extent(extent: float) -> None:
+    if not (math.isfinite(extent) and extent >= 0.0):
+        raise ValueError("extent must be finite and >= 0")
+
+
 def square_mesh(extent: float, points: int) -> tuple[np.ndarray, float]:
     """Complex samples on a uniform (points x points) mesh over
     [-extent, extent]^2; returns (samples, spacing)."""
-    if not (math.isfinite(extent) and extent >= 0.0):
-        raise ValueError("extent must be finite and >= 0")
+    _check_extent(extent)
     if points < 1:
         raise ValueError("points must be >= 1")
     axis = np.linspace(-extent, extent, points)
@@ -55,8 +59,10 @@ def default_grid_for_state(state: TwoModeState, extent: float = 3.0,
     amplitude guard of q_evaluate holds.
 
     The guard caps |amplitude|^2 at cutoff/4; the square's corner carries
-    2 * extent^2, so the extent shrinks to sqrt(cutoff/8) when needed.
+    2 * extent^2, so the extent shrinks to sqrt(cutoff/8) when needed.  The
+    extent is checked before it is shrunk, so an infinite one is refused.
     """
+    _check_extent(extent)
     ext_a = min(extent, math.sqrt(state.cutoffs.cutoff_a / 8.0))
     ext_b = min(extent, math.sqrt(state.cutoffs.cutoff_b / 8.0))
     a, _ = square_mesh(ext_a, points)

@@ -20,14 +20,15 @@ Linear Algebra, SIAM 1997, section 5.3).  With s = EIG_NEG_CLAMP / 2, a
 chain whose pivots are all positive has no eigenvalue below -s, so
 ``_neg_sums`` would give it exactly 0: the half-clamp margin, 5e-13, is far
 larger than the rounding of the pivots and of LAPACK, about 1e-16 on
-entries of magnitude at most 1.  Such a chain is not solved.  Every chain
-is solved in two cases: when the chains with a non-positive pivot yield no
-eigenvalue below -EIG_NEG_CLAMP (or there are none), because the smallest
-eigenvalue, which the result reports, may then lie in any chain; and when
-an entry exceeds 1 in magnitude.  Validation bounds the diagonal by the
-trace, at most 1, but it does not test positivity, so it bounds no
-coherence: a validated state can hold an off-diagonal entry above 1.
-Either way the result is bit for bit that of solving every chain.
+entries of magnitude at most 1.  Such a chain is not solved in the first
+pass.  Each chain is solved at most once: the chains the first pass
+skipped are solved only when the flagged chains yield no eigenvalue below
+-EIG_NEG_CLAMP (or none is flagged), because the smallest eigenvalue,
+which the result reports, may then lie in any chain; and the first pass
+takes every chain when an entry exceeds 1 in magnitude.  Validation bounds
+the diagonal by the trace, at most 1, but it does not test positivity, so
+it bounds no coherence: a validated state can hold an off-diagonal entry
+above 1.  Either way the result is bit for bit that of solving every chain.
 
 The dense route is the oracle the block route must match.  It hands the
 partial transpose to ``fock.hermitian_eigvalsh``, which solves it one
@@ -154,7 +155,7 @@ def log_negativity_block(state: TwoModeState) -> NegativityResult:
         if step < 0:   # ka = 0: the chain steps along the mirror (0, -kb)
             kb, step, sector = -kb, -step, sector.conj()
         ja, jb = np.arange(da - abs(ka)), np.arange(db - abs(kb))
-        u = ((ja + max(-ka, 0))[:, None] * db + (jb + max(kb, 0))[None, :]).ravel()
+        u = (ja[:, None] * db + (jb + max(kb, 0))[None, :]).ravel()   # stored ka >= 0
         low[u] = sector[:ja.size, :jb.size].ravel()
     linked = np.flatnonzero(low != 0)   # u coupled to u + step
 
@@ -186,15 +187,14 @@ def log_negativity_block(state: TwoModeState) -> NegativityResult:
     b[at] = low[nodes]
     neg = np.zeros(sizes.size)   # each chain's neg_sum, in slot order
 
-    every = np.ones(sizes.size, dtype=bool)
     if max(np.abs(a).max(initial=0.0), np.abs(b).max(initial=0.0)) > 1.0:
-        todo = every   # outside the pivots' rounding margin
+        todo = np.ones(sizes.size, dtype=bool)   # outside the pivots' rounding margin
     else:
         todo = _nonpositive_pivot(longer, offset, a, np.abs(b) ** 2)
     min_eig = _solve_chains(todo, neg, longer, offset, a, b)
     if not min_eig < -config.EIG_NEG_CLAMP:
         # no negativity, and min_eigenvalue may lie in any chain
-        min_eig = _solve_chains(every, neg, longer, offset, a, b)
+        min_eig = min(min_eig, _solve_chains(~todo, neg, longer, offset, a, b))
     if nodes.size < d:
         min_eig = min(0.0, min_eig)   # empty rows contribute eigenvalue 0
 
@@ -216,13 +216,12 @@ def _nonpositive_pivot(longer, offset, a, b2) -> np.ndarray:
     """
     shift = 0.5 * config.EIG_NEG_CLAMP
     shifted = a + shift
-    flagged = np.zeros(longer[0], dtype=bool)
     pivot = shifted[:longer[0]]
+    flagged = pivot <= 0
     for i, n in enumerate(longer.tolist()[1:], start=1):
-        flagged[:pivot.size] |= pivot <= 0
         prev = np.where(pivot[:n] == 0, -shift, pivot[:n])
         pivot = shifted[offset[i]:offset[i] + n] - b2[offset[i - 1]:offset[i - 1] + n] / prev
-    flagged[:pivot.size] |= pivot <= 0
+        flagged[:n] |= pivot <= 0
     return flagged
 
 
@@ -231,12 +230,11 @@ def _solve_chains(todo, neg, longer, offset, a, b) -> float:
     store each one's negative sum in ``neg``; returns their smallest
     eigenvalue (inf if none)."""
     min_eig = np.inf
-    ends = np.append(longer, 0)
-    for size in range(1, longer.size + 1):
-        # the chains of length size hold slots ends[size] to ends[size - 1]
-        slots = np.flatnonzero(todo[ends[size]:ends[size - 1]]) + ends[size]
-        if not slots.size:
-            continue
+    marked = np.flatnonzero(todo)
+    # slot s holds a chain longer than i exactly when s < longer[i]
+    lengths = np.searchsorted(-longer, -marked)
+    for size in set(lengths.tolist()):
+        slots = marked[lengths == size]
         at = offset[:size] + slots[:, None]   # (count, size) node positions
         if size == 1:
             eigs = a[at]

@@ -235,6 +235,7 @@ def test_cli_configuration_errors():
     ["thresholds", "--r", "nan"],
     ["thresholds", "--r", "0.5", "--eta", "nan"],
     ["qfunc", "--n", "2", "--extent", "nan"],
+    ["qfunc", "--n", "2", "--extent", "inf"],
     # overflow: cosh(2r), the number of grid points; a negative extent
     ["sweep", "--family", "tmsv_gaussian", "--r", "1000", "--g2", "1:1.1:0.1"],
     ["sweep", "--family", "tmsv_gaussian", "--g2", "1:1e300:1e-300"],

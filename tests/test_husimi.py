@@ -247,8 +247,9 @@ def test_default_grid_for_state_shrinks():
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError, match="extent must be finite"):
             square_mesh(bad, 5)
-    with pytest.raises(ValueError, match="extent must be finite"):
-        default_grid_for_state(state, extent=math.nan, points=5)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="extent must be finite"):
+            default_grid_for_state(state, extent=bad, points=5)
 
 
 def test_qgrid_csv_dump(tmp_path):

@@ -334,8 +334,8 @@ def test_block_solves_each_component_size_once(monkeypatch):
 
 # The block route eigensolves only the chains that have a non-positive
 # LDL^T pivot of T + EIG_NEG_CLAMP / 2, and every chain when those carry no
-# negativity or an entry exceeds 1.  Each test below holds it to the
-# per-component reference bit for bit.
+# negativity or an entry exceeds 1, each chain at most once.  Each test
+# below holds it to the per-component reference bit for bit.
 
 SHIFT = config.EIG_NEG_CLAMP / 2
 
@@ -368,8 +368,8 @@ def test_filter_near_the_clamp(depth, negative_elsewhere, solved):
     EIG_NEG_CLAMP, moved by -3..3 ulps, have smallest eigenvalue about
     -depth * EIG_NEG_CLAMP: above the pivot shift (0.4), between it and the
     clamp (0.6), at the clamp (1) and past it (1.5).  Only the chains below
-    the shift are solved, and every chain is solved when they carry no
-    negativity."""
+    the shift are solved, and every chain is solved once when they carry no
+    negativity: the chains the first pass skipped are added then."""
     c = ModeCutoffs(2, 14)   # chains run along the rows of 14
     couplings = {2 * k: _ulps(0.25 + depth * config.EIG_NEG_CLAMP, k - 3) for k in range(7)}
     if negative_elsewhere:
@@ -381,8 +381,8 @@ def test_filter_near_the_clamp(depth, negative_elsewhere, solved):
     assert (res.neg_sum, res.min_eigenvalue, res.block_count) == expected
 
     flagged = 7 * (depth > 0.5) + negative_elsewhere
-    every = 7 + negative_elsewhere if res.neg_sum == 0.0 else 0
-    assert sum(shape[0] for shape in solved) == flagged + every
+    every = 7 + negative_elsewhere
+    assert sum(shape[0] for shape in solved) == (every if res.neg_sum == 0.0 else flagged)
     if negative_elsewhere:
         assert res.min_eigenvalue == pytest.approx(-0.1, abs=1e-15)
     else:
@@ -418,13 +418,16 @@ def test_filter_solves_every_chain_past_unit_entries(solved):
     margin, so every chain is solved, the positive-definite one too:
     [[3, 1.5], [1.5, 3]] in an unvalidated state, and [[0.2, 0.1],
     [0.1, 0.2]] next to a coherence of 1.5 in a validated one, since
-    validation bounds the diagonal but not the coherences."""
+    validation bounds the diagonal but not the coherences.  Each is solved
+    once, also when no chain carries negativity."""
     c = ModeCutoffs(2, 4)   # chains run along the rows of 4
     cases = [
         # [2, 3] at 0.2 -+ 0.3
         (False, [3.0, 3.0, 0.2, 0.2, 0.5, 0.5, 0.5, 0.5], {0: 1.5, 2: 0.3}, 0.1),
         # trace 1; [0, 1] at 0.1 -+ 1.5
         (True, [0.1, 0.1, 0.2, 0.2, 0.1, 0.1, 0.1, 0.1], {0: 1.5, 2: 0.1}, 1.4),
+        # both chains positive definite: 3 -+ 1.5 and 0.2 -+ 0.1
+        (False, [3.0, 3.0, 0.2, 0.2, 0.5, 0.5, 0.5, 0.5], {0: 1.5, 2: 0.1}, 0.0),
     ]
     for validate, diagonal, couplings, neg_sum in cases:
         state = _chain_state(c, diagonal, couplings, validate=validate)
