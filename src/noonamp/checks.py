@@ -215,7 +215,7 @@ def gaussian_thresholds(symmetric_points, asymmetric_etas, open_ended_gains) -> 
     worst = max(sym_err, asym_err)
     return CheckResult(worst <= 1e-6 and open_ended > 0.0, worst, 1e-6,
                        f"sym err {sym_err:.3e}, asym err {asym_err:.3e}, min E_N up to "
-                       f"G2={max(open_ended_gains):g}: {open_ended:.4f}")
+                       f"G2={max(open_ended_gains):g}: {open_ended:.3e}")
 
 
 def trace_deficit_budget(n_photons: int, g_squared: float, policy) -> CheckResult:
@@ -271,7 +271,7 @@ def battery(policy: channel.CutoffPolicy) -> dict[str, CheckResult]:
         ("scaling_law_asymmetric", scaling_law, asym, 2, (1.5,), policy),
         ("zero_locus", zero_locus, ((2, 1.5),), policy),
         ("gaussian_thresholds", gaussian_thresholds, ((0.5, 0.0), (0.5, 0.5)), (0.5,),
-         np.linspace(1.0, 10.0, 19)),
+         np.concatenate((np.linspace(1.0, 10.0, 19), np.logspace(2.0, 7.0, 11)))),
         ("trace_deficit_budget", trace_deficit_budget, 2, 2.0, policy),
         ("monotone_and_ordering", monotone_and_ordering, 2, (1.0, 1.25, 1.5, 1.75, 2.0),
          policy),

@@ -106,14 +106,24 @@ def amplify_covariance(state: CovarianceState, params: AmplifierParams) -> Covar
 
 
 def _nu_minus(state: CovarianceState) -> float:
-    """Smaller symplectic eigenvalue of the partial transpose (p_b -> -p_b)."""
-    v = state.cov
+    """Smaller symplectic eigenvalue of the partial transpose (p_b -> -p_b).
+
+    nu_minus^2 is the smaller root of x^2 - Delta x + det V, taken as
+    2 det V / (Delta + sqrt(Delta^2 - 4 det V)): the textbook form
+    (Delta - sqrt(...)) / 2 cancels to nothing once det V is small against
+    Delta^2, at high gain.  V is first scaled by a power of two to entries
+    below 1, so its determinant cannot overflow, and nu_minus is scaled
+    back exactly.
+    """
+    exponent = math.frexp(float(np.abs(state.cov).max()))[1]
+    v = np.ldexp(state.cov, -exponent)
     a = np.linalg.det(v[:2, :2])
     b = np.linalg.det(v[2:, 2:])
     c = np.linalg.det(v[:2, 2:])
+    det = np.linalg.det(v)
     delta_pt = a + b - 2.0 * c
-    disc = max(delta_pt**2 - 4.0 * np.linalg.det(v), 0.0)
-    return math.sqrt(max((delta_pt - math.sqrt(disc)) / 2.0, 0.0))
+    disc = max(delta_pt**2 - 4.0 * det, 0.0)
+    return math.ldexp(math.sqrt(max(2.0 * det / (delta_pt + math.sqrt(disc)), 0.0)), exponent)
 
 
 def gaussian_log_negativity(state: CovarianceState) -> float:

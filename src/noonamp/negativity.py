@@ -6,9 +6,11 @@ mirror (-N, N) is implied).  Their
 partial transpose keeps sector (0, 0) on its diagonal and couples each
 basis state to the one a step (N, N) away, so it is a direct sum of
 tridiagonal chains: short chains when both modes are amplified, 2x2 blocks
-when one is, thousands of chains in a few lengths.  The route reads the
-chains off the sector stack, lays their entries out once (see
-``log_negativity_block``) and solves the chains of each length together.
+when one is, thousands of chains in a few lengths.  Each chain is an
+arithmetic run h, h + step, h + 2 step, ... of the PT index, so the route
+keeps only its head h and its length, found by one walk down the
+couplings (see ``log_negativity_block``), and solves the chains of each
+length together.
 It takes any state with sector (0, 0) and at most one other stored sector,
 and refuses every other.
 
@@ -115,25 +117,24 @@ def log_negativity_block(state: TwoModeState) -> NegativityResult:
     The state must hold sector (0, 0) and at most one other sector
     (k_a, k_b), as every NOON-derived state does; any other state is
     refused with ValueError (``log_negativity_dense`` takes it).  The
-    partial transpose is never materialized: its diagonal is sector (0, 0)
-    and its only couplings join each basis state to the one a step
-    (k_a, -k_b) away, so it is a direct sum of tridiagonal chains, split
-    wherever a coupling is zero.  A chain longer than
-    ``config.FULL_SOLVE_MAX_DIMENSION`` is refused with ValueError before
-    any block is allocated.
+    partial transpose is never materialized: its diagonal ``a`` is sector
+    (0, 0) and its only couplings ``b[u] = PT[u + step, u]`` join each
+    basis state u to the one a step (k_a, -k_b) away, so it is a direct sum
+    of tridiagonal chains, split wherever a coupling is zero.
 
-    The chains are numbered in order of their smallest PT index and laid
-    out once, for the pivot pass and the solves alike: each chain gets a
-    slot, longest chains first, and the diagonal ``a`` and the coupling
-    ``b`` to the next member of rank i of the chain in slot s sit at
-    ``offset[i] + s``.  So rank i of every chain longer than i is one
-    contiguous slice, and the chains of one length are one run of slots.
-    Each run's chains to be solved (the module docstring says which) are
-    scattered into one (count, length, length) stack and solved by one
-    ``np.linalg.eigvalsh`` call, which runs the same LAPACK routine on each
-    matrix as a solve of that matrix alone; a 1x1 chain is its diagonal
-    entry.  Each chain's negative sum is added up in chain order, so the
-    result is bit for bit that of one eigensolve per chain.
+    A chain is its head, its smallest PT index, and its length: member i
+    of the chain headed at h is PT index h + i step.  The heads are the
+    occupied indices no coupling enters, in ascending order, which is the
+    chain order.  One walk down the couplings from the heads (``_walk``)
+    finds every chain's length and runs its LDL^T pivots together.  A chain
+    longer than ``config.FULL_SOLVE_MAX_DIMENSION`` is refused with
+    ValueError before any block is allocated.  The chains of one length to
+    be solved (the module docstring says which) are read from ``a`` and
+    ``b`` at h + i step into one (count, length, length) stack and solved
+    by one ``np.linalg.eigvalsh`` call, which runs the same LAPACK routine
+    on each matrix as a solve of that matrix alone; a 1x1 chain is its
+    diagonal entry.  Each chain's negative sum is added up in chain order,
+    so the result is bit for bit that of one eigensolve per chain.
     """
     k_a, k_b, x = state.k_a, state.k_b, state.x
     others = np.flatnonzero((k_a != 0) | (k_b != 0))   # sectors besides (0, 0)
@@ -144,10 +145,12 @@ def log_negativity_block(state: TwoModeState) -> NegativityResult:
 
     da, db = state.cutoffs.cutoff_a, state.cutoffs.cutoff_b
     d = state.dimension
-    diag = state.populations().ravel()
-    # low[u] = PT[u + step, u] = conj(PT[u, u + step]) for chain step
-    # (ka, -kb) in the labels, step = ka cutoff_b - kb > 0 in the PT index
-    low = np.zeros(d, dtype=x.dtype)
+    a = state.populations().ravel()
+    # a stored -0.0 is solved as 0.0, as the dense route reads it: LAPACK's
+    # eigenvalues depend on the sign of a zero diagonal entry
+    a += 0.0
+    # chain step (ka, -kb) in the labels, step = ka cutoff_b - kb > 0 in the PT index
+    b = np.zeros(d, dtype=x.dtype)
     step = 1
     if others.size:
         ka, kb, sector = int(k_a[others[0]]), int(k_b[others[0]]), x[others[0]]
@@ -156,97 +159,87 @@ def log_negativity_block(state: TwoModeState) -> NegativityResult:
             kb, step, sector = -kb, -step, sector.conj()
         ja, jb = np.arange(da - abs(ka)), np.arange(db - abs(kb))
         u = (ja[:, None] * db + (jb + max(kb, 0))[None, :]).ravel()   # stored ka >= 0
-        low[u] = sector[:ja.size, :jb.size].ravel()
-    linked = np.flatnonzero(low != 0)   # u coupled to u + step
+        b[u] = sector[:ja.size, :jb.size].ravel()
+    linked = b != 0   # u coupled to u + step
+    entered = np.zeros(d, dtype=bool)
+    entered[step:] = linked[:d - step]
+    heads = np.flatnonzero(((a != 0) | linked) & ~entered)
 
-    occupied = diag != 0
-    occupied[linked] = occupied[linked + step] = True
-    # every chain member points one step back, then to its chain's first
-    # member by pointer doubling
-    head = np.arange(d)
-    head[linked + step] = linked
-    while not np.array_equal(head[head], head):
-        head = head[head]
-    nodes = np.flatnonzero(occupied)   # PT rows with a stored entry, ascending
-    _, chain, sizes = np.unique(head[nodes], return_inverse=True, return_counts=True)
-    if sizes.max(initial=0) > config.FULL_SOLVE_MAX_DIMENSION:
+    # past 1 the pivots leave their rounding margin and every chain is
+    # solved; zero couplings then keep the walk's unused pivots finite
+    big = max(np.abs(a).max(initial=0.0), np.abs(b).max(initial=0.0)) > 1.0
+    lengths, flagged = _walk(heads, linked, a, np.zeros(d) if big else np.abs(b) ** 2, step)
+    if lengths.max(initial=0) > config.FULL_SOLVE_MAX_DIMENSION:
         raise ValueError(
-            f"partial-transpose component of size {sizes.max()} exceeds the "
+            f"partial-transpose component of size {lengths.max()} exceeds the "
             f"eigensolve limit {config.FULL_SOLVE_MAX_DIMENSION}")
 
-    place = np.empty(sizes.size, dtype=np.int64)   # each chain's slot
-    place[np.argsort(-sizes, kind="stable")] = np.arange(sizes.size)
-    # longer[i]: the number of chains longer than i, which hold rank i
-    # (minlength=2 keeps longer[0] = 0 when there is no chain)
-    longer = sizes.size - np.cumsum(np.bincount(sizes, minlength=2))[:-1]
-    offset = np.concatenate(([0], np.cumsum(longer)))
-    at = offset[(nodes - head[nodes]) // step] + place[chain]
-    a = np.empty(nodes.size)
-    a[at] = diag[nodes]
-    b = np.empty(nodes.size, dtype=low.dtype)
-    b[at] = low[nodes]
-    neg = np.zeros(sizes.size)   # each chain's neg_sum, in slot order
-
-    if max(np.abs(a).max(initial=0.0), np.abs(b).max(initial=0.0)) > 1.0:
-        todo = np.ones(sizes.size, dtype=bool)   # outside the pivots' rounding margin
-    else:
-        todo = _nonpositive_pivot(longer, offset, a, np.abs(b) ** 2)
-    min_eig = _solve_chains(todo, neg, longer, offset, a, b)
+    todo = flagged | big
+    neg = np.zeros(heads.size)   # each chain's neg_sum, in chain order
+    chains = (heads, lengths, step, a, b)
+    min_eig = _solve_chains(todo, neg, *chains)
     if not min_eig < -config.EIG_NEG_CLAMP:
         # no negativity, and min_eigenvalue may lie in any chain
-        min_eig = min(min_eig, _solve_chains(~todo, neg, longer, offset, a, b))
-    if nodes.size < d:
+        min_eig = min(min_eig, _solve_chains(~todo, neg, *chains))
+    if lengths.sum() < d:
         min_eig = min(0.0, min_eig)   # empty rows contribute eigenvalue 0
 
     # added in chain order, as one solve per chain adds them
-    neg_sum = float(np.cumsum(neg[place])[-1]) if neg.size else 0.0
+    neg_sum = float(np.cumsum(neg)[-1]) if neg.size else 0.0
     if not np.isfinite(min_eig):
         min_eig = 0.0
-    return _result(float(min_eig), neg_sum, "block", int(sizes.size))
+    return _result(float(min_eig), neg_sum, "block", int(heads.size))
 
 
-def _nonpositive_pivot(longer, offset, a, b2) -> np.ndarray:
-    """Per slot: does T + shift I have a non-positive LDL^T pivot, for
-    shift = ``config.EIG_NEG_CLAMP`` / 2?  ``b2`` is |b|^2.
+def _walk(heads, linked, a, b2, step):
+    """(lengths, flagged) of the chains headed at ``heads``: each chain's
+    length, and whether its T + shift I has a non-positive LDL^T pivot, for
+    shift = ``config.EIG_NEG_CLAMP`` / 2.  ``b2`` is |b|^2.
 
-    One vectorized step per rank runs the pivot recurrence
-    p_i = a_i + shift - |b_{i-1}|^2 / p_{i-1} of every chain in O(d)
-    memory.  A zero pivot is replaced by -shift, which has already flagged
-    its chain and keeps the next step finite.
+    Each step of the walk moves every live chain one member on and runs
+    the pivot recurrence p_i = a_i + shift - |b_{i-1}|^2 / p_{i-1}; a chain
+    ends where its coupling is zero, so only live chains are held and the
+    walk takes O(d) memory.  A zero pivot is replaced by -shift, which has
+    already flagged its chain and keeps the next step finite.
     """
     shift = 0.5 * config.EIG_NEG_CLAMP
-    shifted = a + shift
-    pivot = shifted[:longer[0]]
-    flagged = pivot <= 0
-    for i, n in enumerate(longer.tolist()[1:], start=1):
-        prev = np.where(pivot[:n] == 0, -shift, pivot[:n])
-        pivot = shifted[offset[i]:offset[i] + n] - b2[offset[i - 1]:offset[i - 1] + n] / prev
-        flagged[:n] |= pivot <= 0
-    return flagged
+    lengths = np.empty(heads.size, dtype=np.int64)
+    flagged = np.zeros(heads.size, dtype=bool)
+    live, at = np.arange(heads.size), heads
+    pivot = a[at] + shift
+    rank = 1
+    while live.size:
+        flagged[live[pivot <= 0]] = True
+        on = linked[at]
+        lengths[live[~on]] = rank
+        live, at, prev = live[on], at[on], pivot[on]
+        pivot = a[at + step] + shift - b2[at] / np.where(prev == 0, -shift, prev)
+        at = at + step
+        rank += 1
+    return lengths, flagged
 
 
-def _solve_chains(todo, neg, longer, offset, a, b) -> float:
-    """Solve the slots marked in ``todo``, one stack per chain length, and
+def _solve_chains(todo, neg, heads, lengths, step, a, b) -> float:
+    """Solve the chains marked in ``todo``, one stack per chain length, and
     store each one's negative sum in ``neg``; returns their smallest
     eigenvalue (inf if none)."""
     min_eig = np.inf
     marked = np.flatnonzero(todo)
-    # slot s holds a chain longer than i exactly when s < longer[i]
-    lengths = np.searchsorted(-longer, -marked)
-    for size in set(lengths.tolist()):
-        slots = marked[lengths == size]
-        at = offset[:size] + slots[:, None]   # (count, size) node positions
+    sizes = lengths[marked]
+    for size in set(sizes.tolist()):
+        sel = marked[sizes == size]
+        at = heads[sel][:, None] + step * np.arange(size)   # (count, size) PT indices
         if size == 1:
             eigs = a[at]
         else:
             r = np.arange(size)
-            stack = np.zeros((slots.size, size, size), dtype=b.dtype)
+            stack = np.zeros((sel.size, size, size), dtype=b.dtype)
             stack[:, r, r] = a[at]
             stack[:, r[1:], r[:-1]] = b[at[:, :-1]]
             stack[:, r[:-1], r[1:]] = b[at[:, :-1]].conj()
             eigs = np.linalg.eigvalsh(stack)
         min_eig = min(min_eig, float(eigs[:, 0].min()))
-        neg[slots] = _neg_sums(eigs)
+        neg[sel] = _neg_sums(eigs)
     return min_eig
 
 

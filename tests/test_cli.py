@@ -100,6 +100,15 @@ def test_gaussian_family_rows():
     assert abs(rows[0]["log_negativity"] - 1.4426950408889634) <= 1e-9
 
 
+def test_gaussian_rows_far_past_the_threshold(capsys):
+    """At G^2 = 1e77, where det V overflows, the amplified squeezed vacuum is
+    separable: both rows print E_N 0 without a numeric warning."""
+    assert main(["sweep", "--family", "tmsv_gaussian", "--r", "0.5",
+                 "--g2", "1e77:2e77:1e77"]) == 0
+    lines = capsys.readouterr().out.strip().split("\n")
+    assert [line.split(",")[5] for line in lines[1:]] == ["0", "0"]
+
+
 def test_cli_sweep_csv_and_json(tmp_path):
     out_csv = tmp_path / "rows.csv"
     rc = main(["sweep", "--family", "noon_symmetric", "--n", "2",

@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from noonamp import (AmplifierParams, CovarianceState, ModeCutoffs, SqueezingSpec,
+from noonamp import (MODE_ASYMMETRIC_A, AmplifierParams, CovarianceState, ModeCutoffs,
+                     SqueezingSpec,
                      amplify_covariance, amplify_state, checks,
                      gaussian_log_negativity, photon_added_tmsv_negativity_sweep,
                      threshold_asymmetric, threshold_bisection, threshold_symmetric,
@@ -110,6 +111,30 @@ def test_bisection_matches_closed_forms():
                                       (0.5,), (1.0, 10.0)).passed
     # r = 0: nothing entangled, crossing sits at unit gain
     assert threshold_bisection(SqueezingSpec(0.0), 0.0) == 1.0
+
+
+def test_nu_minus_far_past_the_thresholds():
+    """nu_minus neither overflows nor cancels at high gain (a numeric
+    warning fails the suite).  The references are 60-digit mpmath
+    evaluations of the same closed form."""
+    base = tmsv_covariance(SqueezingSpec(0.5))
+    # both modes, where the 4x4 determinant of V overflows
+    for g2 in (1e77, 2e77):
+        assert gaussian_log_negativity(amplify_covariance(base, AmplifierParams(g2))) == 0.0
+    # mode a only at eta = 1, where the textbook root cancels to 0
+    one_sided = amplify_covariance(
+        base, AmplifierParams(6e7, eta=1.0, mode_config=MODE_ASYMMETRIC_A))
+    assert abs(_nu_minus(one_sided) - 1.2390803367716653) <= 1e-12
+    assert gaussian_log_negativity(one_sided) == 0.0
+    # mode a only at eta = 0: entangled at every gain, 1 - nu_minus ~ 0.427 / G^2,
+    # so the bisection finds no finite breaking gain
+    for g2, want in ((1e3, 0.42734928872456660), (1e5, 0.42710698093750044),
+                     (1e7, 0.42710455853677097)):
+        nu = _nu_minus(amplify_covariance(
+            base, AmplifierParams(g2, mode_config=MODE_ASYMMETRIC_A)))
+        assert abs((1.0 - nu) * g2 - want) <= 1e-6 * want
+    with pytest.raises(ValueError):
+        threshold_bisection(SqueezingSpec(0.5), 0.0, MODE_ASYMMETRIC_A)
 
 
 def test_gaussian_negativity_monotone_then_zero():

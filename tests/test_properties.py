@@ -2,7 +2,7 @@
 entries, trace, negativity, Husimi Q, charge-blocked spectra), over the
 (N, G^2, eta, mode) space of the block negativity, the exact channel and
 the master-equation oracle, and over random sparse density matrices, real
-and complex."""
+and complex, and random unvalidated states in the block route's domain."""
 
 from unittest import mock
 
@@ -200,6 +200,42 @@ def sparse_density(draw):
     rho /= np.trace(rho).real
     # complex iff an imaginary part survives off the diagonal, which is stored real
     return from_matrix(cutoffs, rho), bool(np.any(rho.imag[~np.eye(d, dtype=bool)]))
+
+
+@st.composite
+def two_sector_states(draw):
+    """Unvalidated states holding sector (0, 0) and at most one other
+    sector, the whole domain of the block route: cutoffs up to 8, real or
+    complex, sectors with k_a = 0, zero couplings inside runs, diagonals of
+    either sign and entries up to 1.5 in magnitude."""
+    da, db = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    top = draw(st.sampled_from((0.3, 1.0, 1.5)))
+    low = draw(st.sampled_from((0.0, -top)))
+    diagonal = rng.uniform(low, top, (da, db)) * (rng.random((da, db)) < 0.85)
+    sectors = [(ka, kb) for ka in range(da) for kb in range(1 - db, db) if (ka, kb) > (0, 0)]
+    other = draw(st.sampled_from(sectors + [None]))
+    if other is None:
+        return TwoModeState(ModeCutoffs(da, db), [0], [0], [diagonal], validate=False)
+    ka, kb = other
+    scale = top * draw(st.sampled_from((0.05, 0.3, 1.0)))
+    sector = rng.uniform(-scale, scale, (da, db))
+    if draw(st.booleans()):
+        sector = sector + 1j * rng.uniform(-scale, scale, (da, db))
+    sector *= rng.random((da, db)) < draw(st.sampled_from((0.6, 0.9, 1.0)))
+    sector[da - ka:] = 0.0
+    sector[:, db - abs(kb):] = 0.0
+    return TwoModeState(ModeCutoffs(da, db), [0, ka], [0, kb],
+                        np.stack([diagonal.astype(sector.dtype), sector]), validate=False)
+
+
+@settings(deadline=None, max_examples=200)
+@given(two_sector_states())
+def test_random_states_block_equals_per_component_reference(state):
+    """Bit for bit, the block route is one eigensolve per chain, whether it
+    filters the chains by their pivots or (past unit entries) solves all."""
+    res = log_negativity_block(state)
+    assert (res.neg_sum, res.min_eigenvalue, res.block_count) == per_component_reference(state)
 
 
 @settings(deadline=None, max_examples=60)
