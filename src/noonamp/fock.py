@@ -306,16 +306,26 @@ def hermitian_eigvalsh(rows, cols, values, cutoffs: ModeCutoffs) -> np.ndarray:
     the squeezed vacuum).  Such a matrix is block diagonal in the charge
     and its spectrum is the union of the blocks' spectra.  The test is exact
     over the integers and reads each entry once.  Every basis state
-    of a charge, rows without a stored entry included, joins its block.
-    The blocks of one size are solved densely by one stacked
+    of a charge, rows without a stored entry included, joins its block,
+    and a block is a run of flat indices: the states with n_a - n_b = c sit
+    at n_a (cutoff_b + 1) - c, those with n_a + n_b = c at
+    n_a (cutoff_b - 1) + c.  So a state's rank in its block has a closed
+    form, min(n_a, n_b) for the first charge and
+    min(n_a, cutoff_b - 1 - n_b) for the second, and no sort is needed.
+    The blocks of one size that hold a stored entry are summed by one
+    scatter in input order and solved densely by one stacked
     ``np.linalg.eigvalsh`` call, which runs the same LAPACK routine on each
-    block as a solve of that block alone; a block with no stored entry
-    keeps its exact zero eigenvalues.  A matrix that conserves neither
-    charge is solved whole, up to ``config.FULL_SOLVE_MAX_DIMENSION``.
+    block as a solve of that block alone; a block with no stored entry is
+    not solved and keeps its exact zero eigenvalues.  A matrix that
+    conserves neither charge is solved whole, up to
+    ``config.FULL_SOLVE_MAX_DIMENSION``.
     """
     d = cutoffs.dimension
     n_a, n_b = np.divmod(np.arange(d), cutoffs.cutoff_b)
-    for charge in (n_a - n_b, n_a + n_b):
+    m_b = cutoffs.cutoff_b - 1 - n_b
+    # each charge (n_a - n_b shifted to start at 0, then n_a + n_b) with
+    # every state's rank in its block, which is its rank in index order
+    for charge, rank in ((n_a + m_b, np.minimum(n_a, n_b)), (n_a + n_b, np.minimum(n_a, m_b))):
         if np.array_equal(charge[rows], charge[cols]):
             break
     else:
@@ -327,33 +337,18 @@ def hermitian_eigvalsh(rows, cols, values, cutoffs: ModeCutoffs) -> np.ndarray:
         np.add.at(dense, (rows, cols), values)
         return np.linalg.eigvalsh(dense)
 
-    # block k holds the basis states of the k-th smallest charge in index
-    # order; an entry's block is its row's, its place the rank within it
-    charge = charge - charge.min()
+    # run holds one size's blocks with a stored entry, in charge order, and
+    # stacks them; its entries are scattered in input order, so repeated
+    # positions are summed in the order one scatter per block sums them
     sizes = np.bincount(charge)
-    starts = np.cumsum(sizes) - sizes
-    place = np.empty(d, dtype=np.intp)
-    place[np.argsort(charge, kind="stable")] = np.arange(d) - np.repeat(starts, sizes)
-
-    # the blocks with a stored entry, grouped by size: slot[k] is block k's
-    # place in its size's stack, and the entries are grouped the same way,
-    # in input order within a size, so repeated positions are summed in
-    # the order one scatter per block sums them
     block = charge[rows]
-    filled = np.flatnonzero(np.bincount(block, minlength=sizes.size))
-    filled = filled[np.argsort(sizes[filled], kind="stable")]
-    counts = np.bincount(sizes[filled])
-    first = np.cumsum(counts) - counts   # each size's first block in filled
-    slot = np.empty(sizes.size, dtype=np.intp)
-    slot[filled] = np.arange(filled.size) - first[sizes[filled]]
-    order = np.argsort(sizes[block], kind="stable")
-    bounds = np.searchsorted(sizes[block[order]], np.arange(counts.size + 1))
-
-    eigs = np.zeros(d)
-    for size in np.flatnonzero(counts).tolist():
-        at = order[bounds[size]:bounds[size + 1]]
-        run = filled[first[size]:first[size] + counts[size]]
+    filled = np.bincount(block, minlength=sizes.size) > 0
+    entry_size, at_row, at_col = sizes[block], rank[rows], rank[cols]
+    solved = [np.zeros(d - sizes[filled].sum())]
+    for size in np.flatnonzero(np.bincount(sizes[filled])).tolist():
+        run = np.flatnonzero(filled & (sizes == size))
+        at = np.flatnonzero(entry_size == size)
         stack = np.zeros((run.size, size, size), dtype=values.dtype)
-        np.add.at(stack, (slot[block[at]], place[rows[at]], place[cols[at]]), values[at])
-        eigs[starts[run][:, None] + np.arange(size)] = np.linalg.eigvalsh(stack)
-    return np.sort(eigs)
+        np.add.at(stack, (np.searchsorted(run, block[at]), at_row[at], at_col[at]), values[at])
+        solved.append(np.linalg.eigvalsh(stack).ravel())
+    return np.sort(np.concatenate(solved))

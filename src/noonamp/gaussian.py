@@ -65,9 +65,10 @@ class CovarianceState:
             raise ValueError("covariance entries must be finite")
         if float(np.abs(cov - cov.T).max()) > 1e-10:
             raise ValueError("covariance must be symmetric")
-        # uncertainty relation: cov + i Omega >= 0
+        # uncertainty relation: cov + i Omega >= 0, up to the rounding of
+        # eigvalsh, which is about eps max|V_ij|
         eigs = np.linalg.eigvalsh(cov + 1j * _OMEGA)
-        if float(eigs[0]) < -1e-10:
+        if float(eigs[0]) < -max(1e-10, 64.0 * np.finfo(float).eps * float(np.abs(cov).max())):
             raise ValueError(f"covariance violates the uncertainty relation "
                              f"(min eig {eigs[0]:.3e})")
         object.__setattr__(self, "cov", cov)

@@ -96,3 +96,55 @@ def per_component_reference(state):
     if not np.isfinite(min_eig):
         min_eig = 0.0
     return neg_sum, float(min_eig), int(sizes.size)
+
+
+def charges(cutoffs):
+    """n_a - n_b and n_a + n_b of every basis state, in flat-index order."""
+    n_a, n_b = np.divmod(np.arange(cutoffs.dimension), cutoffs.cutoff_b)
+    return n_a - n_b, n_a + n_b
+
+
+def charge_conserving_triplets(cutoffs, rng, is_complex):
+    """Random Hermitian (rows, cols, values) that conserve n_a - n_b or
+    n_a + n_b, one drawn at random.  Some charges get no entry, positions
+    repeat (drawn with replacement, and some entries listed twice), and
+    the entries come in shuffled order."""
+    charge = charges(cutoffs)[rng.integers(2)]
+    levels = np.unique(charge)
+    rows, cols = [], []
+    for level in rng.choice(levels, size=rng.integers(1, levels.size + 1), replace=False):
+        members = np.flatnonzero(charge == level)
+        count = int(rng.integers(1, 2 * members.size + 1))
+        rows.append(rng.choice(members, count))
+        cols.append(rng.choice(members, count))
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    values = rng.normal(size=rows.size)
+    if is_complex:
+        values = values + 1j * rng.normal(size=rows.size)
+    again = rng.random(rows.size) < 0.2
+    rows, cols, values = (np.concatenate([x, x[again]]) for x in (rows, cols, values))
+    # each entry and its mirror, in shuffled order
+    order = rng.permutation(2 * rows.size)
+    return (np.concatenate([rows, cols])[order], np.concatenate([cols, rows])[order],
+            np.concatenate([values, values.conj()])[order])
+
+
+def per_block_eigvalsh(rows, cols, values, cutoffs):
+    """Sorted spectrum of a charge-conserving Hermitian matrix, one dense
+    block per charge (n_a - n_b if it is conserved, else n_a + n_b): each
+    block is summed by its own ``np.add.at`` in input order and solved
+    alone, and a block with no entry gives zeros."""
+    charge = next(c for c in charges(cutoffs) if np.array_equal(c[rows], c[cols]))
+    rank = np.empty(cutoffs.dimension, dtype=np.intp)
+    eigs = []
+    for level in np.unique(charge):
+        members = np.flatnonzero(charge == level)
+        at = np.flatnonzero(charge[rows] == level)
+        if at.size == 0:
+            eigs.append(np.zeros(members.size))
+            continue
+        rank[members] = np.arange(members.size)
+        block = np.zeros((members.size, members.size), dtype=values.dtype)
+        np.add.at(block, (rank[rows[at]], rank[cols[at]]), values[at])
+        eigs.append(np.linalg.eigvalsh(block))
+    return np.sort(np.concatenate(eigs))

@@ -56,7 +56,8 @@ def test_criterion_4_method_agreement():
 def test_criterion_5_gaussian_thresholds():
     report_check("5 gaussian thresholds", checks.gaussian_thresholds(
         [(r, eta) for r in (0.25, 0.5, 1.0) for eta in (0.0, 0.25, 1.0)],
-        (0.25, 0.5, 1.0), np.linspace(1.0, 10.0, 19)))
+        (0.25, 0.5, 1.0),
+        np.concatenate([np.linspace(1.0, 10.0, 19), np.logspace(5.0, 8.0, 601)])))
 
 
 def test_criterion_6_scaling_law():

@@ -109,6 +109,16 @@ def test_gaussian_rows_far_past_the_threshold(capsys):
     assert [line.split(",")[5] for line in lines[1:]] == ["0", "0"]
 
 
+def test_gaussian_rows_at_high_squeezing(capsys):
+    """At r = 8 the covariance entries reach cosh 16 ~ 4e6; the uncertainty
+    check allows for eigvalsh's rounding at that scale, so the sweep runs."""
+    assert main(["sweep", "--family", "tmsv_gaussian", "--r", "8", "--g2", "1:2:0.5"]) == 0
+    lines = capsys.readouterr().out.strip().split("\n")
+    values = [float(line.split(",")[5]) for line in lines[1:]]
+    assert len(values) == 3 and all(math.isfinite(v) for v in values)
+    assert values[-1] == 0.0
+
+
 def test_cli_sweep_csv_and_json(tmp_path):
     out_csv = tmp_path / "rows.csv"
     rc = main(["sweep", "--family", "noon_symmetric", "--n", "2",

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -336,6 +337,17 @@ def test_hermitian_eigvalsh_sums_repeated_entries():
     assert m[0, 0] == 0.5
     assert np.abs(hermitian_eigvalsh(rows, cols, values, c)
                   - np.linalg.eigvalsh(m)).max() <= TOL
+
+
+def test_hermitian_eigvalsh_of_no_entries_is_exact_zeros():
+    """A matrix with no stored entry has d eigenvalues +0.0 and needs no solve."""
+    c = ModeCutoffs(3, 4)
+    empty = np.array([], dtype=np.intp)
+    with mock.patch("numpy.linalg.eigvalsh", wraps=np.linalg.eigvalsh) as solve:
+        eigs = hermitian_eigvalsh(empty, empty, np.array([]), c)
+    assert not solve.called
+    assert eigs.shape == (c.dimension,)
+    assert not np.any(eigs) and not np.any(np.signbit(eigs))
 
 
 def test_full_solve_refused_above_dimension_limit():

@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from noonamp import (MODE_ASYMMETRIC_A, AmplifierParams, CovarianceState, ModeCutoffs,
-                     SqueezingSpec,
+from noonamp import (MODE_ASYMMETRIC_A, MODE_SYMMETRIC, AmplifierParams, CovarianceState,
+                     ModeCutoffs, SqueezingSpec,
                      amplify_covariance, amplify_state, checks,
                      gaussian_log_negativity, photon_added_tmsv_negativity_sweep,
                      threshold_asymmetric, threshold_bisection, threshold_symmetric,
@@ -48,6 +48,32 @@ def test_covariance_state_validation():
         CovarianceState(lopsided)
     with pytest.raises(ValueError):
         CovarianceState(np.eye(2))
+
+
+def test_uncertainty_check_scales_with_the_covariance():
+    """eigvalsh rounds min eig(V + i Omega) at about eps max|V_ij|, so the
+    check allows 64 eps max|V_ij| (at least 1e-10): every physical
+    covariance below passes (measured at most 1/23 of the way to that
+    bound), and unphysical ones far past it are still refused."""
+    for r in np.arange(0.5, 20.0 + 1e-9, 0.25):
+        tmsv_covariance(SqueezingSpec(float(r)))
+    for r, mode, eta in itertools.product((0.1, 0.5, 1.0, 3.0),
+                                          (MODE_SYMMETRIC, MODE_ASYMMETRIC_A),
+                                          (0.0, 0.25, 1.0)):
+        base = tmsv_covariance(SqueezingSpec(r))
+        for g2 in np.logspace(0.0, 12.0, 97):
+            amplify_covariance(base, AmplifierParams(float(g2), eta=eta, mode_config=mode))
+    base = tmsv_covariance(SqueezingSpec(0.5))
+    for g2 in np.logspace(5.0, 8.0, 601):
+        amplify_covariance(base, AmplifierParams(float(g2), mode_config=MODE_ASYMMETRIC_A))
+    # unit scale, where the bound stays 1e-10
+    with pytest.raises(ValueError, match="uncertainty"):
+        CovarianceState((1.0 - 1e-8) * np.eye(4))
+    # min eig -1.5e-6 against a bound of 3.6e-8
+    shrunk = amplify_covariance(base, AmplifierParams(1e6, mode_config=MODE_ASYMMETRIC_A)).cov
+    shrunk[2:, 2:] *= 0.999999
+    with pytest.raises(ValueError, match="uncertainty"):
+        CovarianceState(shrunk)
 
 
 def test_amplify_covariance_vacuum_thermal():
@@ -133,7 +159,7 @@ def test_nu_minus_far_past_the_thresholds():
         nu = _nu_minus(amplify_covariance(
             base, AmplifierParams(g2, mode_config=MODE_ASYMMETRIC_A)))
         assert abs((1.0 - nu) * g2 - want) <= 1e-6 * want
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="no entanglement-breaking gain below 1e9"):
         threshold_bisection(SqueezingSpec(0.5), 0.0, MODE_ASYMMETRIC_A)
 
 

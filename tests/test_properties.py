@@ -18,7 +18,8 @@ from noonamp import (AmplifierParams, CutoffPolicy, MODE_ASYMMETRIC_A, MODE_SYMM
 from noonamp.fock import hermitian_eigvalsh
 from noonamp.negativity import log_negativity_block, log_negativity_dense
 
-from helpers import from_matrix, per_component_reference
+from helpers import (charge_conserving_triplets, charges, from_matrix, per_block_eigvalsh,
+                     per_component_reference)
 
 DENSE_DIM_MAX = 1500  # keeps each dense eigensolve well under a second
 
@@ -168,6 +169,25 @@ def test_charge_blocked_spectrum_equals_full_solve(n, g2, mode, r):
     assert_spectrum_equals_full_solve(state, True)  # n_a + n_b
     squeezed = tmsv_fock(SqueezingSpec(r), state.cutoffs)
     assert_spectrum_equals_full_solve(partial_transpose_b(squeezed), True)  # n_a + n_b
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.integers(1, 7), st.integers(1, 7), st.booleans(), st.integers(0, 2**32 - 1))
+def test_charge_blocked_spectrum_equals_per_block_reference(da, db, is_complex, seed):
+    """Bit for bit, the charge-blocked spectrum is one dense eigensolve per
+    block with a stored entry, summed in input order, and exact zeros for
+    every other block; no stacked solve receives a block without an entry."""
+    cutoffs = ModeCutoffs(da, db)
+    rows, cols, values = charge_conserving_triplets(
+        cutoffs, np.random.default_rng(seed), is_complex)
+    with mock.patch("numpy.linalg.eigvalsh", wraps=np.linalg.eigvalsh) as solve:
+        got = hermitian_eigvalsh(rows, cols, values, cutoffs)
+    want = per_block_eigvalsh(rows, cols, values, cutoffs)
+    assert [x.hex() for x in got.tolist()] == [x.hex() for x in want.tolist()]
+    charge = next(c for c in charges(cutoffs) if np.array_equal(c[rows], c[cols]))
+    stacks = [call.args[0] for call in solve.call_args_list]
+    assert sum(stack.shape[0] for stack in stacks) == np.unique(charge[rows]).size
+    assert all(np.any(stack, axis=(1, 2)).all() for stack in stacks)
 
 
 @settings(deadline=None, max_examples=8)
