@@ -1,12 +1,15 @@
 """Gaussian benchmarks: two-mode squeezed vacuum under amplification.
 
-The covariance-matrix side works in quadrature ordering (x_a, p_a, x_b,
-p_b) with the vacuum normalized to the identity, so an amplified vacuum
-has diagonal 2 g2 - 1 and mean photon number g2 - 1 per mode.  Gaussian
-entanglement is quantified the same way as the Fock side: E_N =
-max(0, -log2 nu_minus) with nu_minus the smaller symplectic eigenvalue of
-the partially transposed covariance.  ``amplify_covariance`` takes the
-same ``channel.AmplifierParams`` as the Fock-side channel and its oracle.
+The covariance side works in quadrature ordering (x_a, p_a, x_b, p_b) with
+the vacuum normalized to the identity, so an amplified vacuum has variance
+2 g2 - 1 and mean photon number g2 - 1 per mode.  The squeezed vacuum has
+the standard form V = [[a I, c Z], [c Z, b I]], Z = diag(1, -1), which
+phase-insensitive gain keeps, so a state is the scalars a, b, c and the
+ratio e = (ab - c^2) / (ab), and its symplectic eigenvalues are closed
+forms.  E_N = max(0, -log2 nu_minus), nu_minus the smaller symplectic
+eigenvalue of the partial transpose, as on the Fock side.
+``amplify_covariance`` takes the same ``channel.AmplifierParams`` as the
+Fock-side channel.
 
 The squeezed vacuum loses all entanglement at a finite gain,
 
@@ -24,6 +27,7 @@ negativity.
 
 from dataclasses import dataclass
 import math
+import sys
 
 import numpy as np
 
@@ -32,12 +36,8 @@ from .channel import MODE_SYMMETRIC, AmplifierParams, amplify_state, photon_add_
 from .fock import ModeCutoffs, TwoModeState
 from .negativity import log_negativity_dense
 
-_OMEGA = np.array([
-    [0.0, 1.0, 0.0, 0.0],
-    [-1.0, 0.0, 0.0, 0.0],
-    [0.0, 0.0, 0.0, 1.0],
-    [0.0, 0.0, -1.0, 0.0],
-])
+# 64 roundings: the slack for the fields' own rounding in the checks below
+_ROUNDING = 64.0 * sys.float_info.epsilon
 
 
 @dataclass(frozen=True)
@@ -53,78 +53,77 @@ class SqueezingSpec:
 
 @dataclass(frozen=True)
 class CovarianceState:
-    """4x4 real symmetric covariance matrix, vacuum = identity."""
+    """Standard-form covariance V = [[a I, c Z], [c Z, b I]], vacuum = identity,
+    and e = (ab - c^2) / (ab), which keeps its digits where ab - c^2 << ab.
 
-    cov: np.ndarray
+    Refused: a non-finite field; an e below sys.float_info.min (digits
+    lost) or off 1 - c^2/(ab) by more than 64 roundings; and a V that
+    breaks the uncertainty relation nu_minus(V) = 2(ab - c^2) /
+    (sqrt((a - b)^2 + 4(ab - c^2)) + |a - b|) >= 1 by more than 64
+    roundings of e, a and b, which move nu_minus by up to
+    nu_minus^2 (a + b) / (ab - c^2) per unit of relative rounding.
+    """
+
+    a: float
+    b: float
+    c: float
+    e: float
 
     def __post_init__(self):
-        cov = np.asarray(self.cov, dtype=np.float64)
-        if cov.shape != (4, 4):
-            raise ValueError("covariance must be 4x4")
-        if not np.all(np.isfinite(cov)):
+        a, b, c, e = self.a, self.b, self.c, self.e
+        if not all(map(math.isfinite, (a, b, c, e))):
             raise ValueError("covariance entries must be finite")
-        if float(np.abs(cov - cov.T).max()) > 1e-10:
-            raise ValueError("covariance must be symmetric")
-        # uncertainty relation: cov + i Omega >= 0, up to the rounding of
-        # eigvalsh, which is about eps max|V_ij|
-        eigs = np.linalg.eigvalsh(cov + 1j * _OMEGA)
-        if float(eigs[0]) < -max(1e-10, 64.0 * np.finfo(float).eps * float(np.abs(cov).max())):
+        if not e >= sys.float_info.min:
+            raise ValueError(f"the excess ratio e = {e:g} is not a normal float")
+        if not (a > 0.0 and b > 0.0):
+            raise ValueError("covariance violates the uncertainty relation: a variance <= 0")
+        if abs((c / a) * (c / b) + e - 1.0) > _ROUNDING:
+            raise ValueError("e must equal 1 - c^2/(ab)")
+        s = max(a, b)
+        x, y = a / s, b / s
+        den = math.hypot(x - y, 2.0 * math.sqrt(e * x * y)) + abs(x - y)
+        nu = 2.0 * e * min(a, b) / den
+        # 2 nu (x + y) / den is nu^2 (a + b) / (ab - c^2)
+        tol = _ROUNDING * (1.0 + 2.0 * nu * (x + y) / den)
+        if nu < 1.0 - tol:
             raise ValueError(f"covariance violates the uncertainty relation "
-                             f"(min eig {eigs[0]:.3e})")
-        object.__setattr__(self, "cov", cov)
+                             f"(nu_minus {nu:.12g}, bound 1 - {tol:.3e})")
 
 
 def tmsv_covariance(spec: SqueezingSpec) -> CovarianceState:
-    """Two-mode squeezed vacuum: cosh(2r) blocks with sinh(2r) x/p correlations."""
+    """Two-mode squeezed vacuum: a = b = cosh 2r, c = sinh 2r, e = 1/cosh^2 2r."""
     try:
         ch, sh = math.cosh(2.0 * spec.r), math.sinh(2.0 * spec.r)
     except OverflowError:
         raise ValueError(f"cosh(2r) is not finite at r = {spec.r:g}") from None
-    z = np.diag([1.0, -1.0])
-    cov = np.block([[ch * np.eye(2), sh * z], [sh * z, ch * np.eye(2)]])
-    return CovarianceState(cov=cov)
+    return CovarianceState(ch, ch, sh, (1.0 / ch) ** 2)
 
 
 def amplify_covariance(state: CovarianceState, params: AmplifierParams) -> CovarianceState:
-    """The amplifier ``params`` on a covariance matrix.
-
-    Each amplified 2x2 block picks up g2 * sigma + (g2 - 1)(2 eta + 1) I;
-    cross blocks scale by G per amplified side.
-    """
-    g_squared, modes = params.g_squared, params.amplified_modes
-    g = math.sqrt(g_squared)
-    noise = (g_squared - 1.0) * (2.0 * params.eta + 1.0)
-    scale = np.ones(4)
-    added = np.zeros(4)
-    if "a" in modes:
-        scale[:2] = g
-        added[:2] = noise
-    if "b" in modes:
-        scale[2:] = g
-        added[2:] = noise
-    cov = state.cov * np.outer(scale, scale) + np.diag(added)
-    return CovarianceState(cov=cov)
+    """The amplifier ``params`` on a standard-form covariance: each mode's
+    variance v goes to v' = g2 v + n, n = (g2 - 1)(2 eta + 1), and c scales
+    by sqrt(g2) per mode, with g2 = G^2 on an amplified mode and 1 on the
+    other.  With each mode's kept share k = g2 v / v', the excess ratio is
+    e' = k_a k_b e + k_a n_b / b' + n_a / a', non-negative terms that
+    neither cancel nor overflow."""
+    modes = params.amplified_modes
+    g_a, g_b = (params.g_squared if mode in modes else 1.0 for mode in "ab")
+    n_a, n_b = ((g - 1.0) * (2.0 * params.eta + 1.0) for g in (g_a, g_b))
+    a, b = g_a * state.a + n_a, g_b * state.b + n_b
+    k_a, k_b = g_a * state.a / a, g_b * state.b / b
+    return CovarianceState(a, b, state.c * math.sqrt(g_a) * math.sqrt(g_b),
+                           k_a * k_b * state.e + k_a * n_b / b + n_a / a)
 
 
 def _nu_minus(state: CovarianceState) -> float:
-    """Smaller symplectic eigenvalue of the partial transpose (p_b -> -p_b).
-
-    nu_minus^2 is the smaller root of x^2 - Delta x + det V, taken as
-    2 det V / (Delta + sqrt(Delta^2 - 4 det V)): the textbook form
-    (Delta - sqrt(...)) / 2 cancels to nothing once det V is small against
-    Delta^2, at high gain.  V is first scaled by a power of two to entries
-    below 1, so its determinant cannot overflow, and nu_minus is scaled
-    back exactly.
-    """
-    exponent = math.frexp(float(np.abs(state.cov).max()))[1]
-    v = np.ldexp(state.cov, -exponent)
-    a = np.linalg.det(v[:2, :2])
-    b = np.linalg.det(v[2:, 2:])
-    c = np.linalg.det(v[:2, 2:])
-    det = np.linalg.det(v)
-    delta_pt = a + b - 2.0 * c
-    disc = max(delta_pt**2 - 4.0 * det, 0.0)
-    return math.ldexp(math.sqrt(max(2.0 * det / (delta_pt + math.sqrt(disc)), 0.0)), exponent)
+    """Smaller symplectic eigenvalue of the partial transpose (p_b -> -p_b),
+    2(ab - c^2) / ((a + b) + sqrt((a - b)^2 + 4 c^2)) (Adesso, Serafini and
+    Illuminati, PRA 70, 022318 (2004)): every term is positive, and with
+    the excess as e ab and the lengths divided by max(a, b) nothing cancels
+    or overflows."""
+    s = max(state.a, state.b)
+    x, y = state.a / s, state.b / s
+    return 2.0 * state.e * min(state.a, state.b) / (x + y + math.hypot(x - y, 2.0 * state.c / s))
 
 
 def gaussian_log_negativity(state: CovarianceState) -> float:

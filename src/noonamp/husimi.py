@@ -26,6 +26,9 @@ import numpy as np
 from . import config
 from .fock import TwoModeState, log_factorials
 
+# Q values per written block of the CSV dump; the text of one block is held at once
+_CSV_BLOCK = 2**17
+
 
 @dataclass(frozen=True)
 class QGrid:
@@ -157,17 +160,31 @@ def q_pairs(state: TwoModeState, alphas: np.ndarray, betas: np.ndarray) -> np.nd
 
 
 def write_qgrid_csv(grid: QGrid, path) -> None:
-    """Columns re_alpha, im_alpha, re_beta, im_beta, q_value, one row per pair."""
+    """Columns re_alpha, im_alpha, re_beta, im_beta, q_value, one row per pair.
+
+    Written in blocks of whole alpha rows, about ``_CSV_BLOCK`` values each,
+    so the text held at once stays bounded.  Each amplitude is formatted
+    once per axis and each distinct Q value once per block, told apart by
+    bit pattern so that -0.0 keeps its sign.  A block's (alpha, beta, value)
+    texts are interleaved in one object array, and each row joined.
+    """
     if grid.values is None:
         raise ValueError("grid has no evaluated values")
-    # each amplitude is formatted once per axis and each distinct Q value
-    # once, told apart by bit pattern so that -0.0 keeps its sign
-    alphas = [f"{a.real:.12g},{a.imag:.12g}," for a in grid.alpha_samples]
-    betas = [f"{b.real:.12g},{b.imag:.12g}," for b in grid.beta_samples]
+    alphas = np.array([f"{a.real:.12g},{a.imag:.12g}," for a in grid.alpha_samples], dtype=object)
+    betas = np.array([f"{b.real:.12g},{b.imag:.12g}," for b in grid.beta_samples], dtype=object)
     values = np.ascontiguousarray(grid.values, dtype=np.float64)
-    bits, which = np.unique(values.view(np.int64), return_inverse=True)
-    texts = [f"{q:.12g}\n" for q in bits.view(np.float64).tolist()]
+    rows = max(1, _CSV_BLOCK // max(1, values.shape[1]))
     with open(path, "w") as fh:
         fh.write("re_alpha,im_alpha,re_beta,im_beta,q_value\n")
-        for a, row in zip(alphas, which.reshape(values.shape).tolist()):
-            fh.write("".join([f"{a}{b}{texts[q]}" for b, q in zip(betas, row)]))
+        for start in range(0, len(alphas), rows):
+            block = values[start:start + rows]
+            bits, which = np.unique(block.view(np.int64), return_inverse=True)
+            distinct = bits.view(np.float64).tolist()
+            texts = np.array(("%.12g\n" * len(distinct) % tuple(distinct)).splitlines(True),
+                             dtype=object)
+            fields = np.empty(block.shape + (3,), dtype=object)
+            fields[..., 0] = alphas[start:start + rows, None]
+            fields[..., 1] = betas
+            fields[..., 2] = texts[which.reshape(block.shape)]
+            for line in fields.reshape(len(block), -1):
+                fh.write("".join(line.tolist()))

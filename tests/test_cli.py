@@ -110,13 +110,22 @@ def test_gaussian_rows_far_past_the_threshold(capsys):
 
 
 def test_gaussian_rows_at_high_squeezing(capsys):
-    """At r = 8 the covariance entries reach cosh 16 ~ 4e6; the uncertainty
-    check allows for eigvalsh's rounding at that scale, so the sweep runs."""
+    """At r = 8 the covariance entries reach cosh 16 ~ 4e6, and the unit-gain
+    row still prints E_N = 16/ln 2 to every digit."""
     assert main(["sweep", "--family", "tmsv_gaussian", "--r", "8", "--g2", "1:2:0.5"]) == 0
     lines = capsys.readouterr().out.strip().split("\n")
-    values = [float(line.split(",")[5]) for line in lines[1:]]
-    assert len(values) == 3 and all(math.isfinite(v) for v in values)
-    assert values[-1] == 0.0
+    values = [line.split(",")[5] for line in lines[1:]]
+    assert len(values) == 3 and all(math.isfinite(float(v)) for v in values)
+    assert values[0] == "23.0831206542"
+    assert float(values[-1]) == 0.0
+
+
+def test_gaussian_rows_at_r_20(capsys):
+    """At r = 20, where ab - c^2 = 1 is far below the rounding of ab ~ 1e34,
+    the unit-gain row prints E_N = 40/ln 2 instead of failing on log2(0)."""
+    assert main(["sweep", "--family", "tmsv_gaussian", "--r", "20", "--g2", "1:1.5:0.5"]) == 0
+    lines = capsys.readouterr().out.strip().split("\n")
+    assert lines[1].split(",")[5] == "57.7078016356"
 
 
 def test_cli_sweep_csv_and_json(tmp_path):

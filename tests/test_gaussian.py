@@ -1,6 +1,7 @@
 import itertools
 import math
 
+from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
@@ -18,16 +19,26 @@ from noonamp.negativity import log_negativity_dense
 GOLDEN_EN_ADDED_TMSV_R0P5 = 2.2595766197217335
 
 
+def _covariance(state):
+    """The 4x4 V of a standard-form state, rebuilt here so that the
+    library's scalar closed forms have an independent reference."""
+    a, b, c = state.a, state.b, state.c
+    return np.array([[a, 0, c, 0], [0, a, 0, -c], [c, 0, b, 0], [0, -c, 0, b]])
+
+
+_OMEGA = np.array([[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]])
+_FLIP_PB = np.diag([1.0, 1.0, 1.0, -1.0])  # partial transpose: p_b -> -p_b
+
+
 def test_tmsv_covariance_values():
-    assert np.array_equal(tmsv_covariance(SqueezingSpec(0.0)).cov, np.eye(4))
-    cov = tmsv_covariance(SqueezingSpec(0.5)).cov
-    assert abs(cov[0, 0] - math.cosh(1.0)) <= 1e-12
-    assert abs(cov[0, 2] - math.sinh(1.0)) <= 1e-12
-    assert abs(cov[1, 3] + math.sinh(1.0)) <= 1e-12
-    # purity: det = 1 and both symplectic eigenvalues equal 1
-    assert abs(np.linalg.det(cov) - 1.0) <= 1e-10
-    omega = np.array([[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]])
-    nus = np.abs(np.linalg.eigvals(1j * omega @ cov))
+    assert tmsv_covariance(SqueezingSpec(0.0)) == CovarianceState(1.0, 1.0, 0.0, 1.0)
+    state = tmsv_covariance(SqueezingSpec(0.5))
+    assert abs(state.a - math.cosh(1.0)) <= 1e-12
+    assert abs(state.b - math.cosh(1.0)) <= 1e-12
+    assert abs(state.c - math.sinh(1.0)) <= 1e-12
+    # purity: ab - c^2 = 1 and both symplectic eigenvalues equal 1
+    assert abs(state.e * state.a * state.b - 1.0) <= 1e-10
+    nus = np.abs(np.linalg.eigvals(1j * _OMEGA @ _covariance(state)))
     assert np.abs(nus - 1.0).max() <= 1e-10
 
 
@@ -41,20 +52,35 @@ def test_squeezing_spec_validation():
 
 def test_covariance_state_validation():
     with pytest.raises(ValueError, match="uncertainty"):
-        CovarianceState(0.5 * np.eye(4))
-    lopsided = np.eye(4)
-    lopsided[0, 1] += 1e-3
-    with pytest.raises(ValueError, match="symmetric"):
-        CovarianceState(lopsided)
-    with pytest.raises(ValueError):
-        CovarianceState(np.eye(2))
+        CovarianceState(0.5, 0.5, 0.0, 1.0)
+    with pytest.raises(ValueError, match="uncertainty"):
+        CovarianceState(-1.0, 1.0, 0.0, 1.0)
+    with pytest.raises(ValueError, match="finite"):
+        CovarianceState(1.0, math.inf, 0.0, 1.0)
+    # e must match 1 - c^2/(ab)
+    with pytest.raises(ValueError, match="must equal"):
+        CovarianceState(2.0, 2.0, 1.0, 1.0)
+    # a ratio whose digits are gone, as at r = 200 where 1/cosh^2 2r underflows
+    with pytest.raises(ValueError, match="normal float"):
+        CovarianceState(1.0, 1.0, 1.0, 5e-324)
+    with pytest.raises(ValueError, match="normal float"):
+        tmsv_covariance(SqueezingSpec(200.0))
+
+
+def test_tmsv_negativity_exact_at_any_squeezing():
+    """At unit gain E_N = 2r/ln 2 to 1e-13 relative for every r up to 20:
+    the excess is carried as 1/cosh^2 2r, not read off the difference of
+    products of order e^{4r}."""
+    for r in (0.5, 2.0, 4.0, 6.0, 8.0, 20.0):
+        en = gaussian_log_negativity(tmsv_covariance(SqueezingSpec(r)))
+        assert abs(en - 2.0 * r / math.log(2.0)) <= 1e-13 * (2.0 * r / math.log(2.0))
 
 
 def test_uncertainty_check_scales_with_the_covariance():
-    """eigvalsh rounds min eig(V + i Omega) at about eps max|V_ij|, so the
-    check allows 64 eps max|V_ij| (at least 1e-10): every physical
-    covariance below passes (measured at most 1/23 of the way to that
-    bound), and unphysical ones far past it are still refused."""
+    """The check lets nu_minus sit below 1 by what 64 roundings of e, a and
+    b can move it: every physical covariance below passes (measured at most
+    1/128 of the way to that bound), and unphysical ones past it are
+    refused, also beside a variance as large as 1e15."""
     for r in np.arange(0.5, 20.0 + 1e-9, 0.25):
         tmsv_covariance(SqueezingSpec(float(r)))
     for r, mode, eta in itertools.product((0.1, 0.5, 1.0, 3.0),
@@ -66,31 +92,37 @@ def test_uncertainty_check_scales_with_the_covariance():
     base = tmsv_covariance(SqueezingSpec(0.5))
     for g2 in np.logspace(5.0, 8.0, 601):
         amplify_covariance(base, AmplifierParams(float(g2), mode_config=MODE_ASYMMETRIC_A))
-    # unit scale, where the bound stays 1e-10
+    # unit scale, where the bound is 1 - 4.3e-14
     with pytest.raises(ValueError, match="uncertainty"):
-        CovarianceState((1.0 - 1e-8) * np.eye(4))
-    # min eig -1.5e-6 against a bound of 3.6e-8
-    shrunk = amplify_covariance(base, AmplifierParams(1e6, mode_config=MODE_ASYMMETRIC_A)).cov
-    shrunk[2:, 2:] *= 0.999999
+        CovarianceState(1.0 - 1e-8, 1.0 - 1e-8, 0.0, 1.0)
+    # a mode below the vacuum, and nu_minus 0.9, next to a = 1e15
     with pytest.raises(ValueError, match="uncertainty"):
-        CovarianceState(shrunk)
+        CovarianceState(1e15, 0.5, 0.0, 1.0)
+    with pytest.raises(ValueError, match="uncertainty"):
+        CovarianceState(1e15, 1.0, 1e7, 1.0 - (1e7 / 1e15) * 1e7)
+    # nu_minus 1 - 1.5e-6 against a bound of 1 - 2.8e-14
+    out = amplify_covariance(base, AmplifierParams(1e6, mode_config=MODE_ASYMMETRIC_A))
+    shrunk = 0.999999 * out.b
+    with pytest.raises(ValueError, match="uncertainty"):
+        CovarianceState(out.a, shrunk, out.c, 1.0 - (out.c / out.a) * (out.c / shrunk))
 
 
 def test_amplify_covariance_vacuum_thermal():
-    vac = CovarianceState(np.eye(4))
+    vac = CovarianceState(1.0, 1.0, 0.0, 1.0)
     out = amplify_covariance(vac, AmplifierParams(2.0, eta=0.0))
-    assert np.abs(out.cov - 3.0 * np.eye(4)).max() <= 1e-12
-    # mean photons (diag - 1)/2 = g2 - 1
-    assert abs((out.cov[0, 0] - 1.0) / 2.0 - 1.0) <= 1e-12
+    assert max(abs(out.a - 3.0), abs(out.b - 3.0), abs(out.c), abs(out.e - 1.0)) <= 1e-12
+    # mean photons (variance - 1)/2 = g2 - 1
+    assert abs((out.a - 1.0) / 2.0 - 1.0) <= 1e-12
     # with eta the added noise grows to (g2-1)(2 eta + 1)
     noisy = amplify_covariance(vac, AmplifierParams(2.0, eta=0.5))
-    assert np.abs(noisy.cov - 4.0 * np.eye(4)).max() <= 1e-12
+    assert max(abs(noisy.a - 4.0), abs(noisy.b - 4.0), abs(noisy.c)) <= 1e-12
 
 
 def test_amplify_covariance_identity_and_guards():
     state = tmsv_covariance(SqueezingSpec(0.3))
     out = amplify_covariance(state, AmplifierParams(1.0))
-    assert np.abs(out.cov - state.cov).max() <= 1e-14
+    assert max(abs(out.a - state.a), abs(out.b - state.b), abs(out.c - state.c),
+               abs(out.e - state.e)) <= 1e-14
     with pytest.raises(ValueError):
         amplify_covariance(state, AmplifierParams(0.8))
     with pytest.raises(ValueError):
@@ -99,8 +131,24 @@ def test_amplify_covariance_identity_and_guards():
         amplify_covariance(state, AmplifierParams(2.0, mode_config="q"))
 
 
+@settings(deadline=None, max_examples=200)
+@given(st.floats(0.0, 2.0), st.floats(0.0, 2.0), st.floats(0.0, 4.0),
+       st.sampled_from([MODE_SYMMETRIC, MODE_ASYMMETRIC_A]))
+def test_symplectic_eigenvalue_against_the_matrix(r, eta, log_g2, mode):
+    """nu_minus and E_N match the smallest |eigenvalue| of i Omega V^Gamma,
+    held to that reference's own rounding, 64 eps max|V|."""
+    state = amplify_covariance(tmsv_covariance(SqueezingSpec(r)),
+                               AmplifierParams(10.0 ** log_g2, eta=eta, mode_config=mode))
+    v = _FLIP_PB @ _covariance(state) @ _FLIP_PB
+    bound = 64.0 * np.finfo(float).eps * np.abs(v).max()
+    ref = float(np.abs(np.linalg.eigvals(1j * _OMEGA @ v)).min())
+    assert abs(_nu_minus(state) - ref) <= bound
+    ref_en = max(0.0, -math.log2(ref))
+    assert abs(gaussian_log_negativity(state) - ref_en) <= bound / (ref * math.log(2.0))
+
+
 def test_gaussian_log_negativity_values():
-    assert gaussian_log_negativity(CovarianceState(np.eye(4))) == 0.0
+    assert gaussian_log_negativity(CovarianceState(1.0, 1.0, 0.0, 1.0)) == 0.0
     r = 0.5
     en = gaussian_log_negativity(tmsv_covariance(SqueezingSpec(r)))
     assert abs(en - 2.0 * r / math.log(2.0)) <= 1e-12

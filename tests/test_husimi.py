@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from noonamp import (AmplifierParams, CutoffPolicy, MODE_ASYMMETRIC_A, MODE_SYMM
                      default_grid_for_state, evolve, photon_add_both, q_evaluate, q_pairs,
                      select_cutoffs, square_mesh, tmsv_fock, write_qgrid_csv)
 from noonamp.gaussian import SqueezingSpec
+from noonamp import husimi
 from noonamp.husimi import coherent_matrix
 
 from helpers import dense_tensor, from_matrix, product_state, riemann_mass
@@ -287,12 +289,18 @@ def _per_value_csv(grid):
     return "".join(want).encode()
 
 
-@pytest.mark.parametrize("kind", ["repeated", "clamped_zeros", "all_distinct"])
-def test_qgrid_csv_formats_each_distinct_value_once(tmp_path, kind):
-    """Formatting each distinct Q value once writes the bytes that
+@pytest.mark.parametrize("kind, block", [
+    pytest.param(kind, block, id=kind if block is None else f"{kind}-block{block}")
+    for block in (None, 100, 1) for kind in ("repeated", "clamped_zeros", "all_distinct")])
+def test_qgrid_csv_formats_each_distinct_value_once(tmp_path, monkeypatch, kind, block):
+    """Formatting each distinct Q value once per block writes the bytes that
     formatting every value does: on an evaluated grid, where values repeat
     and clamped zeros sit at the NOON's zeros, on hand-set values that
-    include -0.0 next to 0.0 and a subnormal, and on all-distinct values."""
+    include -0.0 next to 0.0 and a subnormal, and on all-distinct values;
+    in one block, in blocks of two of the 49 rows (the last one short),
+    and one row per block."""
+    if block is not None:
+        monkeypatch.setattr(husimi, "_CSV_BLOCK", block)
     mesh, _ = square_mesh(1.5, 7)
     if kind == "repeated":
         grid = q_evaluate(build_noon(NoonSpec(2), ModeCutoffs(24, 24)), QGrid(mesh, mesh.copy()))
@@ -311,3 +319,24 @@ def test_qgrid_csv_formats_each_distinct_value_once(tmp_path, kind):
     path = tmp_path / "q.csv"
     write_qgrid_csv(grid, path)
     assert path.read_bytes() == _per_value_csv(grid)
+
+
+def test_qgrid_csv_memory_is_bounded_by_the_block(tmp_path):
+    """A grid of four blocks (2^19 values, 4096 distinct) is written with a
+    tracemalloc peak under 16 MiB: only one block's indices and texts are
+    held at once.  Holding every index as a Python int, as the unblocked
+    writer did, peaked at 23.7 MiB here."""
+    rng = np.random.default_rng(5)
+    alphas = rng.standard_normal(512) + 1j * rng.standard_normal(512)
+    betas = rng.standard_normal(1024) + 1j * rng.standard_normal(1024)
+    grid = QGrid(alphas, betas, rng.integers(0, 4096, (512, 1024)) / 4096.0)
+    assert grid.values.size == 4 * husimi._CSV_BLOCK
+    tracemalloc.start()
+    try:
+        write_qgrid_csv(grid, tmp_path / "q.csv")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    with open(tmp_path / "q.csv") as fh:
+        assert sum(1 for _ in fh) == 1 + grid.values.size
