@@ -321,7 +321,7 @@ def photon_add_both(state: TwoModeState) -> TwoModeState:
     added = np.zeros_like(state.x)
     added[:, 1:, 1:] = (root_n[:, :, None] * root_m[:, None, :] * root_p[:, :, None]
                         * root_q[:, None, :] * state.x[:, :-1, :-1])
-    kept_trace = float(added[(state.k_a == 0) & (state.k_b == 0)].real.sum())
+    kept_trace = float(added[0].real.sum())
     if kept_trace <= config.ATOL_STRUCTURAL * max(exact_trace, 1.0):
         raise ValueError("photon addition leaves no weight inside the cutoffs")
     return TwoModeState(c, state.k_a, state.k_b, added / exact_trace)

@@ -10,15 +10,16 @@ exist; the padding beyond is zero.  Hermiticity makes sector
 (-k_a, -k_b) the complex conjugate of sector (k_a, k_b), position by
 position, so a state stores only sector (0, 0) and the nonzero sectors
 above it in increasing (k_a, k_b) order (k_a > 0, or k_a = 0 and
-k_b > 0).  Each of those stands for itself and its conjugate mirror, so a
-stored state is Hermitian by construction; only its diagonal, sector
-(0, 0), could carry an imaginary part, which construction checks and then
-drops, so sector (0, 0) is always stored real.
+k_b > 0), sector (0, 0) always first, as ``x[0]``, even when it is zero.
+Each of those stands for itself and its conjugate mirror, so a stored
+state is Hermitian by construction; only its diagonal, ``x[0]``, could
+carry an imaginary part, which construction checks and then drops, so
+``x[0]`` is always stored real.
 
 The phase-insensitive amplifier maps every sector to itself, so the
 package's states stay in few sectors: a NOON input and everything made
 from it hold exactly (0, 0) and (N, -N).  Everything reads the stack
-directly: trace and populations are sector (0, 0), the partial transpose
+directly: trace and populations are ``x[0]``, the partial transpose
 relabels k_b -> -k_b, the channel and the integrator act sector by sector.
 The entries are real (float64) for every state the package builds and
 complex128 only for genuinely complex input.  The dense eigensolves behind
@@ -46,6 +47,8 @@ class ModeCutoffs:
     cutoff_b: int
 
     def __post_init__(self):
+        object.__setattr__(self, "cutoff_a", int(_integers(self.cutoff_a, "cutoffs")))
+        object.__setattr__(self, "cutoff_b", int(_integers(self.cutoff_b, "cutoffs")))
         if self.cutoff_a < 1 or self.cutoff_b < 1:
             raise ValueError("cutoffs must be >= 1")
         if self.dimension > config.MAX_TOTAL_DIMENSION:
@@ -69,6 +72,7 @@ class NoonSpec:
     n_photons: int
 
     def __post_init__(self):
+        object.__setattr__(self, "n_photons", int(_integers(self.n_photons, "n_photons")))
         if self.n_photons < 1:
             raise ValueError("n_photons must be >= 1")
 
@@ -78,16 +82,17 @@ class TwoModeState:
 
     ``x[s]`` holds sector (``k_a[s]``, ``k_b[s]``) as the module docstring
     lays out: sector (0, 0) and the sectors above it, each standing for
-    itself and its conjugate mirror.  Zero sectors are dropped; the entries
-    are float64 unless an imaginary part is nonzero, in which case they are
-    complex128.  ``matrix`` builds a read-only dense copy for consumers that
-    need one and ``entries`` lists the nonzero entries, mirrors included,
-    as triplets.
+    itself and its conjugate mirror.  Sector (0, 0) is always ``x[0]``,
+    prepended as zeros to a stack that lacks it; every other zero sector is
+    dropped.  The entries are float64 unless an imaginary part is nonzero,
+    in which case they are complex128.  ``matrix`` builds a read-only dense
+    copy for consumers that need one and ``entries`` lists the nonzero
+    entries, mirrors included, as triplets.
 
     Construction checks the diagonal (real and non-negative) and a trace
-    of at most 1; ``validate=False`` skips these checks.  Either way every
-    stored entry must be finite, and the diagonal's imaginary part is
-    dropped, so sector (0, 0) is stored real.
+    of at most 1; ``validate=False`` skips these checks.  Either way the
+    labels must be integers, every stored entry must be finite, and the
+    diagonal's imaginary part is dropped, so sector (0, 0) is stored real.
     Outside input, which may not be Hermitian, comes in through
     ``from_entries``.
     ``trace_deficit`` records 1 - Tr(rho): states built by truncating an
@@ -99,40 +104,42 @@ class TwoModeState:
 
     def __init__(self, cutoffs: ModeCutoffs, k_a, k_b, x, validate: bool = True):
         da, db = cutoffs.cutoff_a, cutoffs.cutoff_b
-        k_a = np.asarray(k_a, dtype=np.int64)
-        k_b = np.asarray(k_b, dtype=np.int64)
+        k_a = _integers(k_a, "sector labels")
+        k_b = _integers(k_b, "sector labels")
         x = np.asarray(x)
         if k_a.ndim != 1 or k_b.shape != k_a.shape or x.shape != (k_a.size, da, db):
             raise ValueError(f"sector stack of shape {x.shape} does not match "
                              f"{k_a.size} sectors at cutoffs {da}x{db}")
-        codes = k_a * (2 * db - 1) + k_b   # increasing in (k_a, k_b), 0 at (0, 0)
-        if (np.any(np.abs(k_a) >= da) or np.any(np.abs(k_b) >= db)
-                or np.any(np.diff(codes) <= 0) or np.any(codes < 0)):
+        labels = list(zip(k_a.tolist(), k_b.tolist()))
+        if (labels != sorted(set(labels)) or min(labels, default=(0, 0)) < (0, 0)
+                or any(abs(ka) >= da or abs(kb) >= db for ka, kb in labels)):
             raise ValueError("sectors must be distinct, in increasing (k_a, k_b) order "
                              "and none below (0, 0)")
         # each sector's padding: its last |k_a| rows and its last |k_b| columns
-        for x_s, ka, kb in zip(x, k_a.tolist(), k_b.tolist()):
+        for x_s, (ka, kb) in zip(x, labels):
             if x_s[da - abs(ka):].any() or x_s[:, db - abs(kb):].any():
                 raise ValueError("sector entries past the cutoffs must be zero")
+        if labels[:1] != [(0, 0)]:   # sector (0, 0) is always x[0]
+            k_a, k_b = np.append(0, k_a), np.append(0, k_b)
+            x = np.concatenate([np.zeros((1, da, db), dtype=x.dtype), x])
         if np.iscomplexobj(x):
-            middle = (k_a == 0) & (k_b == 0)
-            diag_imag = float(np.abs(x[middle].imag).max(initial=0.0))
+            diag_imag = float(np.abs(x[0].imag).max())
             if validate and not diag_imag <= config.ATOL_STRUCTURAL:
                 raise ValueError("diagonal has imaginary parts beyond tolerance")
             x = x.copy()
-            x[middle] = x[middle].real   # the diagonal is stored real
+            x[0] = x[0].real   # the diagonal is stored real
             if not np.any(x.imag):
                 x = x.real
         keep = np.any(x, axis=(1, 2))
+        keep[0] = True
         # boolean indexing copies; the cast then copies only a foreign dtype
         x = x[keep].astype(np.complex128 if np.iscomplexobj(x) else np.float64, copy=False)
         k_a, k_b = k_a[keep], k_b[keep]
         if not np.isfinite(x).all():
             raise ValueError("entries must be finite, not NaN or inf")
-        trace = _trace(x, k_a, k_b)
+        trace = _trace(x)
         if validate:
-            diag = _populations(x, k_a, k_b)
-            if float(diag.real.min(initial=0.0)) < -config.ATOL_STRUCTURAL:
+            if float(x[0].real.min()) < -config.ATOL_STRUCTURAL:
                 raise ValueError("diagonal has negative entries beyond tolerance")
             if trace > 1.0 + 1e-9:
                 raise ValueError(f"trace {trace} exceeds 1; not a truncated density matrix")
@@ -152,8 +159,8 @@ class TwoModeState:
         ``config.ATOL_STRUCTURAL`` and every value finite, whatever
         ``validate`` says; the sectors below (0, 0) are then dropped."""
         da, db = cutoffs.cutoff_a, cutoffs.cutoff_b
-        rows = np.asarray(rows, dtype=np.int64)
-        cols = np.asarray(cols, dtype=np.int64)
+        rows = _integers(rows, "entry indices")
+        cols = _integers(cols, "entry indices")
         values = np.asarray(values)
         if not np.isfinite(values).all():
             raise ValueError("entries must be finite")
@@ -186,7 +193,7 @@ class TwoModeState:
 
     @property
     def trace(self) -> float:
-        return _trace(self.x, self.k_a, self.k_b)
+        return _trace(self.x)
 
     def entries(self):
         """(rows, cols, values): the nonzero entries over the flattened
@@ -197,7 +204,7 @@ class TwoModeState:
         rows = (j_a + np.maximum(ka, 0)) * db + j_b + np.maximum(kb, 0)
         cols = (j_a + np.maximum(-ka, 0)) * db + j_b + np.maximum(-kb, 0)
         values = self.x[s, j_a, j_b]
-        off = (ka != 0) | (kb != 0)   # the mirror sits at the transposed position
+        off = s > 0   # the mirror sits at the transposed position
         rows, cols = np.concatenate([rows, cols[off]]), np.concatenate([cols, rows[off]])
         values = np.concatenate([values, values[off].conj()])
         order = np.argsort(rows * self.dimension + cols)
@@ -214,7 +221,7 @@ class TwoModeState:
 
     def populations(self) -> np.ndarray:
         """Diagonal occupation probabilities as a real (da, db) array."""
-        return _populations(self.x, self.k_a, self.k_b).real.copy()
+        return self.x[0].real.copy()
 
 
 def _hermiticity_error(x) -> float:
@@ -223,18 +230,27 @@ def _hermiticity_error(x) -> float:
     return float(np.abs(x - x[::-1].conj()).max(initial=0.0))
 
 
-def _populations(x, k_a, k_b) -> np.ndarray:
-    """Sector (0, 0), rho[n, m, n, m] at [n, m]; zeros if it is not stored."""
-    middle = np.flatnonzero((k_a == 0) & (k_b == 0))
-    return x[middle[0]] if middle.size else np.zeros(x.shape[1:], dtype=x.dtype)
+def _integers(values, what: str) -> np.ndarray:
+    """``values`` as int64; ValueError unless every value is an integer,
+    whatever its numeric dtype."""
+    values = np.asarray(values)
+    if values.dtype.kind in "biu":
+        return values.astype(np.int64, copy=False)
+    if values.dtype.kind == "f":
+        # NaN, inf and values past int64 cast to some integer they differ from
+        with np.errstate(invalid="ignore"):
+            ints = values.astype(np.int64)
+        if np.array_equal(ints, values):
+            return ints
+    raise ValueError(f"{what} must be integers")
 
 
-def _trace(x, k_a, k_b) -> float:
+def _trace(x) -> float:
     # all d diagonal entries in flat-index order, summed in complex128:
     # numpy's float64 pairwise sum groups the terms differently and moves
     # the 12th printed digit of trace_deficit, which the golden sweep pins
     # byte for byte
-    return float(_populations(x, k_a, k_b).ravel().astype(np.complex128).sum().real)
+    return float(x[0].ravel().astype(np.complex128).sum().real)
 
 
 def log_factorials(n: int) -> np.ndarray:

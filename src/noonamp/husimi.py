@@ -9,7 +9,8 @@ with U[k][i, j] = conj(v[i, j + max(k, 0)]) v[i, j + max(-k, 0)] the
 coherent products along the sector's diagonal and w_s = 2 for every sector
 but (0, 0), whose unstored mirror adds the complex conjugate.  No dense
 copy of the state is made; the cost follows the number of stored sectors,
-not d^2.
+not d^2.  Each sector's share is one real product, so Q over a grid holds
+the result and one share at a time, never a complex array of its size.
 
 Both evaluators, over the product grid (``q_evaluate``) and at matched
 pairs (``q_pairs``), share one path: the amplitude guard, the coherent
@@ -103,13 +104,15 @@ def _guard(samples: np.ndarray, cutoff: int, label: str):
 
 
 def _sector_factors(state: TwoModeState, va: np.ndarray, vb: np.ndarray):
-    """Per stored sector (k_a, k_b): (w U_a[k_a] x_s, U_b[k_b]), so that
-    Q = sum over sectors of Re(w U_a[k_a] x_s U_b[k_b]^T) / pi^2, with the
-    weight w = 2 counting the unstored mirror of every sector but (0, 0)."""
-    for k_a, k_b, x_s in zip(state.k_a.tolist(), state.k_b.tolist(), state.x):
+    """Per stored sector (k_a, k_b): the real factors left = [Re L | Im L]
+    and right = [Re U | -Im U] of L = w U_a[k_a] x_s and U = U_b[k_b], so
+    that Q = sum over sectors of left right^T = Re(L U^T), over pi^2, with
+    the weight w = 2 counting the unstored mirror of every sector but
+    (0, 0), x[0]."""
+    for s, (k_a, k_b, x_s) in enumerate(zip(state.k_a.tolist(), state.k_b.tolist(), state.x)):
         u_a, u_b = _diagonal_products(va, k_a), _diagonal_products(vb, k_b)
-        weight = 1.0 if k_a == k_b == 0 else 2.0
-        yield weight * (u_a @ x_s[:u_a.shape[1], :u_b.shape[1]]), u_b
+        left = (1.0 if s == 0 else 2.0) * (u_a @ x_s[:u_a.shape[1], :u_b.shape[1]])
+        yield np.hstack([left.real, left.imag]), np.hstack([u_b.real, -u_b.imag])
 
 
 def _diagonal_products(v: np.ndarray, k: int) -> np.ndarray:
@@ -121,8 +124,8 @@ def _diagonal_products(v: np.ndarray, k: int) -> np.ndarray:
 
 def _q_values(state: TwoModeState, alphas: np.ndarray, betas: np.ndarray, shape,
               contract) -> np.ndarray:
-    """Q of ``shape`` summed over the stored sectors, ``contract(left, u_b)``
-    giving one sector's share from the factors of ``_sector_factors``;
+    """Q of ``shape`` summed over the stored sectors, ``contract(left, right)``
+    giving one sector's real share from the factors of ``_sector_factors``;
     values in [-config.Q_CLAMP, 0) are clipped to zero and anything lower
     raises."""
     c = state.cutoffs
@@ -130,9 +133,11 @@ def _q_values(state: TwoModeState, alphas: np.ndarray, betas: np.ndarray, shape,
     _guard(betas, c.cutoff_b, "beta")
     va = coherent_matrix(alphas, c.cutoff_a)
     vb = coherent_matrix(betas, c.cutoff_b)
+    # sector by sector: one sum over all sectors' factors would round Q's
+    # exact zeros, where the sectors cancel, to residues of either sign
     values = np.zeros(shape)
-    for left, u_b in _sector_factors(state, va, vb):
-        values += contract(left, u_b)
+    for left, right in _sector_factors(state, va, vb):
+        values += contract(left, right)
     values /= math.pi**2
 
     low = float(values.min(initial=0.0))
@@ -144,8 +149,7 @@ def _q_values(state: TwoModeState, alphas: np.ndarray, betas: np.ndarray, shape,
 def q_evaluate(state: TwoModeState, grid: QGrid) -> QGrid:
     """Q over all (alpha_i, beta_j) pairs of the grid."""
     a, b = grid.alpha_samples, grid.beta_samples
-    values = _q_values(state, a, b, (len(a), len(b)),
-                       lambda left, u_b: (left @ u_b.T).real)
+    values = _q_values(state, a, b, (len(a), len(b)), lambda left, right: left @ right.T)
     return QGrid(alpha_samples=a, beta_samples=b, values=values)
 
 
@@ -156,7 +160,7 @@ def q_pairs(state: TwoModeState, alphas: np.ndarray, betas: np.ndarray) -> np.nd
     if alphas.shape != betas.shape:
         raise ValueError("alphas and betas must have matching shapes")
     return _q_values(state, alphas, betas, len(alphas),
-                     lambda left, u_b: (left * u_b).sum(axis=1).real)
+                     lambda left, right: (left * right).sum(axis=1))
 
 
 def write_qgrid_csv(grid: QGrid, path) -> None:

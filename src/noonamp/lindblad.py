@@ -61,9 +61,7 @@ _TAYLOR_NORM = 0.5
 
 def _check_leak(pops, modes, t: float, rate: float):
     """Abort if an amplified mode's top two Fock levels hold more than _LEAK_TOL;
-    ``pops`` is the (da, db) population array, or None if it is all zero."""
-    if pops is None:
-        return
+    ``pops`` is the (da, db) population array."""
     msgs = []
     for axis, mode in enumerate("ab"):
         if mode in modes and pops.shape[axis] >= 2:
@@ -127,8 +125,6 @@ def evolve(state: TwoModeState, params: AmplifierParams) -> TwoModeState:
             k_abs, index = np.unique(np.abs(k), return_inverse=True)
             gens = _generators(mode, k_abs, dim, kappa_n1, kappa_n2)
             props[mode] = _expm(gens, t_final / n_spans)[index].astype(x.dtype)
-    # the (0, 0) sector holds the populations, rho[n, m, n, m] = x[s, n, m]
-    middle = np.flatnonzero((k_a == 0) & (k_b == 0))
 
     # linspace ends exactly at t_final
     for t in np.linspace(0.0, t_final, n_spans + 1)[1:].tolist():
@@ -136,6 +132,7 @@ def evolve(state: TwoModeState, params: AmplifierParams) -> TwoModeState:
             x = props["a"] @ x
         if "b" in props:
             x = x @ props["b"]
-        _check_leak(x[middle[0]].real if middle.size else None, modes, t, rate)
+        # sector (0, 0) holds the populations, rho[n, m, n, m] = x[0, n, m]
+        _check_leak(x[0].real, modes, t, rate)
 
     return TwoModeState(c, k_a, k_b, x)

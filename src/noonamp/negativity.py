@@ -11,8 +11,8 @@ arithmetic run h, h + step, h + 2 step, ... of the PT index, so the route
 keeps only its head h and its length, found by one walk down the
 couplings (see ``log_negativity_block``), and solves the chains of each
 length together.
-It takes any state with sector (0, 0) and at most one other stored sector,
-and refuses every other.
+It takes any state that stores at most one sector, ``x[1]``, besides
+sector (0, 0), ``x[0]``, and refuses every other.
 
 Most chains carry no negativity, and the block route solves only those
 that may.  By Sylvester's law of inertia, the number of negative LDL^T
@@ -114,11 +114,11 @@ def log_negativity_dense(state: TwoModeState) -> NegativityResult:
 def log_negativity_block(state: TwoModeState) -> NegativityResult:
     """Partial-transpose spectrum read as chains.
 
-    The state must hold sector (0, 0) and at most one other sector
-    (k_a, k_b), as every NOON-derived state does; any other state is
-    refused with ValueError (``log_negativity_dense`` takes it).  The
-    partial transpose is never materialized: its diagonal ``a`` is sector
-    (0, 0) and its only couplings ``b[u] = PT[u + step, u]`` join each
+    The state must store at most one sector (k_a, k_b), ``x[1]``, besides
+    sector (0, 0), ``x[0]``, as every NOON-derived state does; any other
+    state is refused with ValueError (``log_negativity_dense`` takes it).
+    The partial transpose is never materialized: its diagonal ``a`` is
+    ``x[0]`` and its only couplings ``b[u] = PT[u + step, u]`` join each
     basis state u to the one a step (k_a, -k_b) away, so it is a direct sum
     of tridiagonal chains, split wherever a coupling is zero.
 
@@ -137,8 +137,7 @@ def log_negativity_block(state: TwoModeState) -> NegativityResult:
     so the result is bit for bit that of one eigensolve per chain.
     """
     k_a, k_b, x = state.k_a, state.k_b, state.x
-    others = np.flatnonzero((k_a != 0) | (k_b != 0))   # sectors besides (0, 0)
-    if others.size > 1:
+    if x.shape[0] > 2:
         raise ValueError(
             f"the block route reads sector (0, 0) and one other sector, and this state "
             f"holds {x.shape[0]} phase sectors; use the dense route (log_negativity_dense)")
@@ -152,8 +151,8 @@ def log_negativity_block(state: TwoModeState) -> NegativityResult:
     # chain step (ka, -kb) in the labels, step = ka cutoff_b - kb > 0 in the PT index
     b = np.zeros(d, dtype=x.dtype)
     step = 1
-    if others.size:
-        ka, kb, sector = int(k_a[others[0]]), int(k_b[others[0]]), x[others[0]]
+    if x.shape[0] == 2:   # sector (0, 0) is x[0], the coupling x[1]
+        ka, kb, sector = int(k_a[1]), int(k_b[1]), x[1]
         step = ka * db - kb
         if step < 0:   # ka = 0: the chain steps along the mirror (0, -kb)
             kb, step, sector = -kb, -step, sector.conj()

@@ -8,8 +8,8 @@ import pytest
 from noonamp import (AmplifierParams, CutoffPolicy, MODE_ASYMMETRIC_A, ModeCutoffs,
                      NoonSpec, SqueezingSpec, TwoModeState, amplify_noon, amplify_state,
                      build_noon, config, evolve, fock, log_negativity_dense,
-                     partial_transpose_b, photon_add_both, select_cutoffs, tmsv_fock,
-                     trace_distance)
+                     partial_transpose_b, photon_add_both, q_pairs, select_cutoffs,
+                     tmsv_fock, trace_distance)
 from noonamp.fock import hermitian_eigvalsh
 from noonamp.negativity import log_negativity_block
 
@@ -31,13 +31,22 @@ def test_cutoffs_validation():
         ModeCutoffs(4, -1)
     with pytest.raises(ValueError, match="cap"):
         ModeCutoffs(600, 600)
+    for bad in (2.5, math.nan, math.inf, "3"):
+        with pytest.raises(ValueError, match="integers"):
+            ModeCutoffs(bad, 3)
     assert ModeCutoffs(3, 5).dimension == 15
+    # integral values of any numeric dtype are taken, as Python ints
+    cut = ModeCutoffs(np.float64(3.0), np.int32(5))
+    assert cut == ModeCutoffs(3, 5) and type(cut.cutoff_a) is type(cut.cutoff_b) is int
     assert ModeCutoffs(3, 5).flat_index(2, 4) == 14
 
 
 def test_noon_spec_validation():
     with pytest.raises(ValueError):
         NoonSpec(0)
+    with pytest.raises(ValueError, match="integers"):
+        NoonSpec(1.5)
+    assert type(NoonSpec(np.float64(2.0)).n_photons) is int
 
 
 def test_build_noon_n1_entries():
@@ -169,12 +178,61 @@ def test_sector_stack_validation():
         TwoModeState(cut, [0, 1], [0, 0], padded, validate=False)
     with pytest.raises(ValueError, match="outside"):
         TwoModeState.from_entries(cut, [6], [0], [1.0])
+    # a fractional label or index is refused, not cast to a nearby integer
+    for bad in (1.7, math.nan):
+        with pytest.raises(ValueError, match="integers"):
+            TwoModeState(ModeCutoffs(4, 4), [0, bad], [0, -1.2], np.zeros((2, 4, 4)))
+    with pytest.raises(ValueError, match="integers"):
+        TwoModeState.from_entries(ModeCutoffs(2, 2), [0, 3.9], [0, 3.9], [0.5, 0.5])
+    whole = TwoModeState.from_entries(cut, np.array([0.0, 4.0]), np.array([0, 4], np.uint8),
+                                      [0.5, 0.5])
+    assert whole.populations().tolist() == [[0.5, 0.0, 0.0], [0.0, 0.5, 0.0]]
     # a zero sector is not kept, and a zero imaginary part is dropped
     x = np.zeros((2, 2, 3), dtype=complex)
     x[0, 0, 0] = 1.0
     state = TwoModeState(cut, [0, 1], [0, 0], x)
     assert state.k_a.tolist() == [0] and state.k_b.tolist() == [0]
     assert state.x.dtype == np.float64 and state.trace_deficit == 0.0
+
+
+@pytest.mark.parametrize("build", ["coupling_only", "hermitian_pair", "empty"])
+def test_diagonal_sector_stored_first_when_absent(build):
+    """A state given no diagonal entries stores a zero sector (0, 0) as x[0]
+    all the same, with trace 0 and trace_deficit 1, and every reader gives
+    the numbers it gave when that sector was not stored: populations, both
+    negativity routes (a lone coupling c = 0.3 puts the eigenvalues +-c on
+    the partial transpose), the integrator, the refusal of photon addition
+    and Q at matched pairs."""
+    cut = ModeCutoffs(6, 6)
+    if build == "coupling_only":
+        x = np.zeros((1, 6, 6))
+        x[0, 0, 0] = 0.3   # rho[(1, 0), (0, 1)]
+        state = TwoModeState(cut, [1], [-1], x)
+    elif build == "hermitian_pair":
+        state = TwoModeState.from_entries(cut, [6, 1], [1, 6], [0.3, 0.3])
+    else:
+        state = TwoModeState(cut, [], [], np.zeros((0, 6, 6)))
+    coupled = build != "empty"
+    assert (state.k_a[0], state.k_b[0]) == (0, 0)
+    assert state.k_a.tolist() == ([0, 1] if coupled else [0])
+    assert not np.any(state.x[0]) and state.x.dtype == np.float64
+    assert state.trace == 0.0 and state.trace_deficit == 1.0
+    assert not np.any(state.populations())
+
+    c = 0.3 if coupled else 0.0
+    for result in (log_negativity_dense(state), log_negativity_block(state)):
+        assert (result.neg_sum, result.min_eigenvalue) == (c, -c)
+        assert result.log_negativity == math.log2(1.0 + 2.0 * c)
+    params = AmplifierParams(1.2)
+    evolved = evolve(state, params)
+    assert evolved.k_a.tolist() == state.k_a.tolist() and evolved.trace_deficit == 1.0
+    assert np.abs(evolved.matrix - amplify_state(state, params).matrix).max() <= 1e-15
+    with pytest.raises(ValueError, match="no weight inside the cutoffs"):
+        photon_add_both(state)
+    # Q = 2 c Re(conj(alpha) beta) e^{-|alpha|^2 - |beta|^2} / pi^2
+    alphas = np.array([0, 0.5, 0.3 + 0.4j])
+    expected = 2 * c * np.abs(alphas) ** 2 * np.exp(-2 * np.abs(alphas) ** 2) / math.pi**2
+    assert np.abs(q_pairs(state, alphas, alphas) - expected).max() <= 1e-17
 
 
 def test_from_entries_keeps_upper_sectors_and_mirrors_entries():
