@@ -1,5 +1,5 @@
 """The single-mode gain/loss generator of the amplifier master equation,
-applied to the phase sectors of a two-mode state: the one definition of the
+built as one tridiagonal matrix per phase offset: the one definition of the
 truncated generator.
 
 Generator convention, per amplified mode (kn1 = kappa*N1, kn2 = kappa*N2):
@@ -13,19 +13,15 @@ On the entries rho[n, m, p, q] it moves weight only along (n, p) ->
 therefore conserved: each sector of fixed (k_a, k_b) evolves on its own,
 and a sector empty at t = 0 stays exactly zero.  The sectors are stacked
 as x[s, j_a, j_b], where j_a = min(n, p) and j_b = min(m, q) are the
-positions along each sector's diagonal.  In sector s only
-j_a < cutoff_a - |k_a| and j_b < cutoff_b - |k_b| exist; the padding
-beyond carries zero ladder coefficients, so it stays zero.  Creation out of
-the top retained Fock level is dropped; the integrator's leak monitor
-watches the resulting trace loss.
+positions along each sector's diagonal.  In a sector of offset k only
+j < dim - |k| exist; the generator's rows and columns beyond are zero, so
+the padding stays zero.  Creation out of the top retained Fock level is
+dropped; the integrator's leak monitor watches the resulting trace loss.
 
-``lindblad.evolve`` calls each kernel once per run, on a stack of identity
-slices, and reads off one generator matrix per distinct |k|; the
-coefficients depend on k only through |k|.  Both kernels accumulate into
-``out`` (callers zero it first).
+The coefficients depend on k only through |k|, so ``gen_mode_a`` and
+``gen_mode_b`` take the distinct |k| and return one generator matrix L
+each: mode a acts on a sector as x_s -> L x_s, mode b as x_s -> x_s L^T.
 """
-
-from typing import NamedTuple
 
 import numpy as np
 
@@ -33,62 +29,31 @@ import numpy as np
 BACKEND = "numpy"
 
 
-class Ladder(NamedTuple):
-    """One mode's generator coefficients over a stack of sectors.
-
-    ``gain_up`` weights the move j - 1 -> j (indexed by j - 1) and
-    ``loss_down`` the move j + 1 -> j (indexed by j); ``gain_diag`` and
-    ``loss_diag`` are the decay rates at j.  The arrays hold one row per
-    sector, shaped to broadcast over the other mode's positions; the loss
-    terms are None when kn2 = 0.
-    """
-
-    gain_up: np.ndarray
-    gain_diag: np.ndarray
-    loss_down: np.ndarray | None
-    loss_diag: np.ndarray | None
-
-
-def ladder(mode: str, k, dim: int, kn1: float, kn2: float) -> Ladder:
-    """Coefficients of mode ``mode`` ("a" or "b", Fock dimension ``dim``)
-    for the sectors whose phase offsets in that mode are ``k`` (n - p for
-    mode a, m - q for mode b; one per sector)."""
-    k = np.asarray(k, dtype=np.float64)[:, None]
-    j = np.arange(dim, dtype=np.float64)[None, :]
-    n = j + np.maximum(k, 0.0)
-    p = j + np.maximum(-k, 0.0)
-    inside = j < dim - np.abs(k)
-
-    def put(mask, values):
-        values = np.where(mask, values, 0.0)
-        return values[:, :, None] if mode == "a" else values[:, None, :]
-
-    gain_up = put(inside[:, 1:], (2.0 * kn1) * (np.sqrt(n[:, 1:]) * np.sqrt(p[:, 1:])))
-    gain_diag = put(inside, kn1 * ((n + 1.0) + (p + 1.0)))
-    if kn2 == 0.0:
-        return Ladder(gain_up, gain_diag, None, None)
+def _generators(k_abs: np.ndarray, dim: int, kn1: float, kn2: float) -> np.ndarray:
+    """One (dim, dim) tridiagonal L per offset in ``k_abs``, at positions
+    j (n = j + |k|, p = j) with the move j - 1 -> j below the diagonal and
+    j + 1 -> j above it."""
+    k = np.asarray(k_abs, dtype=np.float64)[:, None]
+    j = np.arange(dim, dtype=np.float64)
+    n, p = j + k, j
+    inside = j < dim - k
+    gens = np.zeros((k.shape[0], dim, dim))
+    r = np.arange(dim)
+    gens[:, r, r] = np.where(inside, -(kn1 * ((n + 1.0) + (p + 1.0))) - kn2 * (n + p), 0.0)
+    gens[:, r[1:], r[:-1]] = np.where(
+        inside[:, 1:], (2.0 * kn1) * (np.sqrt(n[:, 1:]) * np.sqrt(p[1:])), 0.0)
     # the source j + 1 must lie inside the sector too
-    loss_down = put(inside[:, 1:],
-                    (2.0 * kn2) * (np.sqrt(n[:, :-1] + 1.0) * np.sqrt(p[:, :-1] + 1.0)))
-    loss_diag = put(inside, kn2 * (n + p))
-    return Ladder(gain_up, gain_diag, loss_down, loss_diag)
+    gens[:, r[:-1], r[1:]] = np.where(
+        inside[:, 1:], (2.0 * kn2) * (np.sqrt(n[:, :-1] + 1.0) * np.sqrt(p[:-1] + 1.0)), 0.0)
+    return gens
 
 
-def gen_mode_a(x, out, lad: Ladder):
-    """Accumulate the mode-a generator of the sector stack x[s, j_a, j_b]."""
-    out[:, 1:, :] += lad.gain_up * x[:, :-1, :]
-    out -= lad.gain_diag * x
-    if lad.loss_down is not None:
-        out[:, :-1, :] += lad.loss_down * x[:, 1:, :]
-        out -= lad.loss_diag * x
-    return out
+def gen_mode_a(k_abs: np.ndarray, dim: int, kn1: float, kn2: float) -> np.ndarray:
+    """Mode a's generator L per offset in ``k_abs``: x_s -> L x_s."""
+    return _generators(k_abs, dim, kn1, kn2)
 
 
-def gen_mode_b(x, out, lad: Ladder):
-    """Accumulate the mode-b generator of the sector stack x[s, j_a, j_b]."""
-    out[:, :, 1:] += lad.gain_up * x[:, :, :-1]
-    out -= lad.gain_diag * x
-    if lad.loss_down is not None:
-        out[:, :, :-1] += lad.loss_down * x[:, :, 1:]
-        out -= lad.loss_diag * x
-    return out
+def gen_mode_b(k_abs: np.ndarray, dim: int, kn1: float, kn2: float) -> np.ndarray:
+    """Mode b's generator per offset in ``k_abs``, transposed and C-ordered
+    so it acts from the right: x_s -> x_s L^T."""
+    return np.ascontiguousarray(_generators(k_abs, dim, kn1, kn2).transpose(0, 2, 1))

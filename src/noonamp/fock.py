@@ -197,7 +197,8 @@ class TwoModeState:
 
     def entries(self):
         """(rows, cols, values): the nonzero entries over the flattened
-        basis, each stored sector's mirror included, in row-major order."""
+        basis in storage order, each stored sector's mirror after them; no
+        position appears twice."""
         s, j_a, j_b = np.nonzero(self.x)
         ka, kb = self.k_a[s], self.k_b[s]
         db = self.cutoffs.cutoff_b
@@ -206,9 +207,7 @@ class TwoModeState:
         values = self.x[s, j_a, j_b]
         off = s > 0   # the mirror sits at the transposed position
         rows, cols = np.concatenate([rows, cols[off]]), np.concatenate([cols, rows[off]])
-        values = np.concatenate([values, values[off].conj()])
-        order = np.argsort(rows * self.dimension + cols)
-        return rows[order], cols[order], values[order]
+        return rows, cols, np.concatenate([values, values[off].conj()])
 
     @property
     def matrix(self) -> np.ndarray:
@@ -328,43 +327,46 @@ def hermitian_eigvalsh(rows, cols, values, cutoffs: ModeCutoffs) -> np.ndarray:
     n_a (cutoff_b - 1) + c.  So a state's rank in its block has a closed
     form, min(n_a, n_b) for the first charge and
     min(n_a, cutoff_b - 1 - n_b) for the second, and no sort is needed.
-    The blocks of one size that hold a stored entry are summed by one
-    scatter in input order and solved densely by one stacked
-    ``np.linalg.eigvalsh`` call, which runs the same LAPACK routine on each
-    block as a solve of that block alone; a block with no stored entry is
-    not solved and keeps its exact zero eigenvalues.  A matrix that
-    conserves neither charge is solved whole, up to
-    ``config.FULL_SOLVE_MAX_DIMENSION``.
+    The entries are grouped by block size in one stable pass; the blocks
+    of one size that hold a stored entry are summed by one scatter in input
+    order and solved densely by one stacked ``np.linalg.eigvalsh`` call,
+    which runs the same LAPACK routine on each block as a solve of that
+    block alone; a block with no stored entry is not solved and keeps its
+    exact zero eigenvalues.  A matrix that conserves neither charge is one
+    block (rank = index), refused above ``config.FULL_SOLVE_MAX_DIMENSION``
+    before it is allocated.
     """
     d = cutoffs.dimension
-    n_a, n_b = np.divmod(np.arange(d), cutoffs.cutoff_b)
+    index = np.arange(d)
+    n_a, n_b = np.divmod(index, cutoffs.cutoff_b)
     m_b = cutoffs.cutoff_b - 1 - n_b
     # each charge (n_a - n_b shifted to start at 0, then n_a + n_b) with
-    # every state's rank in its block, which is its rank in index order
-    for charge, rank in ((n_a + m_b, np.minimum(n_a, n_b)), (n_a + n_b, np.minimum(n_a, m_b))):
+    # every state's rank in its block, which is its rank in index order; a
+    # matrix that conserves neither is one block of charge 0
+    for charge, rank in ((n_a + m_b, np.minimum(n_a, n_b)), (n_a + n_b, np.minimum(n_a, m_b)),
+                         (0 * index, index)):
         if np.array_equal(charge[rows], charge[cols]):
             break
-    else:
-        if d > config.FULL_SOLVE_MAX_DIMENSION:
-            raise ValueError(
-                f"matrix of dimension {d} conserves neither n_a - n_b nor n_a + n_b; "
-                f"a full eigensolve is limited to {config.FULL_SOLVE_MAX_DIMENSION}")
-        dense = np.zeros((d, d), dtype=values.dtype)
-        np.add.at(dense, (rows, cols), values)
-        return np.linalg.eigvalsh(dense)
-
-    # run holds one size's blocks with a stored entry, in charge order, and
-    # stacks them; its entries are scattered in input order, so repeated
-    # positions are summed in the order one scatter per block sums them
     sizes = np.bincount(charge)
     block = charge[rows]
     filled = np.bincount(block, minlength=sizes.size) > 0
-    entry_size, at_row, at_col = sizes[block], rank[rows], rank[cols]
+    if sizes.max(where=filled, initial=0) > config.FULL_SOLVE_MAX_DIMENSION:
+        raise ValueError(
+            f"matrix of dimension {d} conserves neither n_a - n_b nor n_a + n_b; "
+            f"a full eigensolve is limited to {config.FULL_SOLVE_MAX_DIMENSION}")
+
+    # the entries grouped by block size, in input order within a size; run
+    # holds one size's filled blocks in charge order, so repeated positions
+    # are summed in the order one scatter per block sums them
+    entry_size = sizes[block]
+    grouped = np.argsort(entry_size, kind="stable")
+    ends = np.cumsum(np.bincount(entry_size))
     solved = [np.zeros(d - sizes[filled].sum())]
     for size in np.flatnonzero(np.bincount(sizes[filled])).tolist():
         run = np.flatnonzero(filled & (sizes == size))
-        at = np.flatnonzero(entry_size == size)
+        at = grouped[ends[size - 1]:ends[size]]
         stack = np.zeros((run.size, size, size), dtype=values.dtype)
-        np.add.at(stack, (np.searchsorted(run, block[at]), at_row[at], at_col[at]), values[at])
+        np.add.at(stack, (np.searchsorted(run, block[at]), rank[rows[at]], rank[cols[at]]),
+                  values[at])
         solved.append(np.linalg.eigvalsh(stack).ravel())
     return np.sort(np.concatenate(solved))

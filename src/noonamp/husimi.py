@@ -47,11 +47,12 @@ def _check_extent(extent: float) -> None:
 
 def square_mesh(extent: float, points: int) -> tuple[np.ndarray, float]:
     """Complex samples on a uniform (points x points) mesh over
-    [-extent, extent]^2; returns (samples, spacing)."""
+    [-extent, extent]^2; returns (samples, spacing).  One point is the
+    centre 0, the midpoint of one cell of width 2 extent."""
     _check_extent(extent)
     if points < 1:
         raise ValueError("points must be >= 1")
-    axis = np.linspace(-extent, extent, points)
+    axis = np.linspace(-extent, extent, points) if points > 1 else np.zeros(1)
     re, im = np.meshgrid(axis, axis, indexing="ij")
     spacing = axis[1] - axis[0] if points > 1 else 2.0 * extent
     return (re + 1j * im).ravel(), float(spacing)

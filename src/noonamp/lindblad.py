@@ -18,11 +18,11 @@ x[s, j_a, j_b] and commute, and each depends on the sector only through
 |k|.  So the sector evolves exactly as x_s -> E_a x_s F_b, where
 E_a = exp(t L_a) acts on the mode-a positions and F_b = exp(t L_b^T) on
 the mode-b positions, one matrix per amplified mode and distinct |k|.
-``_kernels`` defines the generator once: each L is read off one kernel
-call on a stack of basis vectors, so the truncated generator is the same
-one the kernels apply.  The exponentials come from scaling and squaring a
-Taylor sum (Moler & Van Loan, SIAM Rev. 45, 3 (2003); Al-Mohy & Higham,
-SIAM J. Matrix Anal. Appl. 31, 970 (2009)); there is no time-step error.
+``_kernels`` defines the truncated generator once and builds each L (L_b
+already transposed) as a matrix.  The exponentials come from scaling and
+squaring a Taylor sum (Moler & Van Loan, SIAM Rev. 45, 3 (2003); Al-Mohy &
+Higham, SIAM J. Matrix Anal. Appl. 31, 970 (2009)); there is no time-step
+error.
 
 Amplification pushes weight toward the cutoff, so the state is advanced in
 ceil(t / ``CHECK_INTERVAL``) equal spans, all by one propagator per
@@ -76,17 +76,6 @@ def _check_leak(pops, modes, t: float, rate: float):
         )
 
 
-def _generators(mode: str, k_abs, dim: int, kn1: float, kn2: float) -> np.ndarray:
-    """One generator matrix per offset in ``k_abs``, read off the kernel
-    applied to identity sectors: L_a for mode a (x_s -> L_a x_s) and L_b^T
-    for mode b (x_s -> x_s L_b^T)."""
-    basis = np.repeat(np.eye(dim)[None], len(k_abs), axis=0)
-    out = np.zeros_like(basis)
-    gen = _kernels.gen_mode_a if mode == "a" else _kernels.gen_mode_b
-    gen(basis, out, _kernels.ladder(mode, k_abs, dim, kn1, kn2))
-    return out
-
-
 def _expm(gens: np.ndarray, t: float) -> np.ndarray:
     """exp(t L) for each matrix of the stack: a degree-_TAYLOR_DEGREE Taylor
     sum (Horner form) of t L / 2^s, squared s times."""
@@ -120,10 +109,11 @@ def evolve(state: TwoModeState, params: AmplifierParams) -> TwoModeState:
     k_a, k_b, x = state.k_a, state.k_b, state.x
     # per amplified mode, each sector's propagator over one span
     props = {}
-    for mode, k, dim in (("a", k_a, c.cutoff_a), ("b", k_b, c.cutoff_b)):
+    for mode, k, dim, gen in (("a", k_a, c.cutoff_a, _kernels.gen_mode_a),
+                              ("b", k_b, c.cutoff_b, _kernels.gen_mode_b)):
         if mode in modes:
             k_abs, index = np.unique(np.abs(k), return_inverse=True)
-            gens = _generators(mode, k_abs, dim, kappa_n1, kappa_n2)
+            gens = gen(k_abs, dim, kappa_n1, kappa_n2)
             props[mode] = _expm(gens, t_final / n_spans)[index].astype(x.dtype)
 
     # linspace ends exactly at t_final

@@ -99,17 +99,18 @@ def per_component_reference(state):
 
 
 def charges(cutoffs):
-    """n_a - n_b and n_a + n_b of every basis state, in flat-index order."""
+    """n_a - n_b, n_a + n_b and 0 of every basis state, in flat-index order;
+    every matrix conserves the last."""
     n_a, n_b = np.divmod(np.arange(cutoffs.dimension), cutoffs.cutoff_b)
-    return n_a - n_b, n_a + n_b
+    return n_a - n_b, n_a + n_b, 0 * n_a
 
 
 def charge_conserving_triplets(cutoffs, rng, is_complex):
-    """Random Hermitian (rows, cols, values) that conserve n_a - n_b or
-    n_a + n_b, one drawn at random.  Some charges get no entry, positions
-    repeat (drawn with replacement, and some entries listed twice), and
-    the entries come in shuffled order."""
-    charge = charges(cutoffs)[rng.integers(2)]
+    """Random Hermitian (rows, cols, values) that conserve n_a - n_b, or
+    n_a + n_b, or in general neither, one of the three drawn at random.
+    Some charges get no entry, positions repeat (drawn with replacement,
+    and some entries listed twice), and the entries come in shuffled order."""
+    charge = charges(cutoffs)[rng.integers(3)]
     levels = np.unique(charge)
     rows, cols = [], []
     for level in rng.choice(levels, size=rng.integers(1, levels.size + 1), replace=False):
@@ -130,10 +131,10 @@ def charge_conserving_triplets(cutoffs, rng, is_complex):
 
 
 def per_block_eigvalsh(rows, cols, values, cutoffs):
-    """Sorted spectrum of a charge-conserving Hermitian matrix, one dense
-    block per charge (n_a - n_b if it is conserved, else n_a + n_b): each
-    block is summed by its own ``np.add.at`` in input order and solved
-    alone, and a block with no entry gives zeros."""
+    """Sorted spectrum of a Hermitian matrix, one dense block per charge
+    (n_a - n_b if it is conserved, else n_a + n_b, else one block holding
+    every state): each block is summed by its own ``np.add.at`` in input
+    order and solved alone, and a block with no entry gives zeros."""
     charge = next(c for c in charges(cutoffs) if np.array_equal(c[rows], c[cols]))
     rank = np.empty(cutoffs.dimension, dtype=np.intp)
     eigs = []

@@ -240,6 +240,17 @@ def test_riemann_normalization_converges():
     assert abs(masses[2] - 1.0) < 3 * (1.0 - math.erf(2.2) ** 4) + 1e-3
 
 
+@pytest.mark.parametrize("extent", [0.5, 3.0])
+def test_square_mesh_samples_the_cell_midpoints(extent):
+    """Each sample is the midpoint of its cell under the mesh's spacing, so
+    a one-point mesh samples the centre 0 with spacing 2 extent."""
+    mesh, spacing = square_mesh(extent, 1)
+    assert mesh.tolist() == [0j] and spacing == 2.0 * extent
+    mesh, spacing = square_mesh(extent, 3)
+    assert spacing == extent and 0j in mesh.tolist()
+    assert np.abs(mesh.real).max() == np.abs(mesh.imag).max() == extent
+
+
 def test_default_grid_for_state_shrinks():
     state = build_noon(NoonSpec(1), ModeCutoffs(8, 32))
     grid = default_grid_for_state(state, extent=3.0, points=5)

@@ -27,17 +27,19 @@ def test_params_validation_and_eta(monkeypatch):
     """evolve reads its rates from eta alone, kappa N1 = 1 + eta and
     kappa N2 = eta, and never the exact map's stage gain."""
     rates = []
-    ladder = _kernels.ladder
 
-    def recording_ladder(mode, k, dim, kn1, kn2):
-        rates.append((mode, kn1, kn2))
-        return ladder(mode, k, dim, kn1, kn2)
+    def recording(mode, gen):
+        def record(k_abs, dim, kn1, kn2):
+            rates.append((mode, kn1, kn2))
+            return gen(k_abs, dim, kn1, kn2)
+        return record
 
     def no_stage_gain(self):
         raise AssertionError("evolve read stage_gain")
 
     params = AmplifierParams(1.01, eta=0.5)   # construction checks the stage gain
-    monkeypatch.setattr(_kernels, "ladder", recording_ladder)
+    monkeypatch.setattr(_kernels, "gen_mode_a", recording("a", _kernels.gen_mode_a))
+    monkeypatch.setattr(_kernels, "gen_mode_b", recording("b", _kernels.gen_mode_b))
     monkeypatch.setattr(AmplifierParams, "stage_gain", property(no_stage_gain))
     evolve(build_noon(NoonSpec(1), ModeCutoffs(12, 12)), params)
     assert rates == [("a", 1.5, 0.5), ("b", 1.5, 0.5)]

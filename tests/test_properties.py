@@ -176,7 +176,8 @@ def test_charge_blocked_spectrum_equals_full_solve(n, g2, mode, r):
 def test_charge_blocked_spectrum_equals_per_block_reference(da, db, is_complex, seed):
     """Bit for bit, the charge-blocked spectrum is one dense eigensolve per
     block with a stored entry, summed in input order, and exact zeros for
-    every other block; no stacked solve receives a block without an entry."""
+    every other block; no stacked solve receives a block without an entry.
+    A matrix that conserves neither charge is one dense solve."""
     cutoffs = ModeCutoffs(da, db)
     rows, cols, values = charge_conserving_triplets(
         cutoffs, np.random.default_rng(seed), is_complex)
